@@ -79,7 +79,7 @@ func run(args []string, stdout io.Writer) error {
 		batch    = fs.Int("batch", 8, "frames per batched interpreter invoke (1 = frame at a time)")
 		fleet    = fs.String("fleet", "", `shard across a device fleet: "profile:workers[:batch],..." (overrides -device/-parallel/-batch)`)
 		shard    = fs.String("shard", "contiguous", "fleet shard policy: contiguous|round-robin|weighted")
-		kernel   = fs.String("kernel", "", "kernel backend: reference|blocked|tiled (default blocked)")
+		kernel   = fs.String("kernel", "", "kernel backend: tiled|reference (default tiled)")
 		logFmt   = fs.String("log-format", "jsonl", "telemetry log encoding: jsonl|binary")
 		upload   = fs.String("upload", "", "also stream telemetry to an exrayd collector at this URL (per-device sessions)")
 		gz       = fs.Bool("upload-gzip", true, "gzip-compress upload chunks")

@@ -115,6 +115,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-fleet", "Pixel4:1:-2"},
 		{"-fleet", "NoSuchDevice:1"},
 		{"-fleet", "Pixel4:2", "-shard", "zigzag"},
+		{"-kernel", "blocked"}, // deleted backend: must not alias to the default
 	} {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("args %v should error", args)

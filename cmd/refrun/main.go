@@ -45,7 +45,6 @@ func run(args []string, stdout io.Writer) error {
 		perLayer = fs.Bool("perlayer", true, "capture per-layer outputs")
 		parallel = fs.Int("parallel", 0, "replay workers (0 = all cores)")
 		batch    = fs.Int("batch", 8, "frames per batched interpreter invoke (1 = frame at a time)")
-		kernel   = fs.String("kernel", "", "kernel backend: reference|blocked|tiled (inert here: the reference resolver's kernels sit before the backend seam)")
 		logFmt   = fs.String("log-format", "jsonl", "telemetry log encoding: jsonl|binary")
 		out      = fs.String("o", "ref.jsonl", "output log path")
 	)
@@ -56,13 +55,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	format, err := core.ParseLogFormat(*logFmt)
-	if err != nil {
-		return err
-	}
-	// Parsed for flag symmetry with edgerun and threaded through so a future
-	// resolver swap picks it up, but the reference resolver never reaches the
-	// GEMM seam, so the output is identical for every accepted value.
-	backend, err := ops.ParseBackend(*kernel)
 	if err != nil {
 		return err
 	}
@@ -83,7 +75,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	_, err = replay.Classification(entry.Mobile, pipeline.Options{
 		Resolver: ops.NewReference(ops.Fixed()),
-		Backend:  backend,
 	}, images, runner.Options{
 		Workers:        *parallel,
 		BatchFrames:    *batch,

@@ -54,6 +54,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-frames", "0"},
 		{"-parallel", "-1"},
 		{"-batch", "0"},
+		{"-kernel", "tiled"}, // the reference resolver has no backend seam, so no flag
 	} {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("args %v should error", args)

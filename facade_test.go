@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mlexray"
@@ -100,8 +101,9 @@ func TestFacadeEndToEndChannelBug(t *testing.T) {
 
 // TestFacadeKernelBackend drives the kernel-backend seam end to end through
 // the public API: a tiled-backend edge log must validate cleanly (benign
-// float drift, bounded by the validators) against a blocked-backend
-// reference, and the flag-name round trip must cover every backend.
+// float drift, bounded by the validators) against a reference-backend
+// log, and the flag-name round trip must cover every backend — and nothing
+// else: a deleted backend name must fail, not alias.
 func TestFacadeKernelBackend(t *testing.T) {
 	for _, b := range mlexray.KernelBackends() {
 		got, err := mlexray.ParseKernelBackend(b.String())
@@ -112,8 +114,10 @@ func TestFacadeKernelBackend(t *testing.T) {
 			t.Errorf("ParseKernelBackend(%q) = %v, want %v", b.String(), got, b)
 		}
 	}
-	if _, err := mlexray.ParseKernelBackend("simd512"); err == nil {
-		t.Error("ParseKernelBackend accepted an unknown backend")
+	for _, name := range []string{"simd512", "blocked"} {
+		if _, err := mlexray.ParseKernelBackend(name); err == nil || !strings.Contains(err.Error(), "tiled or reference") {
+			t.Errorf("ParseKernelBackend(%q) error = %v, want one naming the valid backends", name, err)
+		}
 	}
 
 	capture := func(backend mlexray.KernelBackend) *mlexray.Log {
@@ -134,13 +138,13 @@ func TestFacadeKernelBackend(t *testing.T) {
 		return mon.Log()
 	}
 	edge := capture(mlexray.KernelTiled)
-	ref := capture(mlexray.KernelBlocked)
+	ref := capture(mlexray.KernelReference)
 	report, err := mlexray.Validate(edge, ref, mlexray.DefaultValidateOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.OutputAgreement < 0.99 {
-		t.Errorf("tiled vs blocked agreement = %.2f, want >= 0.99 (benign drift only)", report.OutputAgreement)
+		t.Errorf("tiled vs reference agreement = %.2f, want >= 0.99 (benign drift only)", report.OutputAgreement)
 	}
 }
 

@@ -209,12 +209,16 @@ const costScale = 500.0
 // refine the projection: the per-MAC coefficient is scaled by the kernel
 // backend's TimeFactor and panel-packing traffic is billed at the
 // data-movement rate, so switching -kernel changes modeled latency the same
-// direction it changes measured latency. A zero-value cost (TimeFactor 1,
-// PackBytes 0) reproduces the pre-seam projection bit for bit.
+// direction it changes measured latency. The reference resolver's loop nests
+// sit before the backend seam, so its coefficients take no backend terms.
 func (p *Profile) NodeLatency(op graph.OpType, kind ops.ComputeKind, resolver string, cost ops.Cost) time.Duration {
 	base := 2500.0 // fixed dispatch overhead per node, ns
-	ns := base + costScale*(p.nsPerMAC(op, kind, resolver)*cost.TimeFactor()*float64(cost.MACs)+
-		p.nsPerByte(op, kind, resolver)*float64(cost.Bytes+cost.PackBytes))
+	factor, pack := cost.TimeFactor(), cost.PackBytes
+	if resolver == "reference" {
+		factor, pack = 1, 0
+	}
+	ns := base + costScale*(p.nsPerMAC(op, kind, resolver)*factor*float64(cost.MACs)+
+		p.nsPerByte(op, kind, resolver)*float64(cost.Bytes+pack))
 	return time.Duration(ns * p.speed)
 }
 

@@ -115,3 +115,23 @@ func TestModeledThroughputOrdering(t *testing.T) {
 		t.Errorf("emulator throughput %.3f must stay positive", emu)
 	}
 }
+
+// TestBackendTermsSkipReferenceResolver: the kernel backend's cost terms
+// move the optimized resolver's projection and leave the reference
+// resolver's alone — its loop nests run the same on every backend.
+func TestBackendTermsSkipReferenceResolver(t *testing.T) {
+	p := Pixel4()
+	plain := convCost()
+	tiled := plain
+	tiled.MACTimeFactor, tiled.PackBytes = 0.55, 10_000
+	for _, kind := range []ops.ComputeKind{ops.KindFloat, ops.KindQuant} {
+		if got, want := p.NodeLatency(graph.OpConv2D, kind, "reference", tiled),
+			p.NodeLatency(graph.OpConv2D, kind, "reference", plain); got != want {
+			t.Errorf("%v: reference-resolver latency %v follows the backend terms, want %v", kind, got, want)
+		}
+		if got, base := p.NodeLatency(graph.OpConv2D, kind, "optimized", tiled),
+			p.NodeLatency(graph.OpConv2D, kind, "optimized", plain); got >= base {
+			t.Errorf("%v: optimized-resolver latency %v ignores the backend terms (plain %v)", kind, got, base)
+		}
+	}
+}

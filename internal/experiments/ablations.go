@@ -328,29 +328,27 @@ func RenderAblationLogFormat(w io.Writer, rows []AblationLogFormatRow) {
 
 // AblationKernelRow reports one (backend, compute kind) cell of the
 // kernel-backend ablation: invoke wall-clock per frame plus fidelity against
-// the blocked baseline on the same frames.
+// the reference backend on the same frames.
 type AblationKernelRow struct {
 	Backend ops.Backend
 	Kind    string
 	// NsPerFrm is the interpreter invoke cost (preprocessing excluded — the
 	// inputs are pre-tensorized so the column isolates the kernels).
 	NsPerFrm float64
-	// Top1Agree is the fraction of frames whose argmax matches the blocked
+	// Top1Agree is the fraction of frames whose argmax matches the reference
 	// backend's.
 	Top1Agree float64
 	// BitExact reports whether every output tensor is bitwise identical to
-	// the blocked backend's. Expected true everywhere except possibly
-	// float32/tiled, whose summation order is only validator-bounded (see
-	// ops.Backend.BitwiseStable).
+	// the reference backend's. Expected true everywhere except float32/tiled,
+	// whose summation order is only validator-bounded (see ops.BackendTiled).
 	BitExact bool
 }
 
 // AblationKernelBackend sweeps the kernel backends over the float and
 // quantized mobilenetv2-mini, measuring per-frame invoke cost and output
-// fidelity versus the blocked default. It is the table behind the backend
-// seam's contract: quantized outputs are bit-exact on every backend, float
-// outputs are bit-exact for the bitwise-stable backends and validator-bounded
-// for tiled.
+// fidelity versus the reference backend. It is the table behind the backend
+// seam's contract: quantized outputs are bit-exact on every backend, tiled
+// float outputs are validator-bounded.
 func AblationKernelBackend() ([]AblationKernelRow, error) {
 	e, err := zoo.Get("mobilenetv2-mini")
 	if err != nil {
@@ -391,7 +389,7 @@ func AblationKernelBackend() ([]AblationKernelRow, error) {
 			ns[b] = float64(time.Since(start).Nanoseconds()) / frames
 			outs[b] = got
 		}
-		base := outs[ops.BackendBlocked]
+		base := outs[ops.BackendReference]
 		for _, b := range ops.Backends() {
 			agree, exact := 0, true
 			for i, out := range outs[b] {

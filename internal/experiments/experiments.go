@@ -45,13 +45,6 @@ var ReplayWorkers = 0
 // other tasks batch dispatch only. Results are identical for any value.
 var ReplayBatch = 8
 
-// KernelBackend is the kernel micro-kernel backend accuracy sweeps plan
-// their optimized pipelines with (zero value = ops.BackendBlocked). Accuracy
-// metrics are identical for any bitwise-stable backend and validator-bounded
-// for ops.BackendTiled; AblationKernelBackend measures the difference
-// directly.
-var KernelBackend ops.Backend
-
 // sweepOptions are the runner options every sweep shares.
 func sweepOptions(monOpts []core.MonitorOption) runner.Options {
 	return runner.Options{Workers: ReplayWorkers, BatchFrames: ReplayBatch, MonitorOptions: monOpts}
@@ -76,7 +69,6 @@ func classificationImages(samples []datasets.ImageSample) []*imaging.Image {
 // Accuracy evals discard telemetry (nil MonitorOptions), so replicas run
 // uninstrumented — no per-frame tensor-stats cost on the hot path.
 func evalClassifierAccuracy(m *graph.Model, opts pipeline.Options, n int) (float64, error) {
-	opts.Backend = KernelBackend
 	samples := datasets.SynthImageNet(5555, n)
 	preds := make([]int, len(samples))
 	labels := make([]int, len(samples))

@@ -70,7 +70,7 @@ func WithLatencyModel(m LatencyModel) Option { return func(ip *Interpreter) { ip
 // WithBackend selects the GEMM micro-kernel backend the optimized kernels
 // dispatch to. It is a plan-time choice: the per-node contexts, cost
 // estimates and scratch reservations are all derived from it in New. The
-// default is ops.BackendBlocked.
+// default is ops.BackendTiled.
 func WithBackend(b ops.Backend) Option { return func(ip *Interpreter) { ip.backend = b } }
 
 // InvokeStats summarises one Invoke call.
@@ -180,9 +180,6 @@ func (ip *Interpreter) Model() *graph.Model { return ip.model }
 
 // Resolver returns the active resolver.
 func (ip *Interpreter) Resolver() *ops.Resolver { return ip.resolver }
-
-// Backend returns the planned GEMM kernel backend.
-func (ip *Interpreter) Backend() ops.Backend { return ip.backend }
 
 // SetInput copies t into model input slot i.
 func (ip *Interpreter) SetInput(i int, t *tensor.Tensor) error {

@@ -234,3 +234,17 @@ func TestNamedTensorAccess(t *testing.T) {
 		t.Error("accessors")
 	}
 }
+
+// TestDefaultBackendIsTiled pins the kernel backend New plans every node
+// with when no WithBackend option is given.
+func TestDefaultBackendIsTiled(t *testing.T) {
+	ip, err := New(buildCNN(t, 1), ops.NewOptimized(ops.Fixed()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ip.ctxs {
+		if b := ip.ctxs[i].Backend; b != ops.BackendTiled {
+			t.Errorf("node %d planned backend %s, want tiled", i, b)
+		}
+	}
+}

@@ -6,77 +6,58 @@ import "fmt"
 // through. It is orthogonal to the Resolver: the resolver picks the *op
 // lowering* (reference loop nests vs im2col+GEMM, including the historical
 // defects), while the backend picks the *inner GEMM kernel* the optimized
-// lowering dispatches to. The reference resolver ignores the backend — its
-// kernels never reach a GEMM.
+// lowering dispatches to. No kernel registered by NewReference reads the
+// backend — its loop nests never reach a GEMM.
 //
-// The zero value is BackendBlocked, today's gemmNT, so hand-built Ctx values
-// and existing callers keep their exact behaviour.
+// The zero value is BackendTiled, the production family, so hand-built Ctx
+// values and every caller that does not choose run the fast path.
 type Backend int
 
 const (
-	// BackendBlocked is the cache-blocked 4-column gemmNT kernel (the
-	// pre-seam default). Float accumulation runs per output element over k in
-	// ascending order: bitwise identical to BackendReference.
-	BackendBlocked Backend = iota
-	// BackendReference is the naive single-column dot-product GEMM. Same
-	// ascending-k summation order as BackendBlocked, so float outputs are
-	// bitwise identical — it exists as the slow anchor the faster kernels are
-	// diffed against.
-	BackendReference
 	// BackendTiled is the register-tiled kernel family: the float column-quad
 	// (1x4) kernel runs over in-place row operands, the int8 path packs
 	// int16-widened panels for its 4x2 tile, and the bias/activation
 	// (float) or requantization (int8) epilogue is fused into the tile store.
 	// The quantized path accumulates in int32 — integer addition is
 	// associative, so it is bit-exact against the reference kernel. The float
-	// path is contractually only validator-bounded against reference (see
-	// BitwiseStable), even though the current tile kernel happens to preserve
-	// ascending-k per-element order.
-	BackendTiled
+	// path is contractually only validator-bounded against reference: the
+	// kernel is free to reassociate the accumulation (the benign
+	// float-discrepancy class the paper documents), so validators bound it
+	// with agreement/nRMSE thresholds rather than equality.
+	BackendTiled Backend = iota
+	// BackendReference is the naive single-column dot-product GEMM behind the
+	// same im2col lowering, with a separate bias/activation epilogue. It
+	// exists as the slow, obviously-correct anchor the tiled kernels are
+	// raced and diffed against.
+	BackendReference
 )
 
 // String returns the -kernel flag spelling of the backend.
 func (b Backend) String() string {
 	switch b {
-	case BackendBlocked:
-		return "blocked"
-	case BackendReference:
-		return "reference"
 	case BackendTiled:
 		return "tiled"
+	case BackendReference:
+		return "reference"
 	default:
 		return fmt.Sprintf("backend(%d)", int(b))
 	}
 }
 
-// ParseBackend parses a -kernel flag value. The empty string selects the
-// default blocked backend.
+// ParseBackend parses a -kernel flag value: "tiled" or "reference". The
+// empty string selects the default tiled backend.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "", "blocked":
-		return BackendBlocked, nil
+	case "", "tiled":
+		return BackendTiled, nil
 	case "reference", "ref":
 		return BackendReference, nil
-	case "tiled":
-		return BackendTiled, nil
 	default:
-		return BackendBlocked, fmt.Errorf("ops: unknown kernel backend %q (want reference, blocked or tiled)", s)
+		return BackendTiled, fmt.Errorf("ops: unknown kernel backend %q (want tiled or reference)", s)
 	}
 }
 
-// Backends lists every selectable backend, in documentation order.
+// Backends lists every selectable backend, anchor first.
 func Backends() []Backend {
-	return []Backend{BackendReference, BackendBlocked, BackendTiled}
-}
-
-// BitwiseStable reports whether the backend's float GEMM promises bitwise
-// identity with the reference summation order. Reference and blocked both
-// accumulate each output element over k ascending, so they are stable.
-// Tiled float is declared validator-bounded instead: the packed kernel is
-// free to reassociate the accumulation (the benign float-discrepancy class
-// the paper documents), and validators must bound it with agreement/nRMSE
-// thresholds rather than equality. Quantized GEMM is bit-exact on every
-// backend regardless — int32 addition is associative.
-func (b Backend) BitwiseStable() bool {
-	return b != BackendTiled
+	return []Backend{BackendReference, BackendTiled}
 }

@@ -131,10 +131,7 @@ func BenchmarkGEMM(b *testing.B) {
 	b.SetBytes(int64(4 * (m*k + n*k + m*n)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range c {
-			c[j] = 0
-		}
-		gemmNT(a, bb, c, m, n, k)
+		gemmTiledFusedF32(a, bb, nil, c, m, n, k, graph.ActNone)
 	}
 }
 
@@ -156,7 +153,7 @@ func BenchmarkGemmBackend(b *testing.B) {
 			}
 		})
 	}
-	for _, backend := range []Backend{BackendBlocked, BackendTiled} {
+	for _, backend := range Backends() {
 		backend := backend
 		b.Run("conv-quant/"+backend.String(), func(b *testing.B) {
 			ctx, _, opt := benchQuantConvCtx(b)
@@ -169,7 +166,7 @@ func BenchmarkGemmBackend(b *testing.B) {
 			}
 		})
 	}
-	for _, backend := range []Backend{BackendBlocked, BackendTiled} {
+	for _, backend := range Backends() {
 		backend := backend
 		b.Run("depthwise-float/"+backend.String(), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))

@@ -7,7 +7,7 @@ import (
 // Cost is a first-order work estimate for one node, the input to the device
 // latency model: multiply-accumulates for compute-bound ops and bytes
 // touched for memory-bound ops, plus the active kernel backend's efficiency
-// terms so modeled latency does not pretend every backend runs gemmNT's
+// terms so modeled latency does not pretend every backend runs at the same
 // constants.
 type Cost struct {
 	MACs  int64
@@ -15,12 +15,12 @@ type Cost struct {
 	// PackBytes counts the panel-packing traffic the tiled backend adds per
 	// invoke: the int8 path's zero-corrected int16 activation panel, written
 	// and re-read. Zero for the float path (its operands are used in place
-	// or go through the same im2col as the blocked backend) and for backends
-	// that do not pack.
+	// or go through the same im2col as the reference backend) and for
+	// backends that do not pack.
 	PackBytes int64
-	// MACTimeFactor scales the per-MAC latency coefficient for the active
-	// backend relative to the blocked baseline (reference > 1, tiled < 1).
-	// Zero means 1.0, so a zero-value Cost models the pre-seam behaviour.
+	// MACTimeFactor scales the device profile's per-MAC latency coefficient
+	// for the active backend (reference > 1, tiled < 1). Zero means 1.0, the
+	// unscaled coefficient.
 	MACTimeFactor float64
 }
 
@@ -33,14 +33,15 @@ func (c Cost) TimeFactor() float64 {
 }
 
 // Backend MAC-time factors for the kernel-family ops (Conv2D, Dense,
-// DepthwiseConv2D), relative to the blocked baseline. Calibrated against
-// the BenchmarkInvokeGemm per-backend profiles on the bench host: the naive
-// reference float dot loop runs a single dependency chain (the quantized
-// dot loop is shared between reference and blocked, so no factor there);
-// the tiled conv/dense path fuses the epilogue, skips im2col for pointwise
-// and narrow-stem convolutions and runs the column-quad (1x4) register
-// kernel over in-place row operands; the tiled depthwise kernels replace
-// the scratch-slab accumulate with register blocks.
+// DepthwiseConv2D), relative to the device profile's unscaled per-MAC
+// coefficient. Calibrated against the BenchmarkInvokeGemm per-backend
+// profiles on the bench host: the naive reference float dot loop runs a
+// single dependency chain (the reference backend's quantized dot loop runs
+// at the unscaled coefficient, so no factor there); the tiled conv/dense
+// path fuses the epilogue, skips im2col for pointwise and narrow-stem
+// convolutions and runs the column-quad (1x4) register kernel over in-place
+// row operands; the tiled depthwise kernels replace the scratch-slab
+// accumulate with register blocks.
 const (
 	macFactorRefFloat     = 1.5
 	macFactorTiledFloat   = 0.65
@@ -49,16 +50,11 @@ const (
 	macFactorTiledDWQuant = 0.6
 )
 
-// EstimateCost computes the blocked-backend cost of a node. It is exact for
-// the convolution family and a reasonable byte count elsewhere.
-func EstimateCost(n *graph.Node, shapeOf func(id int) []int, elemSize func(id int) int) Cost {
-	return EstimateCostBackend(n, KindFloat, BackendBlocked, shapeOf, elemSize)
-}
-
 // EstimateCostBackend computes the cost of a node under a specific compute
-// kind and kernel backend. Kind and backend only influence the kernel-family
-// ops (Conv2D, Dense, DepthwiseConv2D): other nodes never reach the backend
-// seam.
+// kind and kernel backend: MACs are exact for the convolution family, bytes
+// a reasonable count elsewhere. Kind and backend only influence the
+// kernel-family ops (Conv2D, Dense, DepthwiseConv2D): other nodes never
+// reach the backend seam.
 func EstimateCostBackend(n *graph.Node, kind ComputeKind, backend Backend, shapeOf func(id int) []int, elemSize func(id int) int) Cost {
 	c := estimateBaseCost(n, shapeOf, elemSize)
 	if n.Op == graph.OpDepthwiseConv2D {
@@ -81,7 +77,7 @@ func EstimateCostBackend(n *graph.Node, kind ComputeKind, backend Backend, shape
 	switch backend {
 	case BackendReference:
 		if kind != KindQuant {
-			// The quantized dot loop is shared between reference and blocked.
+			// The quantized reference dot loop runs at the unscaled coefficient.
 			c.MACTimeFactor = macFactorRefFloat
 		}
 	case BackendTiled:
@@ -91,7 +87,7 @@ func EstimateCostBackend(n *graph.Node, kind ComputeKind, backend Backend, shape
 			// activation panel is written once and re-read once per invoke
 			// (the widened weight panels are packed once per node and
 			// amortize to nothing over a replay). The float path uses its
-			// operands in place — or the same im2col the blocked backend
+			// operands in place — or the same im2col the reference backend
 			// pays — so it adds no packing bytes.
 			if c.MACs > 0 {
 				out := shapeOf(n.Outputs[0])

@@ -6,7 +6,7 @@ import (
 )
 
 // Register-tiled depthwise convolution kernels for the tiled backend. The
-// blocked depthwise path accumulates through a per-pixel scratch slab —
+// slab loop in depthwiseFloatOpt accumulates through a per-pixel scratch slab —
 // every MAC is a load-modify-store on memory, bracketed by a bias-copy pass
 // and an activation pass over the same slab. The tiled kernels instead walk
 // channels in blocks of register accumulators with the bias seeding and the
@@ -18,14 +18,14 @@ import (
 // lives in its own small function on purpose: inlined into the node-level
 // loop the register allocator has too many live values and spills the
 // accumulators, which costs more than the call. Taps accumulate in the same
-// ascending (ky, kx) order as the blocked kernel, so the float results are
+// ascending (ky, kx) order as the slab loop, so the float results are
 // bitwise identical; the quantized results are bit-exact by integer
 // associativity.
 //
 // Both kernels cover the depth_multiplier == 1 layout with kernels up to
 // maxDWTaps taps (every production depthwise layer qualifies); the
-// dispatchers in float_opt.go / quantized.go fall back to the blocked loop
-// for other layouts and for the injected logical-shift-bug variant.
+// dispatchers in float_opt.go / quantized.go fall back to the slab and
+// reference loops for other layouts.
 
 // maxDWTaps bounds the per-pixel tap table (covers kernels up to 5x5).
 const maxDWTaps = 25
@@ -320,7 +320,7 @@ func dwPixelQuant(inU []uint8, wI []int8, bx []int32, outRow []uint8, taps, wofs
 // depthwiseQuantTiled is the quantized depthwise kernel of the tiled
 // backend: int32 register accumulators per channel block, bias and
 // fixed-point requantization fused into the store. Bit-exact against
-// depthwiseQuantImpl (integer accumulation is associative).
+// depthwiseQuantRef (integer accumulation is associative).
 func depthwiseQuantTiled(c *Ctx) error {
 	in, err := c.In(0)
 	if err != nil {

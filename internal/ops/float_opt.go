@@ -6,7 +6,7 @@ import (
 )
 
 // The optimized float kernels mirror TFLite's production path: im2col
-// lowering followed by a blocked GEMM. They compute the same function as the
+// lowering followed by a GEMM. They compute the same function as the
 // reference kernels but in a different summation order, so float outputs
 // can differ in the low bits — the benign class of discrepancy the paper
 // notes when comparing resolvers on float models ("small discrepancies on
@@ -14,53 +14,6 @@ import (
 //
 // All transient buffers come from the Ctx arena, so a planned interpreter
 // invokes these kernels without allocating.
-
-// gemmNT computes C[m,n] += A[m,k] * B[n,k]^T with cache blocking and a
-// 4-column inner kernel. Each output element still accumulates over p in
-// ascending order in its own chain, so results are bitwise identical to the
-// single-column loop — the unroll only interleaves four independent
-// dependency chains to keep the FMA pipeline full.
-func gemmNT(a []float32, b []float32, c []float32, m, n, k int) {
-	const block = 64
-	for i0 := 0; i0 < m; i0 += block {
-		iMax := min(i0+block, m)
-		for j0 := 0; j0 < n; j0 += block {
-			jMax := min(j0+block, n)
-			for i := i0; i < iMax; i++ {
-				ai := a[i*k : (i+1)*k]
-				ci := c[i*n : (i+1)*n]
-				j := j0
-				for ; j+4 <= jMax; j += 4 {
-					// Re-slicing to ai's length lets the compiler drop the
-					// b*[p] bounds checks inside the dot loop.
-					b0 := b[j*k:][:len(ai)]
-					b1 := b[(j+1)*k:][:len(ai)]
-					b2 := b[(j+2)*k:][:len(ai)]
-					b3 := b[(j+3)*k:][:len(ai)]
-					var acc0, acc1, acc2, acc3 float32
-					for p, av := range ai {
-						acc0 += av * b0[p]
-						acc1 += av * b1[p]
-						acc2 += av * b2[p]
-						acc3 += av * b3[p]
-					}
-					ci[j] += acc0
-					ci[j+1] += acc1
-					ci[j+2] += acc2
-					ci[j+3] += acc3
-				}
-				for ; j < jMax; j++ {
-					bj := b[j*k : (j+1)*k]
-					var acc float32
-					for p, av := range ai {
-						acc += av * bj[p]
-					}
-					ci[j] += acc
-				}
-			}
-		}
-	}
-}
 
 // im2col lowers a padded convolution input into a [outH*outW, kh*kw*inC]
 // matrix for one batch element. Out-of-bounds taps are zero.
@@ -94,10 +47,10 @@ func im2col(in *tensor.Tensor, batch int, a graph.Attrs, kh, kw, oh, ow int, dst
 	}
 }
 
-// gemmRefNT is the naive single-column GEMM: the reference backend's anchor
-// kernel. Identical summation order to gemmNT (each output element
-// accumulates over p ascending), so results are bitwise equal — it exists so
-// the faster kernels always have a slow, obviously-correct kernel to race.
+// gemmRefNT computes C[m,n] += A[m,k] * B[n,k]^T with the naive
+// single-column dot loop: the reference backend's anchor kernel. Each output
+// element accumulates over p ascending. It exists so the tiled kernels
+// always have a slow, obviously-correct kernel to race.
 func gemmRefNT(a []float32, b []float32, c []float32, m, n, k int) {
 	for i := 0; i < m; i++ {
 		ai := a[i*k : (i+1)*k]
@@ -113,31 +66,22 @@ func gemmRefNT(a []float32, b []float32, c []float32, m, n, k int) {
 	}
 }
 
-// gemmForBackend returns the plain (non-fused) float GEMM of a backend. The
-// tiled backend never goes through this path — its kernels fuse the epilogue.
-func gemmForBackend(b Backend) func(a, bb, c []float32, m, n, k int) {
-	if b == BackendReference {
-		return gemmRefNT
-	}
-	return gemmNT
-}
-
 // convFloatOpt is the optimized Conv2D, dispatching on the planned kernel
-// backend: the tiled backend takes the packed fused path, reference and
-// blocked share the im2col + GEMM + separate-epilogue lowering below.
+// backend: the tiled backend takes the packed fused path, the reference
+// backend the im2col + naive GEMM + separate-epilogue lowering below.
 func convFloatOpt(c *Ctx) error {
 	if c.Backend == BackendTiled {
 		return convFloatTiled(c)
 	}
-	return convFloatBlocked(c)
+	return convFloatIm2col(c)
 }
 
-// convFloatBlocked is the pre-seam optimized Conv2D: im2col + GEMM + fused
-// bias and activation. The im2col matrix spans the whole (possibly
+// convFloatIm2col is the reference backend's Conv2D: im2col + naive GEMM +
+// bias and activation epilogue. The im2col matrix spans the whole (possibly
 // rebatched) batch, so one GEMM covers every element — per-row summation
 // order is unchanged, keeping outputs bitwise identical to a per-element
 // lowering.
-func convFloatBlocked(c *Ctx) error {
+func convFloatIm2col(c *Ctx) error {
 	in, err := c.In(0)
 	if err != nil {
 		return err
@@ -164,8 +108,8 @@ func convFloatBlocked(c *Ctx) error {
 		prod[i] = 0
 	}
 	// Weights are [oc, kh, kw, ic] = row-major [oc, k]: exactly the
-	// B[n,k] layout gemmNT wants.
-	gemmForBackend(c.Backend)(cols, w.F, prod, m, oc, k)
+	// B[n,k] layout gemmRefNT wants.
+	gemmRefNT(cols, w.F, prod, m, oc, k)
 	for i := 0; i < m; i++ {
 		for co := 0; co < oc; co++ {
 			v := prod[i*oc+co]
@@ -184,7 +128,7 @@ func convFloatBlocked(c *Ctx) error {
 func depthwiseFloatOpt(c *Ctx) error {
 	// The tiled backend's register-accumulator kernel covers the standard
 	// depth_multiplier == 1 layout with tap tables up to 5x5; rarer layouts
-	// take the blocked slab loop.
+	// and the reference backend take the slab loop.
 	if c.Backend == BackendTiled && max1(c.Node.Attrs.DepthMultiplier) == 1 {
 		if w, err := c.In(1); err == nil && w.Shape[1]*w.Shape[2] <= maxDWTaps {
 			return depthwiseFloatTiled(c)
@@ -273,7 +217,7 @@ func denseFloatOpt(c *Ctx) error {
 	inC := in.Len() / n
 	outC := w.Shape[0]
 	out.Zero()
-	gemmForBackend(c.Backend)(in.F, w.F, out.F, n, outC, inC)
+	gemmRefNT(in.F, w.F, out.F, n, outC, inC)
 	for b := 0; b < n; b++ {
 		for co := 0; co < outC; co++ {
 			v := out.F[b*outC+co]

@@ -513,7 +513,7 @@ func TestEstimateCost(t *testing.T) {
 	shapeOf := func(id int) []int { return shapes[id] }
 	sizeOf := func(id int) int { return 4 }
 	n := &graph.Node{Op: graph.OpConv2D, Inputs: []int{0, 1, 2}, Outputs: []int{3}}
-	c := EstimateCost(n, shapeOf, sizeOf)
+	c := EstimateCostBackend(n, KindFloat, BackendTiled, shapeOf, sizeOf)
 	wantMACs := int64(1 * 8 * 8 * 16 * 3 * 3 * 3)
 	if c.MACs != wantMACs {
 		t.Errorf("conv MACs = %d, want %d", c.MACs, wantMACs)
@@ -522,7 +522,7 @@ func TestEstimateCost(t *testing.T) {
 		t.Error("bytes should be positive")
 	}
 	n = &graph.Node{Op: graph.OpDepthwiseConv2D, Inputs: []int{0, 1}, Outputs: []int{3}}
-	c = EstimateCost(n, shapeOf, sizeOf)
+	c = EstimateCostBackend(n, KindFloat, BackendTiled, shapeOf, sizeOf)
 	if c.MACs != int64(1*8*8*16*3*3) {
 		t.Errorf("dw MACs = %d", c.MACs)
 	}

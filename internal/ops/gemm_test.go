@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -12,14 +14,14 @@ import (
 
 // The kernel-backend parity suite: every backend must compute the same
 // function through denseFloatOpt/convFloatOpt/depthwiseFloatOpt and their
-// quantized counterparts. Float agreement is validator-style — bitwise
-// against the blocked anchor for bitwise-stable backends, tolerance + nRMSE
-// for the tiled backend (its fused epilogue seeds accumulators with the
-// bias, changing the summation order; see DESIGN.md §10). Quantized outputs
-// are int32-accumulated, so every backend must be bit-exact.
+// quantized counterparts. Float agreement is validator-style — tolerance +
+// nRMSE against the reference-resolver kernels (the tiled backend's fused
+// epilogue seeds accumulators with the bias, changing the summation order;
+// see DESIGN.md §10). Quantized outputs are int32-accumulated, so every
+// backend must be bit-exact.
 //
 // The CI kernel matrix runs this file per backend via MLEXRAY_KERNEL
-// (reference|blocked|tiled); unset, each test sweeps all backends. Tests are
+// (reference|tiled); unset, each test sweeps all backends. Tests are
 // named TestGemmBackend* so `go test ./internal/ops/... -run Gemm` selects
 // exactly this suite.
 
@@ -61,10 +63,9 @@ func nRMSE(t *testing.T, got, ref *tensor.Tensor) float64 {
 	return rmse
 }
 
-// checkFloatParity applies the per-backend float contract: close to the
-// reference within validator bounds for every backend, and bitwise equal to
-// the blocked anchor when the backend declares BitwiseStable.
-func checkFloatParity(t *testing.T, b Backend, got, ref, blocked *tensor.Tensor, label string) {
+// checkFloatParity applies the float contract: close to the reference
+// within validator bounds on every backend.
+func checkFloatParity(t *testing.T, b Backend, got, ref *tensor.Tensor, label string) {
 	t.Helper()
 	if !tensor.AllClose(got, ref, 1e-4, 1e-5) {
 		t.Errorf("%s: backend %s not close to reference", label, b)
@@ -73,21 +74,11 @@ func checkFloatParity(t *testing.T, b Backend, got, ref, blocked *tensor.Tensor,
 	if e := nRMSE(t, got, ref); e > 1e-5 {
 		t.Errorf("%s: backend %s nRMSE %v vs reference, want <= 1e-5", label, b, e)
 	}
-	if b.BitwiseStable() {
-		for i := range got.F {
-			if got.F[i] != blocked.F[i] {
-				t.Errorf("%s: bitwise-stable backend %s differs from blocked anchor at %d: %v vs %v",
-					label, b, i, got.F[i], blocked.F[i])
-				return
-			}
-		}
-	}
 }
 
 // TestGemmBackendDenseOddShapes sweeps the full odd-shape cross product
 // m,n,k in {1, 3, 5, 7, 63, 64, 65} — every row/column-tail combination of
-// the 4x2 register tile plus the cache-block boundary — through each
-// backend's dense lowering.
+// the register tiles — through each backend's dense lowering.
 func TestGemmBackendDenseOddShapes(t *testing.T) {
 	sizes := []int{1, 3, 5, 7, 63, 64, 65}
 	backends := backendsUnderTest(t)
@@ -103,38 +94,18 @@ func TestGemmBackendDenseOddShapes(t *testing.T) {
 				if err := denseFloatRef(ctxFor(graph.OpDense, attrs, []*tensor.Tensor{in, w, bias}, nil, ref, nil)); err != nil {
 					t.Fatal(err)
 				}
-				blocked := tensor.New(tensor.F32, m, n)
-				if err := denseFloatOpt(ctxForBackend(BackendBlocked, graph.OpDense, attrs,
-					[]*tensor.Tensor{in, w, bias}, nil, blocked, nil)); err != nil {
-					t.Fatal(err)
-				}
 				for _, b := range backends {
 					out := tensor.New(tensor.F32, m, n)
 					if err := denseFloatOpt(ctxForBackend(b, graph.OpDense, attrs,
 						[]*tensor.Tensor{in, w, bias}, nil, out, nil)); err != nil {
 						t.Fatalf("dense %dx%dx%d backend %s: %v", m, n, k, b, err)
 					}
-					checkFloatParity(t, b, out, ref, blocked,
-						// Label carries the shape so a failure pins the tile tail.
-						"dense m="+itoa(m)+" n="+itoa(n)+" k="+itoa(k))
+					// Label carries the shape so a failure pins the tile tail.
+					checkFloatParity(t, b, out, ref, fmt.Sprintf("dense m=%d n=%d k=%d", m, n, k))
 				}
 			}
 		}
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // TestGemmBackendConvEdgeCases drives each backend's conv lowering through
@@ -177,18 +148,13 @@ func TestGemmBackendConvEdgeCases(t *testing.T) {
 		if err := convFloatRef(ctxFor(graph.OpConv2D, attrs, []*tensor.Tensor{in, w, bias}, nil, ref, nil)); err != nil {
 			t.Fatal(err)
 		}
-		blocked := tensor.New(tensor.F32, outShape...)
-		if err := convFloatOpt(ctxForBackend(BackendBlocked, graph.OpConv2D, attrs,
-			[]*tensor.Tensor{in, w, bias}, nil, blocked, nil)); err != nil {
-			t.Fatal(err)
-		}
 		for _, b := range backends {
 			out := tensor.New(tensor.F32, outShape...)
 			if err := convFloatOpt(ctxForBackend(b, graph.OpConv2D, attrs,
 				[]*tensor.Tensor{in, w, bias}, nil, out, nil)); err != nil {
 				t.Fatalf("%s backend %s: %v", cse.name, b, err)
 			}
-			checkFloatParity(t, b, out, ref, blocked, "conv "+cse.name)
+			checkFloatParity(t, b, out, ref, "conv "+cse.name)
 		}
 	}
 }
@@ -228,18 +194,13 @@ func TestGemmBackendDepthwiseParity(t *testing.T) {
 			[]*tensor.Tensor{in, w, bias}, nil, ref, nil)); err != nil {
 			t.Fatal(err)
 		}
-		blocked := tensor.New(tensor.F32, outShape...)
-		if err := depthwiseFloatOpt(ctxForBackend(BackendBlocked, graph.OpDepthwiseConv2D, attrs,
-			[]*tensor.Tensor{in, w, bias}, nil, blocked, nil)); err != nil {
-			t.Fatal(err)
-		}
 		for _, b := range backends {
 			out := tensor.New(tensor.F32, outShape...)
 			if err := depthwiseFloatOpt(ctxForBackend(b, graph.OpDepthwiseConv2D, attrs,
 				[]*tensor.Tensor{in, w, bias}, nil, out, nil)); err != nil {
 				t.Fatalf("%s backend %s: %v", cse.name, b, err)
 			}
-			checkFloatParity(t, b, out, ref, blocked, "depthwise "+cse.name)
+			checkFloatParity(t, b, out, ref, "depthwise "+cse.name)
 		}
 	}
 }
@@ -275,11 +236,8 @@ func TestGemmBackendQuantBitExact(t *testing.T) {
 		{graph.OpConv2D, convQuantRef, convQuantOpt, 7, 3, 5, 3, 1, graph.ActReLU6},
 		{graph.OpConv2D, convQuantRef, convQuantOpt, 9, 1, 7, 3, 2, graph.ActNone},
 		{graph.OpConv2D, convQuantRef, convQuantOpt, 5, 4, 1, 1, 1, graph.ActReLU},
-		// depthwiseQuantRef doubles as the optimized kernel (the resolver
-		// registers it for both), dispatching on Ctx.Backend internally — the
-		// zero-backend fx.run above is the blocked anchor.
-		{graph.OpDepthwiseConv2D, depthwiseQuantRef, depthwiseQuantRef, 7, 6, 0, 3, 1, graph.ActReLU6},
-		{graph.OpDepthwiseConv2D, depthwiseQuantRef, depthwiseQuantRef, 9, 3, 0, 5, 2, graph.ActNone},
+		{graph.OpDepthwiseConv2D, depthwiseQuantRef, depthwiseQuantOpt, 7, 6, 0, 3, 1, graph.ActReLU6},
+		{graph.OpDepthwiseConv2D, depthwiseQuantRef, depthwiseQuantOpt, 9, 3, 0, 5, 2, graph.ActNone},
 	} {
 		fx := makeQuantConvFixture(t, rng, cse.op, cse.ih, cse.ic, cse.oc, cse.k, cse.stride, cse.act)
 		ref := fx.run(t, cse.ref, cse.op)
@@ -342,5 +300,185 @@ func TestGemmBackendQuantDenseBitExact(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// diffProblem is one generated kernel-family problem of the default-backend
+// differential test. For depthwise, oc is ic*mult; for dense, ih/iw/k* are
+// unused and ic/oc are the feature counts.
+type diffProblem struct {
+	op                     graph.OpType
+	batch, ih, iw, ic, oc  int
+	kh, kw                 int
+	attrs                  graph.Attrs
+	inShape, wShape, shape []int
+}
+
+func (p diffProblem) String() string {
+	a := p.attrs
+	return fmt.Sprintf("%s n=%d in=%dx%dx%d oc=%d k=%dx%d stride=%dx%d dil=%dx%d pad=%d,%d,%d,%d mult=%d act=%d",
+		p.op, p.batch, p.ih, p.iw, p.ic, p.oc, p.kh, p.kw, a.StrideH, a.StrideW,
+		a.DilationH, a.DilationW, a.PadT, a.PadB, a.PadL, a.PadR, a.DepthMultiplier, a.Activation)
+}
+
+// finish derives the tensor shapes; ok is false when the geometry leaves no
+// output pixels.
+func (p diffProblem) finish() (diffProblem, bool) {
+	switch p.op {
+	case graph.OpDense:
+		p.inShape, p.wShape = []int{p.batch, p.ic}, []int{p.oc, p.ic}
+	case graph.OpDepthwiseConv2D:
+		p.inShape, p.wShape = []int{p.batch, p.ih, p.iw, p.ic}, []int{1, p.kh, p.kw, p.oc}
+	default:
+		p.inShape, p.wShape = []int{p.batch, p.ih, p.iw, p.ic}, []int{p.oc, p.kh, p.kw, p.ic}
+	}
+	shape, err := graph.InferShape(p.op, p.attrs, [][]int{p.inShape, p.wShape})
+	p.shape = shape
+	return p, err == nil
+}
+
+// randDiffProblem draws shapes, strides, dilations, paddings (SAME, VALID or
+// arbitrary asymmetric) and activations.
+func randDiffProblem(rng *rand.Rand) diffProblem {
+	for {
+		p := diffProblem{batch: 1 + rng.Intn(2), ic: 1 + rng.Intn(10), oc: 1 + rng.Intn(9)}
+		p.attrs.Activation = graph.Activation(rng.Intn(3))
+		switch rng.Intn(5) {
+		case 0:
+			p.op = graph.OpDense
+			p.ic = 1 + rng.Intn(70)
+		case 1, 2:
+			p.op = graph.OpDepthwiseConv2D
+			p.attrs.DepthMultiplier = 1 + rng.Intn(2)
+			p.oc = p.ic * p.attrs.DepthMultiplier
+		default:
+			p.op = graph.OpConv2D
+		}
+		if p.op != graph.OpDense {
+			p.ih, p.iw = 3+rng.Intn(10), 3+rng.Intn(10)
+			p.kh, p.kw = 1+2*rng.Intn(3), 1+2*rng.Intn(3)
+			a := &p.attrs
+			a.StrideH, a.StrideW = 1+rng.Intn(2), 1+rng.Intn(2)
+			a.DilationH, a.DilationW = 1+rng.Intn(2), 1+rng.Intn(2)
+			switch rng.Intn(3) {
+			case 0:
+				a.PadT, a.PadB = graph.SamePadding(p.ih, p.kh, a.StrideH, a.DilationH)
+				a.PadL, a.PadR = graph.SamePadding(p.iw, p.kw, a.StrideW, a.DilationW)
+			case 1:
+				eh, ew := (p.kh-1)*a.DilationH, (p.kw-1)*a.DilationW
+				a.PadT, a.PadB = rng.Intn(eh+1), rng.Intn(eh+1)
+				a.PadL, a.PadR = rng.Intn(ew+1), rng.Intn(ew+1)
+			}
+		}
+		if p, ok := p.finish(); ok {
+			return p
+		}
+	}
+}
+
+// TestGemmBackendDefaultDifferential is the seeded differential pin of the
+// default backend — a Ctx that never sets Backend — against the kernels
+// NewReference registers: float within the validator bound, int8 bit-exact.
+// The forced problems are the routes only the tiled dispatchers' fallbacks
+// reach: depthwise with a depth multiplier, depthwise past maxDWTaps, and
+// both sides of the direct-conv input-channel gate.
+func TestGemmBackendDefaultDifferential(t *testing.T) {
+	conv3 := func(ic int) diffProblem {
+		pt, pb := graph.SamePadding(9, 3, 1, 1)
+		return diffProblem{op: graph.OpConv2D, batch: 1, ih: 9, iw: 9, ic: ic, oc: 6, kh: 3, kw: 3,
+			attrs: graph.Attrs{StrideH: 1, StrideW: 1, PadT: pt, PadB: pb, PadL: pt, PadR: pb, Activation: graph.ActReLU6}}
+	}
+	dw := func(ic, k, mult int) diffProblem {
+		pt, pb := graph.SamePadding(11, k, 1, 1)
+		return diffProblem{op: graph.OpDepthwiseConv2D, batch: 1, ih: 11, iw: 11, ic: ic, oc: ic * mult, kh: k, kw: k,
+			attrs: graph.Attrs{StrideH: 1, StrideW: 1, PadT: pt, PadB: pb, PadL: pt, PadR: pb,
+				DepthMultiplier: mult, Activation: graph.ActReLU}}
+	}
+	if maxConvDirectIC != 8 || maxDWTaps >= 49 {
+		t.Fatalf("forced problems assume the direct-conv gate at ic 8 and maxDWTaps < 49, have %d and %d",
+			maxConvDirectIC, maxDWTaps)
+	}
+	var problems []diffProblem
+	for _, p := range []diffProblem{dw(3, 3, 2), dw(4, 7, 1), conv3(8), conv3(9)} {
+		p, ok := p.finish()
+		if !ok {
+			t.Fatalf("forced problem %v has no output", p)
+		}
+		problems = append(problems, p)
+	}
+	rng := rand.New(rand.NewSource(606))
+	for i := 0; i < 150; i++ {
+		problems = append(problems, randDiffProblem(rng))
+	}
+
+	kernels := map[graph.OpType]struct{ floatRef, floatOpt, quantRef, quantOpt Kernel }{
+		graph.OpConv2D:          {convFloatRef, convFloatOpt, convQuantRef, convQuantOpt},
+		graph.OpDepthwiseConv2D: {depthwiseFloatRef, depthwiseFloatOpt, depthwiseQuantRef, depthwiseQuantOpt},
+		graph.OpDense:           {denseFloatRef, denseFloatOpt, denseQuantRef, denseQuantOpt},
+	}
+	zeroPoints := []int32{0, 255, 128}
+	for i, p := range problems {
+		k := kernels[p.op]
+
+		ins := []*tensor.Tensor{randF32(rng, p.inShape...), randF32(rng, p.wShape...), randF32(rng, p.oc)}
+		ref, got := tensor.New(tensor.F32, p.shape...), tensor.New(tensor.F32, p.shape...)
+		if err := k.floatRef(ctxFor(p.op, p.attrs, ins, nil, ref, nil)); err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		if err := k.floatOpt(ctxFor(p.op, p.attrs, ins, nil, got, nil)); err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		checkFloatParity(t, BackendTiled, got, ref, p.String())
+
+		// Full-range bytes and weights under extreme input/output zero
+		// points; per-channel multipliers sized so outputs spread over the
+		// uint8 range instead of saturating.
+		inQ8, wI8, bI32 := tensor.New(tensor.U8, p.inShape...), tensor.New(tensor.I8, p.wShape...), tensor.New(tensor.I32, p.oc)
+		for j := range inQ8.U {
+			inQ8.U[j] = uint8(rng.Intn(256))
+		}
+		for j := range wI8.I {
+			wI8.I[j] = int8(rng.Intn(255) - 127)
+		}
+		for j := range bI32.X {
+			bI32.X[j] = int32(rng.Intn(1<<13) - 1<<12)
+		}
+		taps := p.kh * p.kw
+		if p.op != graph.OpDepthwiseConv2D {
+			taps = wI8.Len() / p.oc
+		}
+		scales := make([]float64, p.oc)
+		for j := range scales {
+			scales[j] = (0.5 + rng.Float64()) * 40 / (5400 * math.Sqrt(float64(taps)))
+		}
+		axis := 0
+		if p.op == graph.OpDepthwiseConv2D {
+			axis = 3
+		}
+		inP := quant.PerTensor(0.05, zeroPoints[i%3])
+		wP := quant.PerChannel(scales, make([]int32, p.oc), axis)
+		outP := quant.PerTensor(0.05, zeroPoints[(i/3)%3])
+		qins, qps := []*tensor.Tensor{inQ8, wI8, bI32}, []*quant.Params{inP, wP, nil}
+		qref, qgot := tensor.New(tensor.U8, p.shape...), tensor.New(tensor.U8, p.shape...)
+		if err := k.quantRef(ctxFor(p.op, p.attrs, qins, qps, qref, outP)); err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		if err := k.quantOpt(ctxFor(p.op, p.attrs, qins, qps, qgot, outP)); err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		for j := range qref.U {
+			if qgot.U[j] != qref.U[j] {
+				t.Errorf("%v inZ=%d outZ=%d: int8 output differs at %d: %d vs %d",
+					p, inP.ZeroPoint(0), outP.ZeroPoint(0), j, qgot.U[j], qref.U[j])
+				break
+			}
+		}
+	}
+}
+
+// TestDefaultBackendIsTiled pins the zero value a hand-built Ctx runs.
+func TestDefaultBackendIsTiled(t *testing.T) {
+	if b := (Ctx{}).Backend; b != BackendTiled {
+		t.Errorf("zero-value Ctx backend = %s, want tiled", b)
 	}
 }

@@ -27,14 +27,14 @@ import (
 // for why wider row tiles lose on the deployment hosts); int8 runs a 4x2
 // tile whose eight int32 accumulators amortize the int16 widening of the
 // activation side. Each accumulator sums its k terms in ascending order,
-// but the tiled float contract does NOT promise that (see
-// Backend.BitwiseStable): validators must bound it, not expect equality.
+// but the tiled float contract does NOT promise that (see BackendTiled):
+// validators must bound it, not expect equality.
 //
 // Epilogue fusion. Bias add + activation (float) and bias add +
-// requantization + clamp (int8) happen in the tile store. The blocked path's
-// separate product buffer, its zeroing pass and its re-read are gone, and
-// pointwise (1x1 stride-1 unpadded) convolutions skip im2col entirely: the
-// input activation matrix already IS the left operand.
+// requantization + clamp (int8) happen in the tile store. The reference
+// backend's separate product buffer, its zeroing pass and its re-read are
+// gone, and pointwise (1x1 stride-1 unpadded) convolutions skip im2col
+// entirely: the input activation matrix already IS the left operand.
 
 // padUp rounds x up to a multiple of m (m a power of two is not required).
 func padUp(x, m int) int {
@@ -116,7 +116,7 @@ func gemmTiledFusedF32(a, b, bias, out []float32, m, n, k int, act graph.Activat
 		j := 0
 		for ; j+4 <= n; j += 4 {
 			// Equal-length re-slices let the compiler drop every bounds
-			// check in the 4-MAC inner loop (same trick as gemmNT).
+			// check in the 4-MAC inner loop.
 			b0 := b[j*k:][:len(ai)]
 			b1 := b[(j+1)*k:][:len(ai)]
 			b2 := b[(j+2)*k:][:len(ai)]

@@ -40,7 +40,7 @@ type Ctx struct {
 
 	// Backend selects the GEMM micro-kernel family the optimized lowerings
 	// dispatch to. Set at plan time by the interpreter; the zero value is
-	// BackendBlocked, preserving pre-seam behaviour for hand-built Ctxs.
+	// BackendTiled, so hand-built Ctxs run the production kernels.
 	Backend Backend
 
 	// cache memoizes derived per-node state whose inputs never change across
@@ -213,7 +213,7 @@ func NewOptimized(cfg Config) *Resolver {
 	if cfg.DepthwiseOverflowBug {
 		r.register(graph.OpDepthwiseConv2D, KindQuant, depthwiseQuantOptBuggy)
 	} else {
-		r.register(graph.OpDepthwiseConv2D, KindQuant, depthwiseQuantRef)
+		r.register(graph.OpDepthwiseConv2D, KindQuant, depthwiseQuantOpt)
 	}
 	r.register(graph.OpDense, KindQuant, denseQuantOpt)
 	return r

@@ -134,18 +134,17 @@ func convQuantRef(c *Ctx) error {
 // convQuantOpt is the optimized quantized Conv2D: im2col into an int16
 // zero-offset-corrected buffer, int32 GEMM accumulation. Same math as the
 // reference kernel — the optimized *conv* is correct; only depthwise has the
-// historical defect. The tiled backend routes to the packed int8 fast path;
-// reference and blocked share the scalar dot loop below (the blocked
-// backend's 4-column unroll exists only on the float side). All backends are
-// bit-exact against each other: integer accumulation is associative.
+// historical defect. The tiled backend routes to the packed int8 fast path,
+// the reference backend to the scalar dot loop below. Both are bit-exact
+// against each other: integer accumulation is associative.
 func convQuantOpt(c *Ctx) error {
 	if c.Backend == BackendTiled {
 		return convQuantTiled(c)
 	}
-	return convQuantBlocked(c)
+	return convQuantIm2col(c)
 }
 
-func convQuantBlocked(c *Ctx) error {
+func convQuantIm2col(c *Ctx) error {
 	in, err := c.In(0)
 	if err != nil {
 		return err
@@ -194,9 +193,23 @@ func convQuantBlocked(c *Ctx) error {
 }
 
 // depthwiseQuantRef is the correct quantized DepthwiseConv2D (int32
-// accumulator).
+// accumulator): the plain loop nest, the same on every backend.
 func depthwiseQuantRef(c *Ctx) error {
 	return depthwiseQuantImpl(c, false)
+}
+
+// depthwiseQuantOpt is the fixed optimized resolver's quantized
+// DepthwiseConv2D. The tiled backend's register-accumulator kernel covers
+// the standard depth_multiplier == 1 layout with tap tables up to 5x5;
+// rarer layouts and the reference backend run the reference loop — bit-exact
+// either way.
+func depthwiseQuantOpt(c *Ctx) error {
+	if c.Backend == BackendTiled && max1(c.Node.Attrs.DepthMultiplier) == 1 {
+		if w, err := c.In(1); err == nil && w.Shape[1]*w.Shape[2] <= maxDWTaps {
+			return depthwiseQuantTiled(c)
+		}
+	}
+	return depthwiseQuantRef(c)
 }
 
 // depthwiseQuantOptBuggy is the historical optimized kernel the paper's
@@ -214,15 +227,6 @@ func depthwiseQuantOptBuggy(c *Ctx) error {
 }
 
 func depthwiseQuantImpl(c *Ctx, logicalShiftBug bool) error {
-	// The tiled backend's register-accumulator kernel covers the standard
-	// depth_multiplier == 1 layout with tap tables up to 5x5; the
-	// injected-bug variant and rarer layouts keep the original loop
-	// (bit-exact either way for the former).
-	if c.Backend == BackendTiled && !logicalShiftBug && max1(c.Node.Attrs.DepthMultiplier) == 1 {
-		if w, err := c.In(1); err == nil && w.Shape[1]*w.Shape[2] <= maxDWTaps {
-			return depthwiseQuantTiled(c)
-		}
-	}
 	in, err := c.In(0)
 	if err != nil {
 		return err
@@ -285,7 +289,7 @@ func depthwiseQuantImpl(c *Ctx, logicalShiftBug bool) error {
 
 // denseQuantOpt is the optimized resolver's quantized fully-connected
 // kernel: a dispatcher so the tiled backend lowers dense through the packed
-// int8 path. The other backends share the reference loop — bit-exact either
+// int8 path. The reference backend runs the reference loop — bit-exact either
 // way, since integer accumulation is associative.
 func denseQuantOpt(c *Ctx) error {
 	if c.Backend == BackendTiled {

@@ -53,14 +53,7 @@ func NewBatchClassifier(m *graph.Model, batch int, opts Options) (*BatchClassifi
 		ins:     make([]*tensor.Tensor, batch),
 		preds:   make([]int, batch),
 	}
-	var iopts []interp.Option
-	if opts.Monitor != nil {
-		iopts = append(iopts, interp.WithHook(opts.Monitor.LayerHook()))
-	}
-	if opts.Device != nil {
-		iopts = append(iopts, interp.WithLatencyModel(opts.Device))
-	}
-	c.bip, err = interp.NewBatch(m, batch, opts.resolver(), iopts...)
+	c.bip, err = interp.NewBatch(m, batch, opts.resolver(), opts.interpOptions()...)
 	if err != nil {
 		return nil, err
 	}
@@ -173,14 +166,7 @@ func NewBatchDetector(m *graph.Model, batch int, opts Options) (*BatchDetector, 
 		scores:  make([]*tensor.Tensor, batch),
 		boxes:   make([]*tensor.Tensor, batch),
 	}
-	var iopts []interp.Option
-	if opts.Monitor != nil {
-		iopts = append(iopts, interp.WithHook(opts.Monitor.LayerHook()))
-	}
-	if opts.Device != nil {
-		iopts = append(iopts, interp.WithLatencyModel(opts.Device))
-	}
-	d.bip, err = interp.NewBatch(m, batch, opts.resolver(), iopts...)
+	d.bip, err = interp.NewBatch(m, batch, opts.resolver(), opts.interpOptions()...)
 	if err != nil {
 		return nil, err
 	}

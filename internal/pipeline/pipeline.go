@@ -29,7 +29,7 @@ type Options struct {
 	Orientation *device.OrientationSensor
 	// Backend selects the kernel micro-kernel backend the optimized
 	// resolver's conv/dense/depthwise kernels dispatch to (plan-time; the
-	// zero value is ops.BackendBlocked). Inert under the reference resolver,
+	// zero value is ops.BackendTiled). Inert under the reference resolver,
 	// whose kernels sit before the backend seam.
 	Backend ops.Backend
 }
@@ -68,16 +68,21 @@ func NewClassifier(m *graph.Model, opts Options) (*Classifier, error) {
 	return c, nil
 }
 
+// interpOptions maps the pipeline options onto interpreter options, for the
+// frame-at-a-time and the batched interpreter alike.
+func (o *Options) interpOptions() []interp.Option {
+	iopts := []interp.Option{interp.WithBackend(o.Backend)}
+	if o.Monitor != nil {
+		iopts = append(iopts, interp.WithHook(o.Monitor.LayerHook()))
+	}
+	if o.Device != nil {
+		iopts = append(iopts, interp.WithLatencyModel(o.Device))
+	}
+	return iopts
+}
+
 func newInterp(m *graph.Model, opts *Options) (*interp.Interpreter, error) {
-	var iopts []interp.Option
-	if opts.Monitor != nil {
-		iopts = append(iopts, interp.WithHook(opts.Monitor.LayerHook()))
-	}
-	if opts.Device != nil {
-		iopts = append(iopts, interp.WithLatencyModel(opts.Device))
-	}
-	iopts = append(iopts, interp.WithBackend(opts.Backend))
-	return interp.New(m, opts.resolver(), iopts...)
+	return interp.New(m, opts.resolver(), opts.interpOptions()...)
 }
 
 // Clone builds an independent replica of the pipeline — same model, bug and

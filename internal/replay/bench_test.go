@@ -310,16 +310,13 @@ func benchInvokeBackend(b *testing.B, backend ops.Backend, quant bool) {
 }
 
 // BenchmarkInvokeGemm races the GEMM kernel backends on the interpreter hot
-// loop: the float model under reference/blocked/tiled, and the quantized
-// model under blocked vs the tiled int8 packed path. These configurations
-// feed the invoke_gemm_* entries of BENCH_replay.json.
+// loop: the float and the quantized model under reference vs tiled. These
+// configurations feed the invoke_gemm_* entries of BENCH_replay.json.
 func BenchmarkInvokeGemm(b *testing.B) {
 	for _, backend := range ops.Backends() {
 		b.Run("float/"+backend.String(), func(b *testing.B) {
 			benchInvokeBackend(b, backend, false)
 		})
-	}
-	for _, backend := range []ops.Backend{ops.BackendBlocked, ops.BackendTiled} {
 		b.Run("quant/"+backend.String(), func(b *testing.B) {
 			benchInvokeBackend(b, backend, true)
 		})

@@ -103,23 +103,21 @@ import (
 // KernelBackend selects the GEMM micro-kernel family the optimized op
 // resolver's conv/dense/depthwise kernels lower through — the runtime's
 // analogue of swapping TFLite's inner kernels while keeping the op graph
-// fixed. The zero value is the blocked (cache-blocked gemmNT) default;
-// "tiled" selects the register-tiled fused kernels with the int8 fast path.
-// Reference and blocked promise bitwise-identical float output; tiled is
-// contractually only validator-bounded on float (quantized output is
-// bit-exact on every backend), which is exactly the benign numerical-drift
-// class the paper's validators are built to bound.
+// fixed. The zero value is "tiled", the register-tiled fused kernels with
+// the int8 fast path; "reference" is the naive GEMM they are diffed against.
+// Tiled is contractually only validator-bounded on float against reference
+// (quantized output is bit-exact on every backend), which is exactly the
+// benign numerical-drift class the paper's validators are built to bound.
 type KernelBackend = ops.Backend
 
 // The selectable kernel backends.
 const (
-	KernelBlocked   = ops.BackendBlocked
-	KernelReference = ops.BackendReference
 	KernelTiled     = ops.BackendTiled
+	KernelReference = ops.BackendReference
 )
 
-// ParseKernelBackend parses a -kernel flag value ("reference", "blocked",
-// "tiled"; empty selects the blocked default).
+// ParseKernelBackend parses a -kernel flag value ("tiled" or "reference";
+// empty selects the tiled default).
 func ParseKernelBackend(s string) (KernelBackend, error) { return ops.ParseBackend(s) }
 
 // KernelBackends lists every selectable kernel backend.
