@@ -48,19 +48,16 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"mlexray/internal/core"
+	"mlexray/internal/httpx"
 	"mlexray/internal/ingest"
 	"mlexray/internal/obs"
 )
@@ -80,8 +77,9 @@ var serve = func(ln net.Listener, hs *http.Server) error {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("exrayd", flag.ContinueOnError)
+	d := httpx.Daemon{Name: "exrayd", Stdout: stdout, Serve: serve}
+	d.Flags(fs)
 	var (
-		addr         = fs.String("addr", ":9090", "listen address")
 		refPath      = fs.String("ref", "", "reference log to validate uploads against (JSONL or MLXB, plain or gzip; empty = collection mode)")
 		agreement    = fs.Float64("agreement", 0, "output-agreement threshold (0 = default)")
 		maxBody      = fs.Int64("max-body", 0, "per-chunk upload size cap in bytes (0 = 1GiB)")
@@ -93,10 +91,6 @@ func run(args []string, stdout io.Writer) error {
 		evictIdle    = fs.Duration("evict-idle", 0, "evict sessions idle this long; their WAL segments stay recoverable (requires -data-dir; 0 = never)")
 		readTimeout  = fs.Duration("read-timeout", time.Minute, "per-request body read deadline: sheds slow-loris uploads (0 = none)")
 		writeTimeout = fs.Duration("write-timeout", time.Minute, "per-request response write deadline (0 = none)")
-		headerTO     = fs.Duration("read-header-timeout", 10*time.Second, "time allowed to read a request's headers before the connection is shed")
-		idleConnTO   = fs.Duration("idle-conn-timeout", 2*time.Minute, "keep-alive: how long an idle client connection is kept open")
-		drainTO      = fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown: how long in-flight uploads get to finish after SIGINT/SIGTERM")
-		debugAddr    = fs.String("debug-addr", "", "serve /metrics, /debug/trace and /debug/pprof on a second listener (empty = off; the ingest listener serves /metrics and /debug/trace regardless, never pprof)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -156,65 +150,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, ")\n")
 	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	fmt.Fprintf(stdout, "exrayd: listening on http://%s (POST /ingest, GET /fleet, /devices/{id})\n", ln.Addr())
-
-	// The opt-in debug listener: pprof is only ever reachable here, never on
-	// the ingest address — profiling a production collector must be a
-	// deliberate, separately-firewalled act.
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug listener: %w", err)
-		}
-		defer dln.Close()
-		dhs := &http.Server{Handler: obs.DebugMux(reg, srv.Traces()), ReadHeaderTimeout: 10 * time.Second}
-		defer dhs.Close()
-		go dhs.Serve(dln)
-		fmt.Fprintf(stdout, "exrayd: debug listener on http://%s (/metrics, /debug/trace, /debug/pprof)\n", dln.Addr())
-	}
-
-	// The accept loop runs under a server with header/idle timeouts (a
-	// header-stalling client cannot hold a connection open indefinitely)
-	// while SIGINT/SIGTERM trigger a graceful drain: stop accepting, let
-	// in-flight uploads finish, close the WAL segments, exit clean — the
-	// write-ahead log makes the subsequent restart exact.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	hs := &http.Server{
-		Handler:           srv,
-		ReadHeaderTimeout: *headerTO,
-		IdleTimeout:       *idleConnTO,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- serve(ln, hs) }()
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			srv.Close()
-			return err
-		}
-		return srv.Close()
-	case <-ctx.Done():
-		stop()
-		fmt.Fprintf(stdout, "exrayd: signal received: draining in-flight uploads (up to %v)\n", *drainTO)
-		sctx, cancel := context.WithTimeout(context.Background(), *drainTO)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			// Drain deadline passed with uploads still in flight: cut them.
-			// Their chunks were never acked, so the clients will retry
-			// against the restarted daemon.
-			hs.Close()
-		}
-		<-errc // the accept loop has returned http.ErrServerClosed
-		if err := srv.Close(); err != nil {
-			return fmt.Errorf("closing wal segments: %w", err)
-		}
-		fmt.Fprintf(stdout, "exrayd: shutdown complete (wal segments closed)\n")
-		return nil
-	}
+	d.Handler, d.Debug = srv, obs.DebugMux(reg, srv.Traces())
+	// Closing the WAL segments last is what makes the restart exact: every
+	// ack landed before them, every cut upload was never acked.
+	d.Close = srv.Close
+	return d.Run()
 }

@@ -40,20 +40,16 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"mlexray/internal/core"
+	"mlexray/internal/httpx"
 	"mlexray/internal/obs"
 	"mlexray/internal/shard"
 )
@@ -85,16 +81,13 @@ func run(args []string, stdout io.Writer) error {
 		shards = append(shards, shard.ShardAddr{Name: name, URL: u})
 		return nil
 	})
+	d := httpx.Daemon{Name: "exraygw", Stdout: stdout, Serve: serve}
+	d.Flags(fs)
 	var (
-		addr       = fs.String("addr", ":9090", "listen address")
-		vnodes     = fs.Int("vnodes", 0, "virtual nodes per shard on the placement ring (0 = default; must match every gateway fronting the same ring)")
-		redirect   = fs.Bool("redirect", false, "answer uploads with 307 + Location to the owning shard instead of proxying the body")
-		agreement  = fs.Float64("agreement", 0, "output-agreement threshold for the merged fleet report; must match the shards' (0 = default)")
-		headerTO   = fs.Duration("read-header-timeout", 10*time.Second, "time allowed to read a request's headers before the connection is shed")
-		idleConnTO = fs.Duration("idle-conn-timeout", 2*time.Minute, "keep-alive: how long an idle client connection is kept open")
-		drainTO    = fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown: how long in-flight requests get to finish after SIGINT/SIGTERM")
-		healthTO   = fs.Duration("health-timeout", 0, "per-shard /healthz probe bound in the aggregated health fan-out (0 = 2s)")
-		debugAddr  = fs.String("debug-addr", "", "serve /metrics, /debug/trace and /debug/pprof on a second listener (empty = off; the routing listener serves /metrics and /debug/trace regardless, never pprof)")
+		vnodes    = fs.Int("vnodes", 0, "virtual nodes per shard on the placement ring (0 = default; must match every gateway fronting the same ring)")
+		redirect  = fs.Bool("redirect", false, "answer uploads with 307 + Location to the owning shard instead of proxying the body")
+		agreement = fs.Float64("agreement", 0, "output-agreement threshold for the merged fleet report; must match the shards' (0 = default)")
+		healthTO  = fs.Duration("health-timeout", 0, "per-shard /healthz probe bound in the aggregated health fan-out (0 = 2s)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -138,54 +131,8 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "exraygw: ring of %d shard(s), %d vnodes each, %s uploads\n",
 		gw.Ring().N(), gw.Ring().Vnodes(), mode)
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	fmt.Fprintf(stdout, "exraygw: listening on http://%s (POST /ingest, GET /fleet, /devices/{id})\n", ln.Addr())
-
-	// The opt-in debug listener: pprof only lives here, never on the
-	// routing address.
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug listener: %w", err)
-		}
-		defer dln.Close()
-		dhs := &http.Server{Handler: obs.DebugMux(reg, gw.Traces()), ReadHeaderTimeout: 10 * time.Second}
-		defer dhs.Close()
-		go dhs.Serve(dln)
-		fmt.Fprintf(stdout, "exraygw: debug listener on http://%s (/metrics, /debug/trace, /debug/pprof)\n", dln.Addr())
-	}
-
 	// The gateway holds no durable state of its own — every session lives in
 	// a shard's WAL — so graceful shutdown is just a request drain.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	hs := &http.Server{
-		Handler:           gw,
-		ReadHeaderTimeout: *headerTO,
-		IdleTimeout:       *idleConnTO,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- serve(ln, hs) }()
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		return nil
-	case <-ctx.Done():
-		stop()
-		fmt.Fprintf(stdout, "exraygw: signal received: draining in-flight requests (up to %v)\n", *drainTO)
-		sctx, cancel := context.WithTimeout(context.Background(), *drainTO)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			hs.Close()
-		}
-		<-errc // the accept loop has returned http.ErrServerClosed
-		fmt.Fprintf(stdout, "exraygw: shutdown complete\n")
-		return nil
-	}
+	d.Handler, d.Debug = gw, obs.DebugMux(reg, gw.Traces())
+	return d.Run()
 }

@@ -48,6 +48,7 @@ import (
 	"sort"
 	"time"
 
+	"mlexray/internal/ingest"
 	"mlexray/internal/storm"
 )
 
@@ -93,14 +94,16 @@ func run(args []string, stdout io.Writer) error {
 		FramesPerDevice: *frames,
 		Seed:            *seed,
 		Shards:          *shards,
-		DataDir:         *dataDir,
-		SegmentBytes:    *segBytes,
-		MaxSessions:     *sessions,
-		MaxChunksPerSec: *chunkRate,
-		ChunkBurst:      *burst,
-		IdleTimeout:     *evictIdle,
-		ReadTimeout:     *readTO,
-		WriteTimeout:    *writeTO,
+		Collector: ingest.ServerOptions{
+			DataDir:         *dataDir,
+			SegmentBytes:    *segBytes,
+			MaxSessions:     *sessions,
+			MaxChunksPerSec: *chunkRate,
+			ChunkBurst:      *burst,
+			IdleTimeout:     *evictIdle,
+			ReadTimeout:     *readTO,
+			WriteTimeout:    *writeTO,
+		},
 		KillAfterChunks: *killAfter,
 		Stragglers:      *straggler,
 		StallFor:        *stallFor,

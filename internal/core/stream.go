@@ -82,8 +82,7 @@ func newRefIndex(ref *Log) *refIndex {
 	return ri
 }
 
-// layerAcc accumulates one layer's drift across frames — the streaming form
-// of CompareLayers' per-key accumulator.
+// layerAcc accumulates one layer's drift across frames.
 type layerAcc struct {
 	diff LayerDiff
 	sumN float64
@@ -92,11 +91,10 @@ type layerAcc struct {
 	n    int
 }
 
-// layerDiffState is the incremental CompareLayers: each consumed edge layer
-// record is matched against the reference index and folded into its layer's
-// accumulator. A record that fails to decode or compare poisons the whole
-// analysis (sticky error), exactly as the offline CompareLayers aborts on
-// the first bad record.
+// layerDiffState is the per-layer drift analysis (CompareLayers feeds a whole
+// log through it): each consumed edge layer record is matched against the
+// reference index and folded into its layer's accumulator. A record that
+// fails to decode or compare poisons the whole analysis (sticky error).
 type layerDiffState struct {
 	accs  map[string]*layerAcc
 	order []string
@@ -149,6 +147,16 @@ func (s *layerDiffState) consume(er *Record, ri *refIndex) error {
 	}
 	a.n++
 	return nil
+}
+
+// consumeLog folds every per-layer tensor record of a log, in log order.
+func (s *layerDiffState) consumeLog(l *Log, ri *refIndex) {
+	for i := range l.Records {
+		r := &l.Records[i]
+		if r.Kind == KindTensor && strings.HasPrefix(r.Key, keyLayerPrefix) {
+			_ = s.consume(r, ri) // sticky: finalize reports it
+		}
+	}
 }
 
 // finalize builds the per-layer diff table the accumulators hold so far. It
@@ -219,20 +227,50 @@ func (s *outputState) consume(r *Record) error {
 // Log.Frames).
 func (s *outputState) frames() int { return s.maxFrame + 1 }
 
+// agreement is the fraction of frames whose output argmax matches the
+// reference's, over the frames both sides carry a decodable output for.
+func (s *outputState) agreement(ri *refIndex) (float64, error) {
+	frames := min(s.frames(), ri.frames)
+	if frames == 0 {
+		return 0, fmt.Errorf("core: no frames to compare")
+	}
+	agree, total := 0, 0
+	for f := 0; f < frames; f++ {
+		ea, okE := s.arg[f]
+		ra, okR := ri.outArg[f]
+		if !okE || !okR {
+			continue
+		}
+		total++
+		if ea == ra {
+			agree++
+		}
+	}
+	if total == 0 {
+		return 0, fmt.Errorf("core: logs carry no model outputs")
+	}
+	return float64(agree) / float64(total), nil
+}
+
 // latAcc accumulates one layer's latency records.
 type latAcc struct {
 	sum float64
 	n   int
 }
 
-// stragglerState is the incremental Stragglers analysis: per-layer latency
-// sums in first-seen order.
+// isLayerLatency reports whether r is a per-layer latency metric.
+func isLayerLatency(r *Record) bool {
+	return r.Kind == KindMetric && strings.HasPrefix(r.Key, keyLayerPrefix) && strings.HasSuffix(r.Key, "/latency_ns")
+}
+
+// stragglerState is the per-layer latency analysis (Stragglers and
+// StragglersVsReference feed whole logs through it): per-layer latency sums
+// in first-seen order.
 type stragglerState struct {
 	byLayer map[string]*latAcc
 	order   []string
-	// modeledSum/modeledN mirror meanLayerLatencyModeled for the
-	// vs-reference comparison (only "ns-modeled" records are comparable
-	// across runs).
+	// modeledSum/modeledN accumulate the "ns-modeled" records alone for the
+	// vs-reference comparison (only those are comparable across runs).
 	modeledSum map[string]float64
 	modeledN   map[string]int
 }
@@ -257,8 +295,26 @@ func (s *stragglerState) consume(r *Record) {
 	}
 }
 
+// consumeLog folds every per-layer latency record of a log, in log order.
+func (s *stragglerState) consumeLog(l *Log) {
+	for i := range l.Records {
+		if r := &l.Records[i]; isLayerLatency(r) {
+			s.consume(r)
+		}
+	}
+}
+
+// modeledMeans is each layer's mean modeled latency.
+func (s *stragglerState) modeledMeans() map[string]float64 {
+	out := make(map[string]float64, len(s.modeledSum))
+	for name, sum := range s.modeledSum {
+		out[name] = sum / float64(s.modeledN[name])
+	}
+	return out
+}
+
 // finalize returns the layers whose mean latency exceeds factor times the
-// median — the incremental Stragglers.
+// median.
 func (s *stragglerState) finalize(factor float64) []string {
 	if len(s.byLayer) == 0 {
 		return nil
@@ -280,17 +336,15 @@ func (s *stragglerState) finalize(factor float64) []string {
 }
 
 // vsReference returns the layers whose modeled-latency slowdown vs the
-// reference exceeds factor times the median slowdown — the incremental
-// StragglersVsReference.
-func (s *stragglerState) vsReference(ri *refIndex, factor float64) []string {
+// reference's per-layer means exceeds factor times the median slowdown.
+func (s *stragglerState) vsReference(refLat map[string]float64, factor float64) []string {
 	type ratioEntry struct {
 		name  string
 		ratio float64
 	}
 	var entries []ratioEntry
-	for name, sum := range s.modeledSum {
-		e := sum / float64(s.modeledN[name])
-		if r, ok := ri.lat[name]; ok && r > 0 {
+	for name, e := range s.modeledMeans() {
+		if r, ok := refLat[name]; ok && r > 0 {
 			entries = append(entries, ratioEntry{name, e / r})
 		}
 	}
@@ -424,7 +478,7 @@ func (v *StreamValidator) consumeLocked(r *Record) error {
 			if lerr := v.layers.consume(r, v.ri); lerr != nil && err == nil {
 				err = lerr
 			}
-		case r.Kind == KindMetric && strings.HasSuffix(r.Key, "/latency_ns"):
+		case isLayerLatency(r):
 			v.strag.consume(r)
 		}
 		return err
@@ -507,29 +561,11 @@ func (v *StreamValidator) Report() (*Report, error) {
 // reportLocked assembles the Report; edge is the log handed to assertions
 // (the full log offline, the retained skeleton when streaming).
 func (v *StreamValidator) reportLocked(edge *Log) (*Report, error) {
-	frames := v.out.frames()
-	if v.ri.frames < frames {
-		frames = v.ri.frames
+	agreement, err := v.out.agreement(v.ri)
+	if err != nil {
+		return nil, err
 	}
-	if frames == 0 {
-		return nil, fmt.Errorf("core: no frames to compare")
-	}
-	agree, total := 0, 0
-	for f := 0; f < frames; f++ {
-		ea, okE := v.out.arg[f]
-		ra, okR := v.ri.outArg[f]
-		if !okE || !okR {
-			continue
-		}
-		total++
-		if ea == ra {
-			agree++
-		}
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("core: logs carry no model outputs")
-	}
-	rep := &Report{OutputAgreement: float64(agree) / float64(total)}
+	rep := &Report{OutputAgreement: agreement}
 
 	if rep.OutputAgreement < v.opts.AgreementThreshold {
 		if v.deferLayers {
@@ -537,12 +573,7 @@ func (v *StreamValidator) reportLocked(edge *Log) (*Report, error) {
 			// per-layer analysis is warranted — replay the layer records from
 			// the full log, in log order, exactly as streaming would have.
 			v.deferLayers = false
-			for i := range edge.Records {
-				r := &edge.Records[i]
-				if r.Kind == KindTensor && strings.HasPrefix(r.Key, keyLayerPrefix) {
-					_ = v.layers.consume(r, v.ri)
-				}
-			}
+			v.layers.consumeLog(edge, v.ri)
 		}
 		diffs, err := v.layers.finalize()
 		if err == nil {
@@ -556,7 +587,7 @@ func (v *StreamValidator) reportLocked(edge *Log) (*Report, error) {
 		// explain the drop from boundary records alone.
 	}
 	rep.Stragglers = v.strag.finalize(v.opts.StragglerFactor)
-	for _, s := range v.strag.vsReference(v.ri, v.opts.StragglerFactor) {
+	for _, s := range v.strag.vsReference(v.ri.lat, v.opts.StragglerFactor) {
 		dup := false
 		for _, have := range rep.Stragglers {
 			if have == s {

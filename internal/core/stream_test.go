@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mlexray/internal/tensor"
@@ -490,5 +491,67 @@ func TestMergeFleetSnapshotsByteIdentical(t *testing.T) {
 	}
 	if _, err := MergeFleetSnapshots(nil, opts); err == nil {
 		t.Error("merge accepted an empty snapshot set")
+	}
+}
+
+// TestOfflineAnalysesMatchReport pins that the exported one-analysis entry
+// points (CompareLayers, OutputAgreement, Stragglers, StragglersVsReference)
+// are feeds into the accumulators Validate runs: on the drifted fixture each
+// equals the corresponding field of Validate's report.
+func TestOfflineAnalysesMatchReport(t *testing.T) {
+	edge, ref := driftedLogs(5)
+	// Modeled latencies on both sides, with the edge's dw1 100x slower, so
+	// both straggler analyses have something to say.
+	for _, l := range []*Log{edge, ref} {
+		for i := range l.Records {
+			if r := &l.Records[i]; isLayerLatency(r) {
+				r.Unit = "ns-modeled"
+				if l == edge && r.LayerName == "dw1" {
+					r.Value *= 100
+				}
+			}
+		}
+	}
+	opts := DefaultValidateOptions()
+	rep, err := Validate(edge, ref, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	diffs, err := CompareLayers(edge, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.LayerDiffs) == 0 || !reflect.DeepEqual(diffs, rep.LayerDiffs) {
+		t.Errorf("CompareLayers = %+v, report has %+v", diffs, rep.LayerDiffs)
+	}
+	agreement, err := OutputAgreement(edge, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agreement != rep.OutputAgreement {
+		t.Errorf("OutputAgreement = %v, report has %v", agreement, rep.OutputAgreement)
+	}
+	own := Stragglers(edge, opts.StragglerFactor)
+	vsRef := StragglersVsReference(edge, ref, opts.StragglerFactor)
+	if len(own) == 0 || len(vsRef) == 0 {
+		t.Fatalf("fixture fired no stragglers: own %v, vs reference %v", own, vsRef)
+	}
+	want := append([]string(nil), own...)
+	for _, s := range vsRef {
+		if !slices.Contains(want, s) {
+			want = append(want, s)
+		}
+	}
+	if !reflect.DeepEqual(rep.Stragglers, want) {
+		t.Errorf("report stragglers = %v, want Stragglers ∪ StragglersVsReference = %v", rep.Stragglers, want)
+	}
+
+	// The error strings are part of the functions' contracts.
+	if _, err := CompareLayers(&Log{}, ref); err == nil || err.Error() != "core: no frames to compare" {
+		t.Errorf("CompareLayers(empty) = %v", err)
+	}
+	if _, err := OutputAgreement(&Log{}, ref); err == nil || err.Error() != "core: no frames to compare" {
+		t.Errorf("OutputAgreement(empty) = %v", err)
 	}
 }

@@ -28,87 +28,12 @@ type LayerDiff struct {
 // in the quantized graph) are skipped — alignment is by name, exactly how
 // the paper compares model versions that share structure.
 func CompareLayers(edge, ref *Log) ([]LayerDiff, error) {
-	type acc struct {
-		diff LayerDiff
-		sumN float64
-		sumR float64
-		maxA float64
-		n    int
-	}
-	accs := make(map[string]*acc)
-	order := []string{}
-
-	frames := edge.Frames()
-	if rf := ref.Frames(); rf < frames {
-		frames = rf
-	}
-	if frames == 0 {
+	if min(edge.Frames(), ref.Frames()) == 0 {
 		return nil, fmt.Errorf("core: no frames to compare")
 	}
-	// Index reference tensor records by (frame, key).
-	refIdx := make(map[[2]interface{}]*Record)
-	for i := range ref.Records {
-		r := &ref.Records[i]
-		if r.Kind == KindTensor && strings.HasPrefix(r.Key, keyLayerPrefix) {
-			refIdx[[2]interface{}{r.Frame, r.Key}] = r
-		}
-	}
-	for i := range edge.Records {
-		er := &edge.Records[i]
-		if er.Kind != KindTensor || !strings.HasPrefix(er.Key, keyLayerPrefix) || er.Frame >= frames {
-			continue
-		}
-		rr, ok := refIdx[[2]interface{}{er.Frame, er.Key}]
-		if !ok {
-			continue
-		}
-		et, err := er.DecodeTensor()
-		if err != nil {
-			return nil, err
-		}
-		rt, err := rr.DecodeTensor()
-		if err != nil {
-			return nil, err
-		}
-		et = dequantIfNeeded(et, er)
-		rt = dequantIfNeeded(rt, rr)
-		if et.Len() != rt.Len() {
-			continue
-		}
-		nrmse, err := tensor.NormalizedRMSE(et, rt)
-		if err != nil {
-			return nil, err
-		}
-		rmse, _ := tensor.RMSE(et, rt)
-		maxA, _ := tensor.MaxAbsDiff(et, rt)
-		a, ok := accs[er.Key]
-		if !ok {
-			a = &acc{diff: LayerDiff{Index: er.LayerIndex, Name: er.LayerName, OpType: er.OpType}}
-			accs[er.Key] = a
-			order = append(order, er.Key)
-		}
-		a.sumN += nrmse
-		a.sumR += rmse
-		if maxA > a.maxA {
-			a.maxA = maxA
-		}
-		a.n++
-	}
-	if len(accs) == 0 {
-		return nil, fmt.Errorf("core: logs share no per-layer tensor records (was per-layer capture enabled?)")
-	}
-	diffs := make([]LayerDiff, 0, len(accs))
-	for _, key := range order {
-		a := accs[key]
-		d := a.diff
-		d.NRMSE = a.sumN / float64(a.n)
-		d.RMSE = a.sumR / float64(a.n)
-		d.MaxAbs = a.maxA
-		d.Frames = a.n
-		diffs = append(diffs, d)
-	}
-	sort.Slice(diffs, func(i, j int) bool { return diffs[i].Index < diffs[j].Index })
-	return diffs, nil
+	var s layerDiffState
+	s.consumeLog(edge, newRefIndex(ref))
+	return s.finalize()
 }
 
 // dequantIfNeeded widens quantized layer captures to float using the stats
@@ -156,29 +81,12 @@ func FirstSpike(diffs []LayerDiff, threshold, jumpFactor float64) (LayerDiff, bo
 // model outputs have the same argmax — the accuracy-validation step when no
 // labels are available.
 func OutputAgreement(edge, ref *Log) (float64, error) {
-	frames := edge.Frames()
-	if rf := ref.Frames(); rf < frames {
-		frames = rf
+	out := outputState{maxFrame: -1}
+	for i := range edge.Records {
+		// A frame whose output fails to decode is simply not compared.
+		_ = out.consume(&edge.Records[i])
 	}
-	if frames == 0 {
-		return 0, fmt.Errorf("core: no frames to compare")
-	}
-	agree, total := 0, 0
-	for f := 0; f < frames; f++ {
-		et, err1 := edge.FirstTensor(f, KeyModelOutput)
-		rt, err2 := ref.FirstTensor(f, KeyModelOutput)
-		if err1 != nil || err2 != nil {
-			continue
-		}
-		total++
-		if et.ArgMax() == rt.ArgMax() {
-			agree++
-		}
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("core: logs carry no model outputs")
-	}
-	return float64(agree) / float64(total), nil
+	return out.agreement(newRefIndex(ref))
 }
 
 // LayerLatency aggregates per-layer latency records by layer class (the
@@ -195,7 +103,7 @@ func LatencyByClass(l *Log, classOf func(opType string) string) []LayerLatency {
 	seen := map[string]map[string]bool{} // class -> layer names (count distinct layers)
 	var order []string
 	for _, r := range l.Records {
-		if r.Kind != KindMetric || !strings.HasSuffix(r.Key, "/latency_ns") || !strings.HasPrefix(r.Key, keyLayerPrefix) {
+		if !isLayerLatency(&r) {
 			continue
 		}
 		cls := classOf(r.OpType)
@@ -229,98 +137,23 @@ func StragglersVsReference(edge, ref *Log, factor float64) []string {
 	// Only device-modeled latencies are comparable across runs; wall-clock
 	// measurements from different resolvers or hosts would produce spurious
 	// ratios.
-	edgeLat := meanLayerLatencyModeled(edge)
-	refLat := meanLayerLatencyModeled(ref)
-	type ratioEntry struct {
-		name  string
-		ratio float64
-	}
-	var entries []ratioEntry
-	for name, e := range edgeLat {
-		if r, ok := refLat[name]; ok && r > 0 {
-			entries = append(entries, ratioEntry{name, e / r})
-		}
-	}
-	if len(entries) == 0 {
-		return nil
-	}
-	ratios := make([]float64, len(entries))
-	for i, e := range entries {
-		ratios[i] = e.ratio
-	}
-	sort.Float64s(ratios)
-	median := ratios[len(ratios)/2]
-	if median <= 0 {
-		return nil
-	}
-	var out []string
-	for _, e := range entries {
-		if e.ratio >= factor*median {
-			out = append(out, e.name)
-		}
-	}
-	sort.Strings(out)
-	return out
+	var s stragglerState
+	s.consumeLog(edge)
+	return s.vsReference(meanLayerLatencyModeled(ref), factor)
 }
 
 func meanLayerLatencyModeled(l *Log) map[string]float64 {
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for _, r := range l.Records {
-		if r.Kind != KindMetric || r.Unit != "ns-modeled" ||
-			!strings.HasSuffix(r.Key, "/latency_ns") || !strings.HasPrefix(r.Key, keyLayerPrefix) {
-			continue
-		}
-		sums[r.LayerName] += r.Value
-		counts[r.LayerName]++
-	}
-	out := make(map[string]float64, len(sums))
-	for name, s := range sums {
-		out[name] = s / float64(counts[name])
-	}
-	return out
+	var s stragglerState
+	s.consumeLog(l)
+	return s.modeledMeans()
 }
 
 // Stragglers returns the layers whose mean latency exceeds factor times the
 // median layer latency — the per-layer latency validation of §4.5.
 func Stragglers(l *Log, factor float64) []string {
-	type layerLat struct {
-		name string
-		sum  float64
-		n    int
-	}
-	byLayer := map[string]*layerLat{}
-	var order []string
-	for _, r := range l.Records {
-		if r.Kind != KindMetric || !strings.HasSuffix(r.Key, "/latency_ns") || !strings.HasPrefix(r.Key, keyLayerPrefix) {
-			continue
-		}
-		ll, ok := byLayer[r.LayerName]
-		if !ok {
-			ll = &layerLat{name: r.LayerName}
-			byLayer[r.LayerName] = ll
-			order = append(order, r.LayerName)
-		}
-		ll.sum += r.Value
-		ll.n++
-	}
-	if len(byLayer) == 0 {
-		return nil
-	}
-	means := make([]float64, 0, len(byLayer))
-	for _, ll := range byLayer {
-		means = append(means, ll.sum/float64(ll.n))
-	}
-	sort.Float64s(means)
-	median := means[len(means)/2]
-	var out []string
-	for _, name := range order {
-		ll := byLayer[name]
-		if median > 0 && ll.sum/float64(ll.n) >= factor*median {
-			out = append(out, name)
-		}
-	}
-	return out
+	var s stragglerState
+	s.consumeLog(l)
+	return s.finalize(factor)
 }
 
 // Report is the validator's output: the Figure 2 flowchart results.
@@ -355,6 +188,28 @@ func DefaultValidateOptions() ValidateOptions {
 		StragglerFactor:    8,
 		Assertions:         BuiltinAssertions(),
 	}
+}
+
+// WithDefaults fills each unset field from DefaultValidateOptions, so a
+// partially specified options struct keeps what it set (pass an empty
+// non-nil Assertions slice to disable assertions rather than inherit the
+// built-ins). Collectors and the gateway merging their snapshots both
+// default through here — what keeps their thresholds in agreement.
+func (o ValidateOptions) WithDefaults() ValidateOptions {
+	def := DefaultValidateOptions()
+	if o.AgreementThreshold == 0 {
+		o.AgreementThreshold = def.AgreementThreshold
+	}
+	if o.NRMSEThreshold == 0 {
+		o.NRMSEThreshold = def.NRMSEThreshold
+	}
+	if o.StragglerFactor == 0 {
+		o.StragglerFactor = def.StragglerFactor
+	}
+	if o.Assertions == nil {
+		o.Assertions = def.Assertions
+	}
+	return o
 }
 
 // Validate implements the paper's deployment-validation flowchart (Fig. 2):

@@ -6,14 +6,16 @@ import (
 	"sync"
 	"time"
 
+	"mlexray/internal/httpx"
 	"mlexray/internal/obs"
 )
 
 // serverMetrics holds the collector's pre-registered instruments. Handlers
 // and the chunk-apply path touch only these pointers — registration (the
 // locked, allocating part) happens once in newServerMetrics, so the hot
-// path stays zero-alloc. A nil *serverMetrics (DisableMetrics) makes every
-// field access a nil-instrument no-op via the obs nil-receiver contract.
+// path stays zero-alloc. With DisableMetrics the struct is built over a nil
+// registry: every instrument is nil, and a nil instrument's methods are
+// no-ops, so instrumented code needs no conditionals.
 type serverMetrics struct {
 	reg *obs.Registry
 
@@ -41,11 +43,9 @@ type serverMetrics struct {
 	responses map[int]*obs.Counter
 }
 
-// newServerMetrics registers the collector's metric families on reg.
+// newServerMetrics registers the collector's metric families on reg (nil:
+// metrics disabled, all instruments nil).
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
-	if reg == nil {
-		return nil
-	}
 	lat := obs.LatencyBounds()
 	return &serverMetrics{
 		reg: reg,
@@ -82,7 +82,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 // response returns the counter for one HTTP status, registering the series
 // on first sight.
 func (m *serverMetrics) response(status int) *obs.Counter {
-	if m == nil {
+	if m.reg == nil {
 		return nil
 	}
 	m.respMu.RLock()
@@ -102,61 +102,29 @@ func (m *serverMetrics) response(status int) *obs.Counter {
 	return c
 }
 
-// statusCapture records the status a handler wrote so the instrument
-// middleware can count per-status responses. Unwrap keeps
-// http.ResponseController working through it — the per-request read/write
-// deadlines the ingest handler sets must reach the real writer.
-type statusCapture struct {
-	http.ResponseWriter
-	status int
-}
-
-func (s *statusCapture) WriteHeader(code int) {
-	s.status = code
-	s.ResponseWriter.WriteHeader(code)
-}
-
-func (s *statusCapture) Unwrap() http.ResponseWriter { return s.ResponseWriter }
-
 // instrument wraps the ingest handler with the request-level telemetry:
 // latency histogram, per-status response counter, and — when the client
 // sent X-MLEXray-Trace — an "ingest" span in the trace ring. With metrics
 // and tracing both disabled the handler runs bare.
 func (s *Server) instrument(next http.HandlerFunc) http.Handler {
-	if s.met == nil && s.traces == nil {
+	if s.met.reg == nil && s.traces == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sc := &statusCapture{ResponseWriter: w, status: http.StatusOK}
+		sc := httpx.CaptureStatus(w)
 		next(sc, r)
-		if s.met != nil {
-			s.met.ingestLatency.ObserveSince(start)
-			s.met.response(sc.status).Inc()
-		}
-		s.traces.RecordSince(r.Header.Get(obs.TraceHeader), "ingest",
-			deviceOf(r), sc.status, start)
+		s.met.ingestLatency.ObserveSince(start)
+		s.met.response(sc.Status()).Inc()
+		up, _ := httpx.ParseUpload(r) // span detail only: a malformed upload still gets its span
+		s.traces.RecordSince(r.Header.Get(obs.TraceHeader), "ingest", up.Device, sc.Status(), start)
 	})
-}
-
-// deviceOf extracts the device ID the way handleIngest does — span detail
-// only, never authoritative.
-func deviceOf(r *http.Request) string {
-	if d := r.Header.Get("X-MLEXray-Device"); d != "" {
-		return d
-	}
-	return r.URL.Query().Get("device")
 }
 
 // Metrics returns the collector's registry (nil when DisableMetrics) — the
 // same families GET /metrics renders, for in-process scrapers like the
 // storm harness.
-func (s *Server) Metrics() *obs.Registry {
-	if s.met == nil {
-		return nil
-	}
-	return s.met.reg
-}
+func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 
 // TraceDump returns the buffered request spans oldest-first — the
 // programmatic accessor behind GET /debug/trace.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mlexray/internal/core"
+	"mlexray/internal/httpx"
 	"mlexray/internal/obs"
 )
 
@@ -336,6 +337,9 @@ const maxShardRedirects = 4
 func (s *RemoteSink) post(body []byte, chunkIdx int) error {
 	start := time.Now()
 	budget := s.opts.maxElapsed()
+	// Summed once per chunk: every retry and redirect hop announces the same
+	// checksum, so the server applies these bytes or refuses the delivery.
+	up := httpx.Upload{Device: s.opts.Device, Stream: s.stream, Chunk: chunkIdx, Sum: httpx.Checksum(body), HasSum: true}
 	var lastErr error
 	attempt, hops := 0, 0
 	for {
@@ -344,9 +348,7 @@ func (s *RemoteSink) post(body []byte, chunkIdx int) error {
 			return fmt.Errorf("ingest: %w", err)
 		}
 		req.Header.Set("Content-Type", "application/octet-stream")
-		req.Header.Set("X-MLEXray-Device", s.opts.Device)
-		req.Header.Set("X-MLEXray-Chunk", strconv.Itoa(chunkIdx))
-		req.Header.Set("X-MLEXray-Stream", s.stream)
+		up.SetHeaders(req.Header)
 		// The trace ID: stream token + chunk sequence, stable across
 		// retries and redirect hops of the same chunk, so every hop's span
 		// (gateway, shard ingest, WAL) carries one ID per logical upload.

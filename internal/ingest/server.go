@@ -28,19 +28,15 @@
 package ingest
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"mlexray/internal/core"
+	"mlexray/internal/httpx"
 	"mlexray/internal/obs"
 )
 
@@ -117,20 +113,12 @@ type ServerOptions struct {
 	TraceCapacity int
 }
 
-// walConfig is the server's WAL tuning with the append/fsync latency
-// histograms wired in (nil histograms when metrics are disabled).
+// walConfig folds the durability options into the WAL layer's tuning, with
+// the append/fsync latency histograms wired in.
 func (s *Server) walConfig() walConfig {
-	cfg := s.opts.walConfig()
-	if s.met != nil {
-		cfg.appendHist = s.met.walAppend
-		cfg.fsyncHist = s.met.walFsync
-	}
-	return cfg
-}
-
-// walConfig folds the durability options into the WAL layer's tuning.
-func (o *ServerOptions) walConfig() walConfig {
-	cfg := walConfig{dir: o.DataDir, segmentBytes: o.SegmentBytes}
+	o := &s.opts
+	cfg := walConfig{dir: o.DataDir, segmentBytes: o.SegmentBytes,
+		appendHist: s.met.walAppend, fsyncHist: s.met.walFsync}
 	switch {
 	case o.CompactAfter > 0:
 		cfg.compactAfter = o.CompactAfter
@@ -140,25 +128,10 @@ func (o *ServerOptions) walConfig() walConfig {
 	return cfg
 }
 
-func (o *ServerOptions) chunkBurst() float64 {
-	if o.ChunkBurst > 0 {
-		return float64(o.ChunkBurst)
-	}
-	return math.Max(1, math.Ceil(o.MaxChunksPerSec))
-}
-
 // retryAfterSessions is the default Retry-After hint (seconds) on a 503
 // session-cap rejection: sessions drain on operator timescales, not
 // milliseconds. SessionRetryAfterSecs overrides it.
 const retryAfterSessions = 5
-
-func (o *ServerOptions) sessionRetryAfter() string {
-	secs := o.SessionRetryAfterSecs
-	if secs <= 0 {
-		secs = retryAfterSessions
-	}
-	return strconv.Itoa(secs)
-}
 
 // Server is the ingestion collector: an http.Handler exposing
 //
@@ -168,7 +141,7 @@ func (o *ServerOptions) sessionRetryAfter() string {
 //	GET  /fleet              fleet-wide cross-validation report
 //	GET  /healthz            liveness + session count
 //
-// The device ID comes from the X-MLEXray-Device header or the device query
+// The device ID comes from the httpx.HeaderDevice header or the device query
 // parameter. Handlers are safe for concurrent use; chunks of one device are
 // serialized per session, different devices ingest in parallel.
 type Server struct {
@@ -195,9 +168,10 @@ type Server struct {
 
 	recovery RecoveryStats
 
-	// met holds the pre-registered self-telemetry instruments (nil with
-	// DisableMetrics); traces is the bounded request-span ring. Both are
-	// nil-safe throughout, so instrumented code needs no conditionals.
+	// met holds the pre-registered self-telemetry instruments (all nil with
+	// DisableMetrics); traces is the bounded request-span ring (nil with
+	// DisableMetrics). Both are nil-safe throughout, so instrumented code
+	// needs no conditionals.
 	met    *serverMetrics
 	traces *obs.TraceRing
 
@@ -218,12 +192,12 @@ type session struct {
 	seenFrames map[int]bool
 	bytes      int64
 	chunks     int
-	// stream identifies the current upload generation (X-MLEXray-Stream, a
+	// stream identifies the current upload generation (httpx.HeaderStream, a
 	// random token per RemoteSink): chunk numbering restarts with each new
 	// stream, so a re-run client appends instead of being mistaken for a
 	// replay of the previous run's chunks.
 	stream string
-	// nextChunk is the next expected X-MLEXray-Chunk sequence number within
+	// nextChunk is the next expected httpx.HeaderChunk sequence number within
 	// the current stream — what makes RemoteSink retries idempotent.
 	nextChunk int
 	lastSeen  time.Time
@@ -236,7 +210,7 @@ type session struct {
 	// wal is the session's write-ahead segment (nil without a DataDir).
 	wal *sessionWAL
 	// met points at the server's instruments so the shared apply path can
-	// count without reaching through the server (nil when disabled).
+	// count without reaching through the server.
 	met *serverMetrics
 	// tokens/tokensAt implement the per-device chunk-rate token bucket.
 	tokens   float64
@@ -244,47 +218,39 @@ type session struct {
 }
 
 // NewServer builds a collector. Unset Validate fields default individually
-// to core.DefaultValidateOptions — a partially-specified ValidateOptions
-// keeps its set fields (pass an empty non-nil Assertions slice to disable
-// assertions rather than inherit the built-ins). With DataDir set, existing
+// (core.ValidateOptions.WithDefaults). With DataDir set, existing
 // write-ahead segments replay before the server accepts traffic; Recovery
 // reports what was restored.
 func NewServer(opts ServerOptions) (*Server, error) {
-	def := core.DefaultValidateOptions()
-	if opts.Validate.AgreementThreshold == 0 {
-		opts.Validate.AgreementThreshold = def.AgreementThreshold
-	}
-	if opts.Validate.NRMSEThreshold == 0 {
-		opts.Validate.NRMSEThreshold = def.NRMSEThreshold
-	}
-	if opts.Validate.StragglerFactor == 0 {
-		opts.Validate.StragglerFactor = def.StragglerFactor
-	}
-	if opts.Validate.Assertions == nil {
-		opts.Validate.Assertions = def.Assertions
-	}
+	opts.Validate = opts.Validate.WithDefaults()
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 1 << 30
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
+	if opts.ChunkBurst <= 0 {
+		opts.ChunkBurst = int(math.Max(1, math.Ceil(opts.MaxChunksPerSec)))
+	}
+	if opts.SessionRetryAfterSecs <= 0 {
+		opts.SessionRetryAfterSecs = retryAfterSessions
+	}
 	if opts.IdleTimeout > 0 && opts.DataDir == "" {
 		return nil, fmt.Errorf("ingest: IdleTimeout requires DataDir — evicting an in-memory session would discard acked data")
 	}
 	s := &Server{opts: opts, sessions: make(map[string]*session)}
+	var reg *obs.Registry
 	if !opts.DisableMetrics {
-		reg := opts.Metrics
-		if reg == nil {
+		if reg = opts.Metrics; reg == nil {
 			reg = obs.NewRegistry()
 		}
-		// Registered before recovery: WAL replay runs the same apply path
-		// as live ingest, so a restarted collector's chunk counters equal
-		// the distinct chunks it holds — the storm harness reconciles
-		// client-observed acks against exactly this.
-		s.met = newServerMetrics(reg)
 		s.traces = obs.NewTraceRing(opts.TraceCapacity)
 	}
+	// Registered before recovery: WAL replay runs the same apply path as
+	// live ingest, so a restarted collector's chunk counters equal the
+	// distinct chunks it holds — the storm harness reconciles
+	// client-observed acks against exactly this.
+	s.met = newServerMetrics(reg)
 	if opts.Ref != nil {
 		fv, err := core.NewFleetStreamValidator(opts.Ref, opts.Validate)
 		if err != nil {
@@ -304,7 +270,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	mux.HandleFunc("GET /fleet", s.handleFleet)
 	mux.HandleFunc("GET /fleet/export", s.handleFleetExport)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	if s.met != nil {
+	if s.met.reg != nil {
 		mux.Handle("GET /metrics", s.met.reg.Handler())
 	}
 	if s.traces != nil {
@@ -314,67 +280,28 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	return s, nil
 }
 
-// recover replays the write-ahead segments under DataDir through the exact
-// chunk-apply path the HTTP handler uses — the same generation bookkeeping,
-// the same validator consumption — so the recovered sessions are
-// byte-identical to the uninterrupted ones. Runs before the server serves,
-// so no lock ordering is at stake.
+// recover replays the write-ahead segments under DataDir through the stages
+// live chunks pass (replayEntriesLocked), so the recovered sessions are
+// byte-identical to the uninterrupted ones.
 func (s *Server) recover() error {
 	recovered, truncated, err := loadWAL(s.opts.DataDir)
 	if err != nil {
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.recovery.TruncatedBytes = truncated
 	for _, rs := range recovered {
-		sess := s.createSession(rs.device)
-		s.recovery.Sessions++
-		sess.mu.Lock()
-		chunks, records, skipped := s.replayEntriesLocked(sess, rs.entries)
-		s.recovery.Chunks += chunks
-		s.recovery.Records += records
-		s.recovery.SkippedChunks += skipped
-		// Reopen the log for appending: new chunks continue the highest
-		// segment, with entry indexes resuming past the replayed history.
-		w, err := createSessionWAL(s.walConfig(), rs.device)
+		_, st, err := s.replayEntriesLocked(rs)
 		if err != nil {
-			sess.mu.Unlock()
 			return err
 		}
-		sess.wal = w
-		sess.mu.Unlock()
+		s.recovery.Sessions++
+		s.recovery.Chunks += st.Chunks
+		s.recovery.Records += st.Records
+		s.recovery.SkippedChunks += st.SkippedChunks
 	}
 	return nil
-}
-
-// replayEntriesLocked folds one segment's recovered entries into the session
-// through the exact apply path the HTTP handler uses — shared by startup
-// recovery and idle-eviction resurrection. The caller holds sess.mu.
-func (s *Server) replayEntriesLocked(sess *session, entries []walEntry) (chunks, records, skipped int) {
-	for _, e := range entries {
-		recs, _, err := decodeChunk(e.body, s.opts.MaxBodyBytes)
-		if err != nil {
-			// The CRC was intact but the body does not decode: corruption
-			// beyond a torn tail, or a segment written by a future codec.
-			// The chunks before it replayed; surface the defect and stop
-			// this session's replay rather than guessing.
-			skipped++
-			if sess.lastErr == "" {
-				sess.lastErr = fmt.Sprintf("wal replay: %v", err)
-			}
-			break
-		}
-		dup, seqErr := sess.advanceStreamLocked(e.stream, e.chunk)
-		if seqErr != nil || dup {
-			// Entries were only appended after the generation checks
-			// passed, so an in-log dup/gap is corruption; skip it.
-			skipped++
-			continue
-		}
-		sess.applyChunkLocked(recs, int64(len(e.body)), e.when)
-		chunks++
-		records += len(recs)
-	}
-	return chunks, records, skipped
 }
 
 // Recovery reports what the startup WAL replay restored (zero value when no
@@ -439,21 +366,13 @@ func (s *Server) Devices() []string {
 	return out
 }
 
-// createSession unconditionally creates the device's session — the recovery
-// path, where the cap does not apply (the data is already acked).
-func (s *Server) createSession(device string) *session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.createSessionLocked(device)
-}
-
 func (s *Server) createSessionLocked(device string) *session {
 	sess := &session{device: device, seenFrames: make(map[int]bool), met: s.met}
 	if s.fleet != nil {
 		sess.sv = s.fleet.Session(device)
 	}
 	if s.opts.MaxChunksPerSec > 0 {
-		sess.tokens = s.opts.chunkBurst()
+		sess.tokens = float64(s.opts.ChunkBurst)
 		sess.tokensAt = s.opts.Clock()
 	}
 	if s.opts.IdleTimeout > 0 {
@@ -464,39 +383,8 @@ func (s *Server) createSessionLocked(device string) *session {
 		sess.lastSeen = s.opts.Clock()
 	}
 	s.sessions[device] = sess
-	if s.met != nil {
-		s.met.sessionsLive.Set(int64(len(s.sessions)))
-	}
+	s.met.sessionsLive.Set(int64(len(s.sessions)))
 	return sess
-}
-
-// getSession returns the device's session, creating it if the session cap
-// allows; past the cap it first tries an idle-eviction sweep, then returns
-// nil (the caller answers 503). A device with a write-ahead segment on disk
-// — one evicted earlier, or acked before a restart under a different cap —
-// resurrects regardless of the cap: its data is already durable and acked.
-func (s *Server) getSession(device string) (*session, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sess, ok := s.sessions[device]; ok {
-		return sess, nil
-	}
-	if s.opts.DataDir != "" {
-		sess, err := s.resurrectLocked(device)
-		if err != nil {
-			return nil, err
-		}
-		if sess != nil {
-			return sess, nil
-		}
-	}
-	if s.opts.MaxSessions > 0 && len(s.sessions) >= s.opts.MaxSessions {
-		s.evictIdleLocked(s.opts.Clock())
-		if len(s.sessions) >= s.opts.MaxSessions {
-			return nil, nil
-		}
-	}
-	return s.createSessionLocked(device), nil
 }
 
 // resurrectLocked rebuilds an evicted (or pre-restart) session from its
@@ -511,19 +399,12 @@ func (s *Server) resurrectLocked(device string) (*session, error) {
 	if !found {
 		return nil, nil
 	}
-	sess := s.createSessionLocked(device)
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	s.replayEntriesLocked(sess, rs.entries)
-	w, err := createSessionWAL(s.walConfig(), device)
+	sess, _, err := s.replayEntriesLocked(rs)
 	if err != nil {
 		return nil, err
 	}
-	sess.wal = w
 	s.resurrections++
-	if s.met != nil {
-		s.met.resurrections.Inc()
-	}
+	s.met.resurrections.Inc()
 	return sess, nil
 }
 
@@ -552,10 +433,8 @@ func (s *Server) evictIdleLocked(now time.Time) int {
 		sess.mu.Unlock()
 	}
 	s.evictions += n
-	if s.met != nil {
-		s.met.evictions.Add(int64(n))
-		s.met.sessionsLive.Set(int64(len(s.sessions)))
-	}
+	s.met.evictions.Add(int64(n))
+	s.met.sessionsLive.Set(int64(len(s.sessions)))
 	return n
 }
 
@@ -597,30 +476,6 @@ func (s *Server) Resurrections() int {
 	return s.resurrections
 }
 
-// peekSession is the pre-decode admission lookup: the existing session (nil
-// if new) and whether a new one may still be created. It also hosts the
-// rate-limited idle sweep — every ingest passes through here.
-func (s *Server) peekSession(device string) (sess *session, admitNew bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maybeSweepLocked()
-	if existing, ok := s.sessions[device]; ok {
-		return existing, true
-	}
-	return nil, s.opts.MaxSessions <= 0 || len(s.sessions) < s.opts.MaxSessions
-}
-
-// canResurrect reports whether a device rejected by the session cap holds a
-// durable segment — such a device is admitted anyway (its data is already
-// acked; refusing it would orphan the log).
-func (s *Server) canResurrect(device string) bool {
-	if s.opts.DataDir == "" {
-		return false
-	}
-	segs, err := deviceSegments(s.opts.DataDir, device)
-	return err == nil && len(segs) > 0
-}
-
 // takeToken consumes one chunk token from the session's rate bucket,
 // refilled at MaxChunksPerSec up to the burst. When empty it reports the
 // wait until the next token — the 429 Retry-After value.
@@ -651,230 +506,6 @@ type IngestResponse struct {
 	Duplicate bool `json:"duplicate,omitempty"`
 }
 
-// decodeChunk decodes one chunk body (either encoding, plain or gzip) into
-// records, capping the decoded footprint — shared by the HTTP path and WAL
-// recovery so the two ingest identically.
-func decodeChunk(body []byte, maxBytes int64) ([]core.Record, int, error) {
-	dec, _, err := core.OpenLog(bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, fmt.Errorf("open log stream: %w", err)
-	}
-	var recs []core.Record
-	var decoded int64
-	for {
-		rec, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, len(recs), fmt.Errorf("decode record %d: %w", len(recs), err)
-		}
-		decoded += int64(len(rec.Payload)+len(rec.Key)) + 64
-		if decoded > maxBytes {
-			return nil, len(recs), errDecodedTooLarge
-		}
-		recs = append(recs, rec)
-	}
-	return recs, len(recs), nil
-}
-
-// errDecodedTooLarge marks a chunk whose decoded footprint exceeds
-// MaxBodyBytes (a decompression bomb) — answered with 413, not 400.
-var errDecodedTooLarge = errors.New("decoded footprint exceeds the body limit")
-
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	device := r.Header.Get("X-MLEXray-Device")
-	if device == "" {
-		device = r.URL.Query().Get("device")
-	}
-	if device == "" {
-		httpError(w, http.StatusBadRequest, "missing device ID (X-MLEXray-Device header or ?device=)")
-		return
-	}
-	// The chunk sequence number (RemoteSink sets it) makes retries
-	// idempotent: a chunk that was applied but whose response got lost is
-	// acknowledged, not re-ingested. The stream token scopes the numbering
-	// to one upload generation, so a freshly started client (chunk 0 again)
-	// appends rather than being dropped as a replay. Uploads without the
-	// chunk header (curl) apply unconditionally and leave the generation
-	// state alone — they must never disturb an in-flight RemoteSink stream.
-	chunkIdx := -1
-	if h := r.Header.Get("X-MLEXray-Chunk"); h != "" {
-		idx, err := strconv.Atoi(h)
-		if err != nil || idx < 0 {
-			httpError(w, http.StatusBadRequest, "bad X-MLEXray-Chunk %q", h)
-			return
-		}
-		chunkIdx = idx
-	}
-	stream := r.Header.Get("X-MLEXray-Stream")
-
-	// Per-request read/write deadlines: a device trickling its body — a
-	// slow-loris — times out instead of holding this handler (and, with
-	// eviction, its session slot) indefinitely. The response controller
-	// errors on writers that cannot set deadlines (httptest recorders);
-	// that just means no deadline, the behavior those tests expect.
-	rc := http.NewResponseController(w)
-	if s.opts.ReadTimeout > 0 {
-		_ = rc.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
-	}
-	if s.opts.WriteTimeout > 0 {
-		_ = rc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-	}
-
-	// Admission control, before the body is read: a new device past the
-	// session cap gets 503, a known device past its chunk rate gets 429 —
-	// both with Retry-After, both cheap (no decode work spent on a chunk
-	// that will not be admitted). A device with a durable segment (evicted
-	// earlier) bypasses the cap: its data is already acked.
-	sess, admitNew := s.peekSession(device)
-	if sess == nil && !admitNew && !s.canResurrect(device) {
-		if s.met != nil {
-			s.met.capRejects.Inc()
-		}
-		w.Header().Set("Retry-After", s.opts.sessionRetryAfter())
-		httpError(w, http.StatusServiceUnavailable,
-			"session cap reached (%d); retry later", s.opts.MaxSessions)
-		return
-	}
-	if sess != nil && s.opts.MaxChunksPerSec > 0 {
-		if ok, wait := sess.takeToken(s.opts.MaxChunksPerSec, s.opts.chunkBurst(), s.opts.Clock()); !ok {
-			if s.met != nil {
-				s.met.rateLimited.Inc()
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(wait.Seconds()))))
-			httpError(w, http.StatusTooManyRequests,
-				"device %q over its chunk rate (%.3g/s); retry in %v", device, s.opts.MaxChunksPerSec, wait)
-			return
-		}
-	}
-
-	// Read, then decode, the whole chunk before touching the session: a
-	// failed chunk is atomic (no partial ingest — safe to retry after a
-	// 400/disconnect), the raw wire bytes are what the write-ahead log
-	// persists, and the session lock is never held across a network read, so
-	// status reads stay live under slow uploads. core.OpenLog sniffs gzip
-	// and either log encoding from the leading bytes. MaxBodyBytes caps the
-	// decoded footprint too, so a small gzip body cannot balloon into
-	// unbounded decoded records (decompression bomb).
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"chunk exceeds the %d-byte limit", mbe.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "read chunk: %v", err)
-		return
-	}
-	recs, nRecs, err := decodeChunk(body, s.opts.MaxBodyBytes)
-	if err != nil {
-		if errors.Is(err, errDecodedTooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"chunk decodes past the %d-byte limit (record %d)", s.opts.MaxBodyBytes, nRecs)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	if sess == nil {
-		var err error
-		if sess, err = s.getSession(device); err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		if sess == nil {
-			// Lost the admission race to another new device.
-			if s.met != nil {
-				s.met.capRejects.Inc()
-			}
-			w.Header().Set("Retry-After", s.opts.sessionRetryAfter())
-			httpError(w, http.StatusServiceUnavailable,
-				"session cap reached (%d); retry later", s.opts.MaxSessions)
-			return
-		}
-		if s.opts.MaxChunksPerSec > 0 {
-			// The session was created for this chunk; it still pays its
-			// token (the fresh bucket is full, so this never rejects).
-			sess.takeToken(s.opts.MaxChunksPerSec, s.opts.chunkBurst(), s.opts.Clock())
-		}
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.evicted {
-		// The idle sweep took this session between our lookup and the lock;
-		// folding into it would write into dead state. The retry finds the
-		// durable segment and resurrects.
-		w.Header().Set("Retry-After", s.opts.sessionRetryAfter())
-		httpError(w, http.StatusServiceUnavailable,
-			"session %q evicted mid-flight; retry", device)
-		return
-	}
-	dup, seqErr := sess.advanceStreamLocked(stream, chunkIdx)
-	if seqErr != nil {
-		httpError(w, http.StatusConflict, "%v", seqErr)
-		return
-	}
-	if dup {
-		// Already applied; the first delivery's response was lost.
-		if s.met != nil {
-			s.met.dupChunks.Inc()
-		}
-		writeJSON(w, http.StatusOK, IngestResponse{
-			Device: device, Records: sess.records, Frames: len(sess.seenFrames),
-			Chunks: sess.chunks, Duplicate: true,
-		})
-		return
-	}
-	now := s.opts.Clock()
-	if s.opts.DataDir != "" {
-		// The whole durable step — segment creation and the append — runs
-		// under closeMu's read side: either it completes before Close flips
-		// closed (so a successor's recovery replays this ack), or the chunk
-		// answers 503 and the client retries against the successor.
-		s.closeMu.RLock()
-		if s.closed {
-			s.closeMu.RUnlock()
-			sess.rewindStreamLocked(chunkIdx)
-			w.Header().Set("Retry-After", s.opts.sessionRetryAfter())
-			httpError(w, http.StatusServiceUnavailable, "collector shutting down; retry")
-			return
-		}
-		if sess.wal == nil {
-			walW, err := createSessionWAL(s.walConfig(), device)
-			if err != nil {
-				s.closeMu.RUnlock()
-				sess.rewindStreamLocked(chunkIdx)
-				httpError(w, http.StatusInternalServerError, "wal: %v", err)
-				return
-			}
-			sess.wal = walW
-		}
-		// The write barrier: the chunk is durable before it is acked. A
-		// failed append answers 500 without applying — the client retries,
-		// and the log and the in-memory state stay in agreement.
-		walStart := time.Now()
-		err := sess.wal.append(walEntry{stream: stream, chunk: chunkIdx, when: now, body: body})
-		s.closeMu.RUnlock()
-		s.traces.RecordSince(r.Header.Get(obs.TraceHeader), "wal", device, 0, walStart)
-		if err != nil {
-			sess.rewindStreamLocked(chunkIdx)
-			httpError(w, http.StatusInternalServerError, "wal: %v", err)
-			return
-		}
-	}
-	sess.applyChunkLocked(recs, int64(len(body)), now)
-	writeJSON(w, http.StatusOK, IngestResponse{
-		Device:       device,
-		ChunkRecords: len(recs),
-		Records:      sess.records,
-		Frames:       len(sess.seenFrames),
-		Chunks:       sess.chunks,
-	})
-}
-
 // advanceStreamLocked applies the upload-generation bookkeeping for one
 // arriving chunk: duplicate detection, gap rejection, and the sequence
 // advance. Headerless chunks (chunkIdx < 0 — curl uploads) apply
@@ -901,14 +532,6 @@ func (sess *session) advanceStreamLocked(stream string, chunkIdx int) (dup bool,
 	return false, nil
 }
 
-// rewindStreamLocked undoes advanceStreamLocked after a failed durable
-// append: the chunk was not applied, so its retry must be in-sequence again.
-func (sess *session) rewindStreamLocked(chunkIdx int) {
-	if chunkIdx >= 0 {
-		sess.nextChunk = chunkIdx
-	}
-}
-
 // applyChunkLocked folds one admitted, durable chunk into the session: the
 // validator consumes its records and the counters advance. Shared verbatim
 // by the HTTP path and WAL recovery — what makes recovery exact.
@@ -930,16 +553,14 @@ func (sess *session) applyChunkLocked(recs []core.Record, wireBytes int64, now t
 		}
 		sess.seenFrames[recs[i].Frame] = true
 	}
-	if sess.met != nil {
-		// Counted here — the path shared by live ingest, startup recovery
-		// and resurrection — so a restarted collector's counters equal the
-		// distinct chunks it actually holds. The storm harness reconciles
-		// client-observed acks against these.
-		sess.met.chunks.Inc()
-		sess.met.records.Add(int64(len(recs)))
-		sess.met.frames.Add(int64(newFrames))
-		sess.met.bytes.Add(wireBytes)
-	}
+	// Counted here — the path shared by live ingest, startup recovery and
+	// resurrection — so a restarted collector's counters equal the distinct
+	// chunks it actually holds. The storm harness reconciles client-observed
+	// acks against these.
+	sess.met.chunks.Inc()
+	sess.met.records.Add(int64(len(recs)))
+	sess.met.frames.Add(int64(newFrames))
+	sess.met.bytes.Add(wireBytes)
 	sess.bytes += wireBytes
 	sess.records += len(recs)
 	sess.chunks++
@@ -992,7 +613,7 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 		out = append(out, sess.status())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Device < out[j].Device })
-	writeJSON(w, http.StatusOK, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {
@@ -1001,7 +622,7 @@ func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.sessions[device]
 	s.mu.Unlock()
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown device %q", device)
+		httpx.Error(w, http.StatusNotFound, "unknown device %q", device)
 		return
 	}
 	st := sess.status()
@@ -1016,7 +637,7 @@ func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {
 	} else {
 		st.ReportError = "no reference log loaded (collection mode)"
 	}
-	writeJSON(w, http.StatusOK, st)
+	httpx.WriteJSON(w, http.StatusOK, st)
 }
 
 // FleetResponse is the GET /fleet reply.
@@ -1025,19 +646,25 @@ type FleetResponse struct {
 	Report  *core.FleetReport `json:"report"`
 }
 
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.FleetReport()
-	if err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	// The device list derives from the report snapshot itself — a separate
-	// Devices() read could disagree under a concurrent first upload.
+// NewFleetResponse wraps a fleet report in its reply — a collector's own or
+// a gateway's merged one. The device list derives from the report snapshot
+// itself: a separate Devices() read could disagree under a concurrent
+// first upload.
+func NewFleetResponse(rep *core.FleetReport) FleetResponse {
 	devices := make([]string, 0, len(rep.Devices))
 	for _, dr := range rep.Devices {
 		devices = append(devices, dr.Device)
 	}
-	writeJSON(w, http.StatusOK, FleetResponse{Devices: devices, Report: rep})
+	return FleetResponse{Devices: devices, Report: rep}
+}
+
+func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
+	rep, err := s.FleetReport()
+	if err != nil {
+		httpx.Error(w, http.StatusConflict, "%v", err)
+		return
+	}
+	httpx.WriteJSON(w, http.StatusOK, NewFleetResponse(rep))
 }
 
 // handleFleetExport serves the per-session fleet snapshots — the shard half
@@ -1048,14 +675,14 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 // collector holding every session.
 func (s *Server) handleFleetExport(w http.ResponseWriter, r *http.Request) {
 	if s.fleet == nil {
-		httpError(w, http.StatusConflict, "no reference log loaded (collection mode)")
+		httpx.Error(w, http.StatusConflict, "no reference log loaded (collection mode)")
 		return
 	}
 	snaps := s.fleet.Snapshots()
 	if snaps == nil {
 		snaps = []core.FleetSessionSnapshot{}
 	}
-	writeJSON(w, http.StatusOK, snaps)
+	httpx.WriteJSON(w, http.StatusOK, snaps)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -1086,17 +713,5 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			body["wal"] = stats
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	httpx.WriteJSON(w, http.StatusOK, body)
 }

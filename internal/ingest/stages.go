@@ -1,0 +1,333 @@
+package ingest
+
+// POST /ingest as a staged pipeline: admit → read → decode → commit → ack.
+// Each stage is one function that either hands the chunk on or refuses it
+// with a documented status; DESIGN.md §6 tabulates what each may answer
+// and which lock it holds. WAL recovery and resurrection replay through
+// decode and commit too (replayEntriesLocked), so "recovery runs the live
+// path" holds by call graph.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"strconv"
+	"time"
+
+	"mlexray/internal/core"
+	"mlexray/internal/httpx"
+	"mlexray/internal/obs"
+)
+
+// refusal is a stage's documented non-200 answer.
+type refusal struct {
+	status     int
+	retryAfter int // Retry-After seconds; 0 sends none
+	msg        string
+}
+
+func refuse(status int, format string, args ...any) *refusal {
+	return &refusal{status: status, msg: fmt.Sprintf(format, args...)}
+}
+
+// retryLater is a 503 carrying the session Retry-After hint.
+func (s *Server) retryLater(format string, args ...any) *refusal {
+	rej := refuse(http.StatusServiceUnavailable, format, args...)
+	rej.retryAfter = s.opts.SessionRetryAfterSecs
+	return rej
+}
+
+// chunk is one upload moving through the stages.
+type chunk struct {
+	up    httpx.Upload
+	trace string // the request's trace ID; "" records no span
+	body  []byte // raw wire bytes, exactly what the WAL persists
+	sum   uint32 // httpx.Checksum(body), when announced or to be logged
+	recs  []core.Record
+	// when is the arrival time: commit stamps it for a live chunk, a
+	// replayed one carries its logged arrival (so a recovered session's
+	// status is identical to the uninterrupted one).
+	when time.Time
+	// logged marks a chunk replayed from the WAL: commit skips the durable
+	// step it already went through.
+	logged bool
+}
+
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	up, err := httpx.ParseUpload(r)
+	if err != nil {
+		s.ack(w, IngestResponse{}, refuse(http.StatusBadRequest, "%v", err))
+		return
+	}
+	// Per-request deadlines: a device trickling its body — a slow-loris —
+	// times out instead of holding this handler (and, with eviction, its
+	// session slot) indefinitely. Writers that cannot set deadlines
+	// (httptest recorders) just get none.
+	rc := http.NewResponseController(w)
+	if s.opts.ReadTimeout > 0 {
+		_ = rc.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
+	}
+	if s.opts.WriteTimeout > 0 {
+		_ = rc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+	}
+
+	c := &chunk{up: up, trace: r.Header.Get(obs.TraceHeader)}
+	sess, rej := s.admit(up.Device, false)
+	if rej == nil {
+		rej = s.read(w, r, c)
+	}
+	if rej == nil {
+		rej = s.decode(c)
+	}
+	if rej == nil && sess == nil {
+		// Only a chunk that read and decoded earns a new device its slot.
+		sess, rej = s.admit(up.Device, true)
+	}
+	var resp IngestResponse
+	if rej == nil {
+		resp, rej = s.commit(sess, c)
+	}
+	s.ack(w, resp, rej)
+}
+
+// admit is admission control, run before the body is read (create false)
+// so a chunk that will not be admitted costs no read or decode: a new
+// device past the session cap gets 503, a known device past its chunk rate
+// 429, both with Retry-After. A new device with room gets (nil, nil); the
+// second pass (create true) creates its session once its chunk has decoded,
+// re-running the cap check in case another new device won the slot. A
+// device with a write-ahead log on disk — evicted earlier, or acked before
+// a restart under a different cap — is admitted past the cap and
+// resurrects: refusing already-acked data would orphan the log. Every
+// ingest passes through here, so it also hosts the rate-limited idle sweep.
+func (s *Server) admit(device string, create bool) (*session, *refusal) {
+	s.mu.Lock()
+	s.maybeSweepLocked()
+	sess := s.sessions[device]
+	if sess == nil {
+		if s.opts.MaxSessions > 0 && len(s.sessions) >= s.opts.MaxSessions {
+			var segs []walSegmentFile
+			if s.opts.DataDir != "" {
+				segs, _ = deviceSegments(s.opts.DataDir, device)
+			}
+			if len(segs) == 0 {
+				s.mu.Unlock()
+				s.met.capRejects.Inc()
+				return nil, s.retryLater("session cap reached (%d); retry later", s.opts.MaxSessions)
+			}
+		}
+		if !create {
+			s.mu.Unlock()
+			return nil, nil
+		}
+		if s.opts.DataDir != "" {
+			var err error
+			if sess, err = s.resurrectLocked(device); err != nil {
+				s.mu.Unlock()
+				return nil, refuse(http.StatusInternalServerError, "%v", err)
+			}
+		}
+		if sess == nil {
+			sess = s.createSessionLocked(device)
+		}
+	}
+	s.mu.Unlock()
+	if s.opts.MaxChunksPerSec > 0 {
+		// A session created for this chunk pays its token too; its fresh
+		// bucket is full, so that never rejects.
+		if ok, wait := sess.takeToken(s.opts.MaxChunksPerSec, float64(s.opts.ChunkBurst), s.opts.Clock()); !ok {
+			s.met.rateLimited.Inc()
+			rej := refuse(http.StatusTooManyRequests,
+				"device %q over its chunk rate (%.3g/s); retry in %v", device, s.opts.MaxChunksPerSec, wait)
+			rej.retryAfter = int(math.Ceil(wait.Seconds()))
+			return nil, rej
+		}
+	}
+	return sess, nil
+}
+
+// read takes the whole body off the wire before the session is touched: a
+// failed chunk is atomic (no partial ingest — safe to retry after a
+// 400/disconnect) and the raw wire bytes are what the write-ahead log
+// persists. An announced checksum is verified here, so damaged bytes that
+// would still decode never reach commit: a delivery and its retry are
+// byte-equal or rejected.
+func (s *Server) read(w http.ResponseWriter, r *http.Request, c *chunk) *refusal {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return refuse(http.StatusRequestEntityTooLarge, "chunk exceeds the %d-byte limit", mbe.Limit)
+		}
+		return refuse(http.StatusBadRequest, "read chunk: %v", err)
+	}
+	c.body = body
+	if c.up.HasSum || s.opts.DataDir != "" {
+		c.sum = httpx.Checksum(body) // for the wire check, the WAL entry, or both
+	}
+	if c.up.HasSum && c.up.Sum != c.sum {
+		return refuse(http.StatusBadRequest, "chunk checksum mismatch: body sums to %08x, %s says %08x",
+			c.sum, httpx.HeaderSum, c.up.Sum)
+	}
+	return nil
+}
+
+// decode turns the wire bytes (either encoding, plain or gzip — sniffed by
+// core.OpenLog) into records. MaxBodyBytes caps the decoded footprint too,
+// so a small gzip body cannot balloon into unbounded memory (a
+// decompression bomb gets 413, not 400).
+func (s *Server) decode(c *chunk) *refusal {
+	dec, _, err := core.OpenLog(bytes.NewReader(c.body))
+	if err != nil {
+		return refuse(http.StatusBadRequest, "open log stream: %v", err)
+	}
+	var decoded int64
+	for {
+		rec, err := dec.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return refuse(http.StatusBadRequest, "decode record %d: %v", len(c.recs), err)
+		}
+		decoded += int64(len(rec.Payload)+len(rec.Key)) + 64
+		if decoded > s.opts.MaxBodyBytes {
+			return refuse(http.StatusRequestEntityTooLarge,
+				"chunk decodes past the %d-byte limit (record %d)", s.opts.MaxBodyBytes, len(c.recs))
+		}
+		c.recs = append(c.recs, rec)
+	}
+}
+
+// commit makes one decoded chunk part of the session: dedupe against the
+// stream's sequence, append to the write-ahead log, fold into the validator
+// — in that order, under the session lock, so the log and the in-memory
+// state cannot disagree. A duplicate (a retry whose first delivery was
+// applied but whose response got lost) is acknowledged without re-ingesting.
+func (s *Server) commit(sess *session, c *chunk) (IngestResponse, *refusal) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.evicted {
+		// The idle sweep took this session between admit and here; folding
+		// into it would write into dead state. The retry finds the durable
+		// segment and resurrects.
+		return IngestResponse{}, s.retryLater("session %q evicted mid-flight; retry", sess.device)
+	}
+	dup, err := sess.advanceStreamLocked(c.up.Stream, c.up.Chunk)
+	if err != nil {
+		return IngestResponse{}, refuse(http.StatusConflict, "%v", err)
+	}
+	resp := IngestResponse{Device: sess.device, Duplicate: dup}
+	if !dup {
+		if !c.logged {
+			c.when = s.opts.Clock()
+			if rej := s.logLocked(sess, c); rej != nil {
+				// Not durable, so not applied: rewind the sequence so the
+				// retry is in order again.
+				if c.up.Chunk >= 0 {
+					sess.nextChunk = c.up.Chunk
+				}
+				return IngestResponse{}, rej
+			}
+		}
+		sess.applyChunkLocked(c.recs, int64(len(c.body)), c.when)
+		resp.ChunkRecords = len(c.recs)
+	}
+	resp.Records, resp.Frames, resp.Chunks = sess.records, len(sess.seenFrames), sess.chunks
+	return resp, nil
+}
+
+// logLocked is commit's write barrier: the chunk is durable before it is
+// acked (a no-op without a DataDir). The whole step — segment creation and
+// the append — runs under closeMu's read side: either it completes before
+// Close flips closed (so a successor's recovery replays this ack), or the
+// chunk answers 503 and the client retries against the successor. A failed
+// append answers 500 without applying. The caller holds sess.mu.
+func (s *Server) logLocked(sess *session, c *chunk) *refusal {
+	if s.opts.DataDir == "" {
+		return nil
+	}
+	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
+	if s.closed {
+		return s.retryLater("collector shutting down; retry")
+	}
+	if sess.wal == nil {
+		w, err := createSessionWAL(s.walConfig(), sess.device)
+		if err != nil {
+			return refuse(http.StatusInternalServerError, "wal: %v", err)
+		}
+		sess.wal = w
+	}
+	start := time.Now()
+	err := sess.wal.append(walEntry{stream: c.up.Stream, chunk: c.up.Chunk, when: c.when, body: c.body, sum: c.sum})
+	s.traces.RecordSince(c.trace, "wal", sess.device, 0, start)
+	if err != nil {
+		return refuse(http.StatusInternalServerError, "wal: %v", err)
+	}
+	return nil
+}
+
+// ack answers the request: the chunk's contribution and the session totals,
+// or the refusing stage's error envelope.
+func (s *Server) ack(w http.ResponseWriter, resp IngestResponse, rej *refusal) {
+	if rej != nil {
+		if rej.retryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(rej.retryAfter))
+		}
+		httpx.Error(w, rej.status, "%s", rej.msg)
+		return
+	}
+	if resp.Duplicate {
+		s.met.dupChunks.Inc()
+	}
+	httpx.WriteJSON(w, http.StatusOK, resp)
+}
+
+// replayEntriesLocked rebuilds one session from its logged history: the
+// entries fold through decode and commit — the stages live chunks pass — so
+// the session is byte-identical to the uninterrupted one, then the log
+// reopens for appending (new chunks continue the highest segment, entry
+// indexes resuming past the replayed history). The session cap does not
+// apply: the data is already acked. Shared by startup recovery and
+// idle-eviction resurrection; the caller holds s.mu, so nothing else can
+// reach the session yet.
+func (s *Server) replayEntriesLocked(rs recoveredSession) (*session, RecoveryStats, error) {
+	sess := s.createSessionLocked(rs.device)
+	var st RecoveryStats
+	for _, e := range rs.entries {
+		c := &chunk{
+			up:   httpx.Upload{Device: sess.device, Stream: e.stream, Chunk: e.chunk},
+			body: e.body, sum: e.sum, when: e.when, logged: true,
+		}
+		if rej := s.decode(c); rej != nil {
+			// The CRC was intact but the body does not decode: corruption
+			// beyond a torn tail, or a segment written by a future codec.
+			// The chunks before it replayed; surface the defect and stop
+			// this session's replay rather than guessing.
+			st.SkippedChunks++
+			if sess.lastErr == "" {
+				sess.lastErr = "wal replay: " + rej.msg
+			}
+			break
+		}
+		resp, rej := s.commit(sess, c)
+		if rej != nil || resp.Duplicate {
+			// Entries were only appended after the sequence checks passed,
+			// so an in-log dup/gap is corruption; skip it.
+			st.SkippedChunks++
+			continue
+		}
+		st.Chunks++
+		st.Records += resp.ChunkRecords
+	}
+	w, err := createSessionWAL(s.walConfig(), rs.device)
+	if err != nil {
+		return nil, st, err
+	}
+	sess.wal = w
+	return sess, st, nil
+}

@@ -45,7 +45,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/url"
 	"os"
@@ -54,6 +53,7 @@ import (
 	"strings"
 	"time"
 
+	"mlexray/internal/httpx"
 	"mlexray/internal/obs"
 )
 
@@ -98,9 +98,13 @@ type walConfig struct {
 type walEntry struct {
 	index  uint64 // monotonic per session; assigned by append
 	stream string
-	chunk  int // X-MLEXray-Chunk, -1 for headerless uploads
+	chunk  int // the upload's sequence number, -1 for headerless uploads
 	when   time.Time
 	body   []byte
+	// sum is the CRC-32 (IEEE) of body — httpx.Checksum, the sum the upload
+	// protocol carries, so the read stage's one pass over the bytes serves
+	// both the wire check and the log.
+	sum uint32
 }
 
 // sessionWAL is one session's open segment log. Appends happen under the
@@ -167,12 +171,15 @@ func parseSegmentName(name string) (escDevice string, seq int, ok bool) {
 // walSegmentFile is one on-disk segment of a session's log.
 type walSegmentFile struct {
 	path string
+	esc  string // url.PathEscape(device), from the file name
 	seq  int
 	size int64
 }
 
-// deviceSegments lists the device's segment files sorted by segment number.
-func deviceSegments(dir, device string) ([]walSegmentFile, error) {
+// listSegments lists the segment files under dir from directory metadata
+// alone (names and sizes, never contents) — one device's, sorted by segment
+// number, or with onlyEsc "" every device's. A missing dir holds none.
+func listSegments(dir, onlyEsc string) ([]walSegmentFile, error) {
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -180,24 +187,25 @@ func deviceSegments(dir, device string) ([]walSegmentFile, error) {
 		}
 		return nil, fmt.Errorf("ingest: wal dir: %w", err)
 	}
-	esc := url.PathEscape(device)
 	var segs []walSegmentFile
 	for _, de := range names {
-		if de.IsDir() {
-			continue
-		}
-		gotEsc, seq, ok := parseSegmentName(de.Name())
-		if !ok || gotEsc != esc {
+		esc, seq, ok := parseSegmentName(de.Name())
+		if !ok || de.IsDir() || (onlyEsc != "" && esc != onlyEsc) {
 			continue
 		}
 		info, err := de.Info()
 		if err != nil {
 			return nil, fmt.Errorf("ingest: wal segment %s: %w", de.Name(), err)
 		}
-		segs = append(segs, walSegmentFile{path: filepath.Join(dir, de.Name()), seq: seq, size: info.Size()})
+		segs = append(segs, walSegmentFile{path: filepath.Join(dir, de.Name()), esc: esc, seq: seq, size: info.Size()})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 	return segs, nil
+}
+
+// deviceSegments lists the device's segment files sorted by segment number.
+func deviceSegments(dir, device string) ([]walSegmentFile, error) {
+	return listSegments(dir, url.PathEscape(device))
 }
 
 // appendWALHeader serializes the segment file header.
@@ -224,7 +232,7 @@ func createSessionWAL(cfg walConfig, device string) (*sessionWAL, error) {
 		// Resume: scan from the newest segment down until entries are found —
 		// a crash between rotation's create and the first append can leave
 		// the newest segment holding a bare header.
-		active := segs[len(segs)-1]
+		w.seq = segs[len(segs)-1].seq
 		for i := len(segs) - 1; i >= 0; i-- {
 			rs, _, err := readSegment(segs[i].path)
 			if err != nil {
@@ -235,23 +243,11 @@ func createSessionWAL(cfg walConfig, device string) (*sessionWAL, error) {
 				break
 			}
 		}
-		f, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: open wal segment: %w", err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ingest: stat wal segment: %w", err)
-		}
-		w.f, w.path, w.seq, w.committed = f, active.path, active.seq, st.Size()
-		return w, nil
 	}
-	f, committed, err := createSegmentFile(cfg.dir, device, 0)
-	if err != nil {
+	if w.f, w.committed, err = createSegmentFile(cfg.dir, device, w.seq); err != nil {
 		return nil, err
 	}
-	w.f, w.path, w.seq, w.committed = f, segmentPath(cfg.dir, device, 0), 0, committed
+	w.path = segmentPath(cfg.dir, device, w.seq)
 	return w, nil
 }
 
@@ -359,7 +355,7 @@ func appendWALEntry(buf []byte, e walEntry) []byte {
 	buf = binary.AppendVarint(buf, int64(e.chunk))
 	buf = binary.AppendVarint(buf, e.when.UnixNano())
 	buf = binary.AppendUvarint(buf, uint64(len(e.body)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(e.body))
+	buf = binary.LittleEndian.AppendUint32(buf, e.sum)
 	return append(buf, e.body...)
 }
 
@@ -498,35 +494,30 @@ func loadWAL(dir string) ([]recoveredSession, int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, 0, fmt.Errorf("ingest: wal dir: %w", err)
 	}
-	names, err := os.ReadDir(dir)
+	// An interrupted compaction's scratch files; the originals they were
+	// built from are still on disk.
+	if names, err := os.ReadDir(dir); err == nil {
+		for _, de := range names {
+			if strings.HasSuffix(de.Name(), walTmpSuffix) {
+				os.Remove(filepath.Join(dir, de.Name()))
+			}
+		}
+	}
+	segs, err := listSegments(dir, "")
 	if err != nil {
-		return nil, 0, fmt.Errorf("ingest: wal dir: %w", err)
+		return nil, 0, err
 	}
 	byDevice := make(map[string][]parsedSegment)
 	var truncated int64
-	for _, de := range names {
-		if de.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(de.Name(), walTmpSuffix) {
-			// An interrupted compaction's scratch file; the originals it was
-			// built from are still on disk.
-			os.Remove(filepath.Join(dir, de.Name()))
-			continue
-		}
-		_, seq, ok := parseSegmentName(de.Name())
-		if !ok {
-			continue
-		}
-		path := filepath.Join(dir, de.Name())
-		rs, torn, err := readSegment(path)
+	for _, sf := range segs {
+		rs, torn, err := readSegment(sf.path)
 		if err != nil {
 			return nil, 0, err
 		}
 		truncated += torn
 		// The header's device is authoritative; the filename only orders the
 		// device's segments.
-		byDevice[rs.device] = append(byDevice[rs.device], parsedSegment{seq: seq, entries: rs.entries})
+		byDevice[rs.device] = append(byDevice[rs.device], parsedSegment{seq: sf.seq, entries: rs.entries})
 	}
 	sessions := make([]recoveredSession, 0, len(byDevice))
 	for device, segs := range byDevice {
@@ -697,8 +688,9 @@ func readWALEntry(r io.Reader, remain int64) (walEntry, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return walEntry{}, fmt.Errorf("ingest: wal entry body: %w", err)
 	}
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return walEntry{}, fmt.Errorf("ingest: wal entry crc mismatch (%08x != %08x)", got, want)
+	sum := binary.LittleEndian.Uint32(crcBuf[:])
+	if got := httpx.Checksum(body); got != sum {
+		return walEntry{}, fmt.Errorf("ingest: wal entry crc mismatch (%08x != %08x)", got, sum)
 	}
 	return walEntry{
 		index:  index,
@@ -706,6 +698,7 @@ func readWALEntry(r io.Reader, remain int64) (walEntry, error) {
 		chunk:  int(chunk),
 		when:   time.Unix(0, nanos),
 		body:   body,
+		sum:    sum,
 	}, nil
 }
 
@@ -761,33 +754,19 @@ type SessionWALStats struct {
 // The device comes from the file name (the escaping is injective), which
 // also covers evicted sessions whose logs are still on disk.
 func walStats(dir string) (map[string]SessionWALStats, error) {
-	names, err := os.ReadDir(dir)
+	segs, err := listSegments(dir, "")
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("ingest: wal dir: %w", err)
+		return nil, err
 	}
 	stats := make(map[string]SessionWALStats)
-	for _, de := range names {
-		if de.IsDir() {
-			continue
-		}
-		escDevice, _, ok := parseSegmentName(de.Name())
-		if !ok {
-			continue
-		}
-		device, err := url.PathUnescape(escDevice)
-		if err != nil {
-			continue
-		}
-		info, err := de.Info()
+	for _, sf := range segs {
+		device, err := url.PathUnescape(sf.esc)
 		if err != nil {
 			continue
 		}
 		s := stats[device]
 		s.Segments++
-		s.Bytes += info.Size()
+		s.Bytes += sf.size
 		stats[device] = s
 	}
 	return stats, nil

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"mlexray/internal/httpx"
 )
 
 // FuzzWALRecovery hands arbitrary bytes to the collector's startup WAL
@@ -27,7 +29,7 @@ func FuzzWALRecovery(f *testing.F) {
 	base := time.Unix(1700000000, 0)
 	for i := 0; i < 2; i++ {
 		body := chunkBody(f, l, i*2, i*2+2)
-		e := walEntry{stream: "s1", chunk: i, when: base.Add(time.Duration(i) * time.Second), body: body}
+		e := walEntry{stream: "s1", chunk: i, when: base.Add(time.Duration(i) * time.Second), body: body, sum: httpx.Checksum(body)}
 		if err := w.append(e); err != nil {
 			f.Fatal(err)
 		}

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"testing"
+
+	"mlexray/internal/httpx"
 )
 
 // TestWALSegmentRotationExactRecovery pins the rotation tentpole: with a
@@ -105,7 +107,8 @@ func TestWALCompactionCrashWindowDedup(t *testing.T) {
 	}
 	clock := &tickClock{}
 	for i := 0; i < 3; i++ {
-		e := walEntry{stream: "s1", chunk: i, when: clock.Now(), body: chunkBody(t, l, i*2, i*2+2)}
+		body := chunkBody(t, l, i*2, i*2+2)
+		e := walEntry{stream: "s1", chunk: i, when: clock.Now(), body: body, sum: httpx.Checksum(body)}
 		if err := w.append(e); err != nil {
 			t.Fatal(err)
 		}

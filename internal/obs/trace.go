@@ -1,10 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
+
+	"mlexray/internal/httpx"
 )
 
 // TraceHeader is the cross-tier request-trace header. The upload client
@@ -111,9 +112,6 @@ func (t *TraceRing) Handler() http.Handler {
 		if spans == nil {
 			spans = []Span{}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(spans)
+		httpx.WriteJSON(w, http.StatusOK, spans)
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mlexray/internal/core"
+	"mlexray/internal/ingest"
 	"mlexray/internal/interp"
 	"mlexray/internal/ops"
 	"mlexray/internal/storm"
@@ -254,19 +255,21 @@ func TestEmitReplayBenchJSON(t *testing.T) {
 			Faults:          variant.faults,
 			Seed:            1,
 			Shards:          variant.shards,
-			DataDir:         t.TempDir(),
-			IdleTimeout:     250 * time.Millisecond,
-			ReadTimeout:     150 * time.Millisecond,
-			WriteTimeout:    time.Second,
+			Collector: ingest.ServerOptions{
+				DataDir:      t.TempDir(),
+				IdleTimeout:  250 * time.Millisecond,
+				ReadTimeout:  150 * time.Millisecond,
+				WriteTimeout: time.Second,
+			},
 			Stragglers:      0.05,
 			KillAfterChunks: variant.kill,
 		}
 		if variant.shards == 0 {
-			opts.MaxSessions = 48
-			opts.MaxChunksPerSec = 5
-			opts.ChunkBurst = 1
+			opts.Collector.MaxSessions = 48
+			opts.Collector.MaxChunksPerSec = 5
+			opts.Collector.ChunkBurst = 1
 		} else {
-			opts.SegmentBytes = 4096
+			opts.Collector.SegmentBytes = 4096
 		}
 		res, err := storm.Run(opts)
 		if err != nil {

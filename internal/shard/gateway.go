@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mlexray/internal/core"
+	"mlexray/internal/httpx"
 	"mlexray/internal/ingest"
 	"mlexray/internal/obs"
 )
@@ -37,7 +38,7 @@ type GatewayOptions struct {
 	Vnodes int
 	// Validate mirrors the shards' ServerOptions.Validate; the merged fleet
 	// report applies the same thresholds the shards do. Unset fields default
-	// like ingest.NewServer's.
+	// as the shards' do (core.ValidateOptions.WithDefaults).
 	Validate core.ValidateOptions
 	// RedirectUploads answers POST /ingest with 307 + Location naming the
 	// owning shard instead of proxying the body. Sinks that honor the
@@ -60,25 +61,12 @@ type GatewayOptions struct {
 	TraceCapacity int
 }
 
-func (o *GatewayOptions) client() *http.Client {
-	if o.Client != nil {
-		return o.Client
-	}
-	return http.DefaultClient
-}
-
-func (o *GatewayOptions) healthTimeout() time.Duration {
-	if o.HealthTimeout <= 0 {
-		return 2 * time.Second
-	}
-	return o.HealthTimeout
-}
-
 // gatewayMetrics holds the gateway's pre-registered instruments: per-shard
 // proxy latency and 502 counts (the ring's health as seen from the routing
 // tier) plus redirect issuance. Per-shard series register once at
 // construction — the shard set is fixed at boot — so the proxy path is a
-// map read plus atomics.
+// map read plus atomics. Over a nil registry (DisableMetrics) every
+// instrument is nil and its methods no-ops.
 type gatewayMetrics struct {
 	reg        *obs.Registry
 	redirects  *obs.Counter
@@ -87,9 +75,6 @@ type gatewayMetrics struct {
 }
 
 func newGatewayMetrics(reg *obs.Registry, shards []string) *gatewayMetrics {
-	if reg == nil {
-		return nil
-	}
 	m := &gatewayMetrics{
 		reg: reg,
 		redirects: reg.Counter("mlexray_gateway_redirects_total",
@@ -124,10 +109,12 @@ func newGatewayMetrics(reg *obs.Registry, shards []string) *gatewayMetrics {
 type Gateway struct {
 	opts GatewayOptions
 	ring *Ring
-	urls map[string]*url.URL
+	// base maps a shard name to its base URL, trailing slash trimmed, so a
+	// shard request is base + path.
+	base map[string]string
 
-	// met/traces are the gateway's self-telemetry (nil with
-	// DisableMetrics); both are nil-safe throughout.
+	// met/traces are the gateway's self-telemetry (nil instruments and a
+	// nil ring with DisableMetrics); both are nil-safe throughout.
 	met    *gatewayMetrics
 	traces *obs.TraceRing
 
@@ -137,7 +124,7 @@ type Gateway struct {
 // NewGateway builds a gateway over the given shard set.
 func NewGateway(opts GatewayOptions) (*Gateway, error) {
 	names := make([]string, 0, len(opts.Shards))
-	urls := make(map[string]*url.URL, len(opts.Shards))
+	base := make(map[string]string, len(opts.Shards))
 	for _, s := range opts.Shards {
 		if s.URL == "" {
 			return nil, fmt.Errorf("shard: shard %q has no URL", s.Name)
@@ -147,37 +134,28 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 			return nil, fmt.Errorf("shard: shard %q URL: %w", s.Name, err)
 		}
 		names = append(names, s.Name)
-		urls[s.Name] = u
+		base[s.Name] = strings.TrimRight(u.String(), "/")
 	}
 	ring, err := NewRing(names, opts.Vnodes)
 	if err != nil {
 		return nil, err
 	}
-	// Mirror ingest.NewServer's per-field Validate defaulting so gateway and
-	// shards agree on thresholds even when both were built from a partial
-	// options struct.
-	def := core.DefaultValidateOptions()
-	if opts.Validate.AgreementThreshold == 0 {
-		opts.Validate.AgreementThreshold = def.AgreementThreshold
+	opts.Validate = opts.Validate.WithDefaults()
+	if opts.Client == nil {
+		opts.Client = http.DefaultClient
 	}
-	if opts.Validate.NRMSEThreshold == 0 {
-		opts.Validate.NRMSEThreshold = def.NRMSEThreshold
+	if opts.HealthTimeout <= 0 {
+		opts.HealthTimeout = 2 * time.Second
 	}
-	if opts.Validate.StragglerFactor == 0 {
-		opts.Validate.StragglerFactor = def.StragglerFactor
-	}
-	if opts.Validate.Assertions == nil {
-		opts.Validate.Assertions = def.Assertions
-	}
-	g := &Gateway{opts: opts, ring: ring, urls: urls}
+	g := &Gateway{opts: opts, ring: ring, base: base}
+	var reg *obs.Registry
 	if !opts.DisableMetrics {
-		reg := opts.Metrics
-		if reg == nil {
+		if reg = opts.Metrics; reg == nil {
 			reg = obs.NewRegistry()
 		}
-		g.met = newGatewayMetrics(reg, ring.Shards())
 		g.traces = obs.NewTraceRing(opts.TraceCapacity)
 	}
+	g.met = newGatewayMetrics(reg, ring.Shards())
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", g.handleIngest)
 	mux.HandleFunc("GET /devices", g.handleDevices)
@@ -185,8 +163,8 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 	mux.HandleFunc("GET /fleet", g.handleFleet)
 	mux.HandleFunc("GET /fleet/export", g.handleFleetExport)
 	mux.HandleFunc("GET /healthz", g.handleHealth)
-	if g.met != nil {
-		mux.Handle("GET /metrics", g.met.reg.Handler())
+	if reg != nil {
+		mux.Handle("GET /metrics", reg.Handler())
 	}
 	if g.traces != nil {
 		mux.Handle("GET /debug/trace", g.traces.Handler())
@@ -197,12 +175,7 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 
 // Metrics returns the gateway's registry (nil when DisableMetrics) — the
 // families GET /metrics renders, for in-process scrapers.
-func (g *Gateway) Metrics() *obs.Registry {
-	if g.met == nil {
-		return nil
-	}
-	return g.met.reg
-}
+func (g *Gateway) Metrics() *obs.Registry { return g.met.reg }
 
 // TraceDump returns the buffered request spans oldest-first — the
 // programmatic accessor behind GET /debug/trace.
@@ -224,55 +197,30 @@ func (g *Gateway) Ring() *Ring { return g.ring }
 // a specific device's shard.
 func (g *Gateway) Owner(device string) string { return g.ring.Owner(device) }
 
-// shardTarget rebuilds the incoming request's URI against a shard's base
-// URL, preserving path and query.
-func (g *Gateway) shardTarget(shard string, u *url.URL) string {
-	return strings.TrimRight(g.urls[shard].String(), "/") + u.RequestURI()
-}
-
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
-	device := r.Header.Get("X-MLEXray-Device")
-	if device == "" {
-		device = r.URL.Query().Get("device")
-	}
-	if device == "" {
-		httpError(w, http.StatusBadRequest, "missing device ID (X-MLEXray-Device header or ?device=)")
+	up, err := httpx.ParseUpload(r)
+	if err != nil {
+		httpx.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	owner := g.ring.Owner(device)
+	owner := g.ring.Owner(up.Device)
 	start := time.Now()
 	if g.opts.RedirectUploads {
 		// 307 keeps the method and body: the client re-POSTs the same chunk
 		// to the shard. RemoteSink treats the new endpoint as sticky.
-		if g.met != nil {
-			g.met.redirects.Inc()
-		}
-		w.Header().Set("Location", g.shardTarget(owner, r.URL))
+		g.met.redirects.Inc()
+		w.Header().Set("Location", g.base[owner]+r.URL.RequestURI())
 		w.Header().Set("X-MLEXray-Shard", owner)
 		w.WriteHeader(http.StatusTemporaryRedirect)
 		g.traces.RecordSince(r.Header.Get(obs.TraceHeader), "gateway",
 			"redirect:"+owner, http.StatusTemporaryRedirect, start)
 		return
 	}
-	sc := &gwStatusCapture{ResponseWriter: w, status: http.StatusOK}
+	sc := httpx.CaptureStatus(w)
 	g.proxy(sc, r, owner)
 	g.traces.RecordSince(r.Header.Get(obs.TraceHeader), "gateway",
-		"proxy:"+owner, sc.status, start)
+		"proxy:"+owner, sc.Status(), start)
 }
-
-// gwStatusCapture records the proxied status for the gateway's trace span.
-// Unwrap keeps http.ResponseController working through it.
-type gwStatusCapture struct {
-	http.ResponseWriter
-	status int
-}
-
-func (s *gwStatusCapture) WriteHeader(code int) {
-	s.status = code
-	s.ResponseWriter.WriteHeader(code)
-}
-
-func (s *gwStatusCapture) Unwrap() http.ResponseWriter { return s.ResponseWriter }
 
 func (g *Gateway) handleDevice(w http.ResponseWriter, r *http.Request) {
 	g.proxy(w, r, g.ring.Owner(r.PathValue("device")))
@@ -284,22 +232,18 @@ func (g *Gateway) handleDevice(w http.ResponseWriter, r *http.Request) {
 // member is not.
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, shard string) {
 	start := time.Now()
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, g.shardTarget(shard, r.URL), r.Body)
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, g.base[shard]+r.URL.RequestURI(), r.Body)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "proxy: %v", err)
+		httpx.Error(w, http.StatusInternalServerError, "proxy: %v", err)
 		return
 	}
 	req.Header = r.Header.Clone()
 	req.ContentLength = r.ContentLength
-	resp, err := g.opts.client().Do(req)
-	if g.met != nil {
-		g.met.proxyLat[shard].ObserveSince(start)
-	}
+	resp, err := g.opts.Client.Do(req)
+	g.met.proxyLat[shard].ObserveSince(start)
 	if err != nil {
-		if g.met != nil {
-			g.met.badGateway[shard].Inc()
-		}
-		httpError(w, http.StatusBadGateway, "shard %q unreachable: %v", shard, err)
+		g.met.badGateway[shard].Inc()
+		httpx.Error(w, http.StatusBadGateway, "shard %q unreachable: %v", shard, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -312,146 +256,116 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, shard string) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// shardConflictError carries a shard's 409 — the shard is alive but cannot
-// produce fleet state (collection mode); the gateway relays it as its own
-// 409 rather than masking it as a gateway fault.
-type shardConflictError struct {
-	shard string
-	msg   string
+// shardStatusError is a shard answering a fan-out GET with a non-200: the
+// shard is alive, so its own status and error envelope are the evidence. A
+// 409 (collection mode: the shard cannot produce fleet state) the gateway
+// relays as its own 409 rather than masking it as a gateway fault.
+type shardStatusError struct {
+	shard, path string
+	status      int
+	body        []byte
 }
 
-func (e *shardConflictError) Error() string { return e.msg }
-
-// fanOutSnapshots collects every shard's /fleet/export concurrently.
-func (g *Gateway) fanOutSnapshots() ([]core.FleetSessionSnapshot, error) {
-	shards := g.ring.Shards()
-	type result struct {
-		snaps []core.FleetSessionSnapshot
-		err   error
-	}
-	results := make([]result, len(shards))
-	var wg sync.WaitGroup
-	for i, name := range shards {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			results[i].snaps, results[i].err = g.exportFrom(name)
-		}(i, name)
-	}
-	wg.Wait()
-	var all []core.FleetSessionSnapshot
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		all = append(all, results[i].snaps...)
-	}
-	return all, nil
+func (e *shardStatusError) Error() string {
+	return fmt.Sprintf("shard %q %s: status %d: %s", e.shard, e.path, e.status, strings.TrimSpace(string(e.body)))
 }
 
-func (g *Gateway) exportFrom(shard string) ([]core.FleetSessionSnapshot, error) {
-	resp, err := g.opts.client().Get(strings.TrimRight(g.urls[shard].String(), "/") + "/fleet/export")
+// getJSON GETs one shard's path and decodes the 200 reply into v.
+func (g *Gateway) getJSON(ctx context.Context, shard, path string, v any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.base[shard]+path, nil)
 	if err != nil {
-		return nil, fmt.Errorf("shard %q unreachable: %w", shard, err)
+		return err
+	}
+	resp, err := g.opts.Client.Do(req)
+	if err != nil {
+		return fmt.Errorf("shard %q unreachable: %w", shard, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		var body struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&body)
-		return nil, &shardConflictError{shard: shard, msg: body.Error}
-	}
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("shard %q export: status %d: %s", shard, resp.StatusCode, strings.TrimSpace(string(msg)))
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return &shardStatusError{shard: shard, path: path, status: resp.StatusCode, body: body}
 	}
-	var snaps []core.FleetSessionSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snaps); err != nil {
-		return nil, fmt.Errorf("shard %q export: %w", shard, err)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("shard %q %s: %w", shard, path, err)
 	}
-	return snaps, nil
+	return nil
 }
 
-func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
-	snaps, err := g.fanOutSnapshots()
-	if err != nil {
-		var conflict *shardConflictError
-		if errors.As(err, &conflict) {
-			httpError(w, http.StatusConflict, "%s", conflict.msg)
-		} else {
-			httpError(w, http.StatusBadGateway, "%v", err)
-		}
-		return
-	}
-	rep, err := core.MergeFleetSnapshots(snaps, g.opts.Validate)
-	if err != nil {
-		// Same body a lone collector's /fleet produces for the same fleet
-		// state (e.g. no devices yet).
-		httpError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	devices := make([]string, 0, len(rep.Devices))
-	for _, dr := range rep.Devices {
-		devices = append(devices, dr.Device)
-	}
-	writeJSON(w, http.StatusOK, ingest.FleetResponse{Devices: devices, Report: rep})
-}
-
-func (g *Gateway) handleFleetExport(w http.ResponseWriter, r *http.Request) {
-	snaps, err := g.fanOutSnapshots()
-	if err != nil {
-		var conflict *shardConflictError
-		if errors.As(err, &conflict) {
-			httpError(w, http.StatusConflict, "%s", conflict.msg)
-		} else {
-			httpError(w, http.StatusBadGateway, "%v", err)
-		}
-		return
-	}
-	if snaps == nil {
-		snaps = []core.FleetSessionSnapshot{}
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Device < snaps[j].Device })
-	writeJSON(w, http.StatusOK, snaps)
-}
-
-func (g *Gateway) handleDevices(w http.ResponseWriter, r *http.Request) {
+// fanOut GETs path from every ring member concurrently and returns the
+// decoded replies in ring order, each with its error — the one loop behind
+// /fleet, /fleet/export, /devices and /healthz.
+func fanOut[T any](ctx context.Context, g *Gateway, path string) ([]T, []error) {
 	shards := g.ring.Shards()
-	lists := make([][]ingest.DeviceStatus, len(shards))
+	out := make([]T, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i, name := range shards {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			resp, err := g.opts.client().Get(strings.TrimRight(g.urls[name].String(), "/") + "/devices")
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %q unreachable: %w", name, err)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("shard %q devices: status %d", name, resp.StatusCode)
-				return
-			}
-			errs[i] = json.NewDecoder(resp.Body).Decode(&lists[i])
+			errs[i] = g.getJSON(ctx, name, path, &out[i])
 		}(i, name)
 	}
 	wg.Wait()
-	var out []ingest.DeviceStatus
-	for i := range lists {
-		if errs[i] != nil {
-			httpError(w, http.StatusBadGateway, "%v", errs[i])
-			return
+	return out, errs
+}
+
+// gather is fanOut for the endpoints that need every shard: the per-shard
+// lists concatenated, or the first failing shard's error answered — 409 for
+// a shard's own 409, 502 otherwise.
+func gather[T any](w http.ResponseWriter, r *http.Request, g *Gateway, path string) ([]T, bool) {
+	lists, errs := fanOut[[]T](r.Context(), g, path)
+	all := []T{}
+	for i, err := range errs {
+		var se *shardStatusError
+		if errors.As(err, &se) && se.status == http.StatusConflict {
+			var envelope struct {
+				Error string `json:"error"`
+			}
+			_ = json.Unmarshal(se.body, &envelope)
+			httpx.Error(w, http.StatusConflict, "%s", envelope.Error)
+			return nil, false
 		}
-		out = append(out, lists[i]...)
+		if err != nil {
+			httpx.Error(w, http.StatusBadGateway, "%v", err)
+			return nil, false
+		}
+		all = append(all, lists[i]...)
 	}
-	if out == nil {
-		out = []ingest.DeviceStatus{}
+	return all, true
+}
+
+func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
+	snaps, ok := gather[core.FleetSessionSnapshot](w, r, g, "/fleet/export")
+	if !ok {
+		return
+	}
+	rep, err := core.MergeFleetSnapshots(snaps, g.opts.Validate)
+	if err != nil {
+		// Same body a lone collector's /fleet produces for the same fleet
+		// state (e.g. no devices yet).
+		httpx.Error(w, http.StatusConflict, "%v", err)
+		return
+	}
+	httpx.WriteJSON(w, http.StatusOK, ingest.NewFleetResponse(rep))
+}
+
+func (g *Gateway) handleFleetExport(w http.ResponseWriter, r *http.Request) {
+	snaps, ok := gather[core.FleetSessionSnapshot](w, r, g, "/fleet/export")
+	if !ok {
+		return
+	}
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Device < snaps[j].Device })
+	httpx.WriteJSON(w, http.StatusOK, snaps)
+}
+
+func (g *Gateway) handleDevices(w http.ResponseWriter, r *http.Request) {
+	out, ok := gather[ingest.DeviceStatus](w, r, g, "/devices")
+	if !ok {
+		return
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Device < out[j].Device })
-	writeJSON(w, http.StatusOK, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 // ShardHealth is one ring member's view in the gateway's aggregated
@@ -465,38 +379,6 @@ type ShardHealth struct {
 	Error         string `json:"error,omitempty"`
 }
 
-// probeShard fetches one shard's /healthz under the health timeout and
-// folds its body into a ShardHealth.
-func (g *Gateway) probeShard(ctx context.Context, name string) ShardHealth {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(g.urls[name].String(), "/")+"/healthz", nil)
-	if err != nil {
-		return ShardHealth{Error: err.Error()}
-	}
-	resp, err := g.opts.client().Do(req)
-	if err != nil {
-		return ShardHealth{Error: fmt.Sprintf("unreachable: %v", err)}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return ShardHealth{Error: fmt.Sprintf("status %d", resp.StatusCode)}
-	}
-	var body struct {
-		Devices       int `json:"devices"`
-		Evictions     int `json:"evictions"`
-		Resurrections int `json:"resurrections"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body); err != nil {
-		return ShardHealth{Error: fmt.Sprintf("bad health body: %v", err)}
-	}
-	return ShardHealth{
-		Up:            true,
-		Devices:       body.Devices,
-		Evictions:     body.Evictions,
-		Resurrections: body.Resurrections,
-	}
-}
-
 // handleHealth aggregates per-shard health: every ring member is probed
 // concurrently under HealthTimeout (one hung shard cannot stall the
 // answer), and the reply carries each shard's up/down plus session totals
@@ -504,30 +386,27 @@ func (g *Gateway) probeShard(ctx context.Context, name string) ShardHealth {
 // HTTP status stays 200 either way — reachability of the gateway itself —
 // with the detail in the body.
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), g.opts.healthTimeout())
+	ctx, cancel := context.WithTimeout(r.Context(), g.opts.HealthTimeout)
 	defer cancel()
-	shards := g.ring.Shards()
-	health := make([]ShardHealth, len(shards))
-	var wg sync.WaitGroup
-	for i, name := range shards {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			health[i] = g.probeShard(ctx, name)
-		}(i, name)
-	}
-	wg.Wait()
-	status := make(map[string]ShardHealth, len(shards))
+	// Decoding into ShardHealth picks the shard's own devices / evictions /
+	// resurrections totals out of its /healthz body.
+	health, errs := fanOut[ShardHealth](ctx, g, "/healthz")
+	status := make(map[string]ShardHealth, len(health))
 	ok := true
 	devices, evictions, resurrections := 0, 0, 0
-	for i, name := range shards {
-		status[name] = health[i]
-		ok = ok && health[i].Up
-		devices += health[i].Devices
-		evictions += health[i].Evictions
-		resurrections += health[i].Resurrections
+	for i, name := range g.ring.Shards() {
+		h := health[i]
+		h.Up = true
+		if errs[i] != nil {
+			h = ShardHealth{Error: errs[i].Error()}
+		}
+		status[name] = h
+		ok = ok && h.Up
+		devices += h.Devices
+		evictions += h.Evictions
+		resurrections += h.Resurrections
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":            ok,
 		"shards":        status,
 		"devices":       devices,
@@ -535,19 +414,4 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"resurrections": resurrections,
 		"ring":          map[string]int{"shards": g.ring.N(), "vnodes": g.ring.Vnodes()},
 	})
-}
-
-// writeJSON must mirror ingest's writeJSON byte-for-byte: the gateway's
-// merged /fleet is pinned byte-identical to a single collector's, and the
-// envelope encoding is part of that contract.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

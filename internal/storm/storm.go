@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"mlexray/internal/core"
+	"mlexray/internal/httpx"
 	"mlexray/internal/ingest"
 	"mlexray/internal/obs"
 	"mlexray/internal/shard"
@@ -64,26 +65,14 @@ type Options struct {
 	// fault-free single-collector reference. <= 1 means one collector, no
 	// gateway.
 	Shards int
-	// DataDir enables the durable collector (WAL + crash recovery). It is
-	// required for KillAfterChunks and IdleTimeout — both destroy
-	// in-memory state that only a WAL can bring back. With Shards > 1 each
-	// shard gets its own shard-<i> subdirectory.
-	DataDir string
-	// SegmentBytes enables WAL segment rotation on the collector(s) — the
-	// rotation+compaction machinery running under fire instead of only in
-	// unit tests. 0 means single-segment WALs.
-	SegmentBytes int64
-	// MaxSessions / MaxChunksPerSec / ChunkBurst are the collector's
-	// admission-control knobs (see ingest.ServerOptions).
-	MaxSessions     int
-	MaxChunksPerSec float64
-	ChunkBurst      int
-	// IdleTimeout is the collector's session-eviction horizon.
-	IdleTimeout time.Duration
-	// ReadTimeout / WriteTimeout are the collector's per-request deadlines
-	// (what sheds the slow-loris uploads).
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
+	// Collector configures the collector(s) under storm: admission control,
+	// eviction, per-request deadlines (what sheds the slow-loris uploads),
+	// WAL rotation. DataDir is required for KillAfterChunks and IdleTimeout
+	// — both destroy in-memory state that only a WAL can bring back; with
+	// Shards > 1 each shard gets its own shard-<i> subdirectory of it. Run
+	// sets Ref (the synthetic fleet reference) and a 1-second session
+	// Retry-After itself.
+	Collector ingest.ServerOptions
 	// KillAfterChunks hard-kills and restarts the collector once that many
 	// chunks have been acked mid-storm; 0 means no mid-storm kill.
 	KillAfterChunks int
@@ -291,37 +280,12 @@ func (r *Result) CheckInvariants() error {
 	return fmt.Errorf("storm invariants violated: %s", strings.Join(problems, "; "))
 }
 
-// ackedChunk is one 200-acked upload as the server saw it: the generation
+// ackedChunk is one 200-acked upload as the server saw it: the upload
 // headers plus the exact wire bytes the handler consumed.
 type ackedChunk struct {
-	stream string
-	chunk  int
-	body   []byte
+	up   httpx.Upload
+	body []byte
 }
-
-// statusWriter captures the handler's status code. Unwrap keeps
-// http.ResponseController (the per-request deadlines) working through the
-// wrapper.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // teeBody lets the recorder capture exactly the bytes the handler read,
 // without consuming the body itself (which would defeat the collector's
@@ -371,29 +335,60 @@ func (rec *recorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf bytes.Buffer
 	r.Body = teeBody{Reader: io.TeeReader(r.Body, &buf), Closer: r.Body}
-	sw := &statusWriter{ResponseWriter: w}
+	sw := httpx.CaptureStatus(w)
 	inner.ServeHTTP(sw, r)
-	device := r.Header.Get("X-MLEXray-Device")
-	if device == "" {
-		device = r.URL.Query().Get("device")
-	}
-	chunkIdx := -1
-	if h := r.Header.Get("X-MLEXray-Chunk"); h != "" {
-		if idx, err := strconv.Atoi(h); err == nil {
-			chunkIdx = idx
-		}
-	}
 	rec.mu.Lock()
-	rec.status[sw.status]++
-	if sw.status == http.StatusOK {
-		rec.acked[device] = append(rec.acked[device], ackedChunk{
-			stream: r.Header.Get("X-MLEXray-Stream"),
-			chunk:  chunkIdx,
-			body:   bytes.Clone(buf.Bytes()),
-		})
+	rec.status[sw.Status()]++
+	if sw.Status() == http.StatusOK {
+		up, _ := httpx.ParseUpload(r) // a 200 means the collector parsed them
+		rec.acked[up.Device] = append(rec.acked[up.Device], ackedChunk{up: up, body: bytes.Clone(buf.Bytes())})
 		rec.ackedN++
 	}
 	rec.mu.Unlock()
+}
+
+// liveServer is one listening http.Server the storm can hard-close.
+type liveServer struct {
+	hs   *http.Server
+	addr string
+	done chan struct{}
+}
+
+// serveOn starts h on addr ("" picks an ephemeral port). A pinned address
+// may still be held by the incarnation just killed, so the listen retries.
+func serveOn(addr string, h http.Handler) (*liveServer, error) {
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	var ln net.Listener
+	var err error
+	for i := 0; ; i++ {
+		ln, err = net.Listen("tcp", addr)
+		if err == nil {
+			break
+		}
+		if i >= 200 {
+			return nil, fmt.Errorf("storm: relisten on %s: %w", addr, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	l := &liveServer{
+		hs:   &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second},
+		addr: ln.Addr().String(),
+		done: make(chan struct{}),
+	}
+	go func() {
+		l.hs.Serve(ln)
+		close(l.done)
+	}()
+	return l, nil
+}
+
+// close cuts every connection, in-flight uploads included, and waits for
+// the accept loop to exit.
+func (l *liveServer) close() {
+	l.hs.Close()
+	<-l.done
 }
 
 // collector owns one live ingest.Server incarnation: start boots it
@@ -408,10 +403,9 @@ type collector struct {
 	rec  *recorder
 	addr string
 
-	mu   sync.Mutex // guards srv/hs/done: the killer swaps them mid-storm while the scrape loop reads
+	mu   sync.Mutex // guards srv/live: the killer swaps them mid-storm while the scrape loop reads
 	srv  *ingest.Server
-	hs   *http.Server
-	done chan struct{}
+	live *liveServer
 }
 
 // server returns the current incarnation. The scrape loop must go through
@@ -429,89 +423,28 @@ func (c *collector) start() error {
 	if err != nil {
 		return err
 	}
-	addr := c.addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	var ln net.Listener
-	for i := 0; ; i++ {
-		ln, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		if i >= 200 {
-			return fmt.Errorf("storm: relisten on %s: %w", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if c.addr == "" {
-		c.addr = ln.Addr().String()
-	}
 	handler := http.Handler(srv)
 	if c.rec != nil {
 		c.rec.setInner(srv)
 		handler = c.rec
 	}
-	hs := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-	done := make(chan struct{})
-	go func() {
-		hs.Serve(ln)
-		close(done)
-	}()
+	live, err := serveOn(c.addr, handler)
+	if err != nil {
+		return err
+	}
+	c.addr = live.addr
 	c.mu.Lock()
-	c.srv = srv
-	c.hs = hs
-	c.done = done
+	c.srv, c.live = srv, live
 	c.mu.Unlock()
 	return nil
 }
 
 func (c *collector) kill() {
 	c.mu.Lock()
-	hs, done, srv := c.hs, c.done, c.srv
+	live, srv := c.live, c.srv
 	c.mu.Unlock()
-	hs.Close()
-	<-done
+	live.close()
 	srv.Close()
-}
-
-// memWriter is a minimal in-process ResponseWriter for driving a handler
-// without a network (the reference replay and the /fleet snapshots).
-type memWriter struct {
-	hdr  http.Header
-	code int
-	buf  bytes.Buffer
-}
-
-func newMemWriter() *memWriter { return &memWriter{hdr: make(http.Header)} }
-
-func (w *memWriter) Header() http.Header { return w.hdr }
-
-func (w *memWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-}
-
-func (w *memWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.buf.Write(p)
-}
-
-// getPath drives one GET against a handler in process.
-func getPath(h http.Handler, path string) (int, []byte) {
-	req, err := http.NewRequest(http.MethodGet, "http://storm"+path, nil)
-	if err != nil {
-		return 0, nil
-	}
-	w := newMemWriter()
-	h.ServeHTTP(w, req)
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.code, w.buf.Bytes()
 }
 
 // peakRSSBytes reads the process's resident-set high-water mark (VmHWM)
@@ -559,7 +492,7 @@ func Run(opts Options) (*Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if opts.DataDir == "" && (opts.KillAfterChunks > 0 || opts.IdleTimeout > 0) {
+	if opts.Collector.DataDir == "" && (opts.KillAfterChunks > 0 || opts.Collector.IdleTimeout > 0) {
 		return nil, fmt.Errorf("storm: kill/restart and idle eviction require DataDir — recovery needs a WAL")
 	}
 
@@ -570,20 +503,8 @@ func Run(opts Options) (*Result, error) {
 	frames := opts.Devices * opts.FramesPerDevice
 	ref := refLog(frames)
 	rec := newRecorder()
-	serverOpts := func(dataDir string) ingest.ServerOptions {
-		return ingest.ServerOptions{
-			Ref:                   ref,
-			DataDir:               dataDir,
-			SegmentBytes:          opts.SegmentBytes,
-			MaxSessions:           opts.MaxSessions,
-			MaxChunksPerSec:       opts.MaxChunksPerSec,
-			ChunkBurst:            opts.ChunkBurst,
-			IdleTimeout:           opts.IdleTimeout,
-			ReadTimeout:           opts.ReadTimeout,
-			WriteTimeout:          opts.WriteTimeout,
-			SessionRetryAfterSecs: 1,
-		}
-	}
+	opts.Collector.Ref = ref
+	opts.Collector.SessionRetryAfterSecs = 1
 	// Topology: one recorder-fronted collector, or a ring of collectors
 	// behind a recorder-fronted gateway. Either way the recorder sees every
 	// client-visible status and every acked chunk's exact bytes, and the
@@ -591,11 +512,10 @@ func Run(opts Options) (*Result, error) {
 	// stay valid through the kill act.
 	var cols []*collector
 	var gw *shard.Gateway
-	var gwHS *http.Server
-	var gwDone chan struct{}
+	var gwLive *liveServer
 	targetAddr := ""
 	if nShards == 1 {
-		col := &collector{rec: rec, opts: serverOpts(opts.DataDir)}
+		col := &collector{rec: rec, opts: opts.Collector}
 		if err := col.start(); err != nil {
 			return nil, err
 		}
@@ -604,14 +524,10 @@ func Run(opts Options) (*Result, error) {
 	} else {
 		var addrs []shard.ShardAddr
 		for i := 0; i < nShards; i++ {
-			dir := ""
-			if opts.DataDir != "" {
-				dir = filepath.Join(opts.DataDir, fmt.Sprintf("shard-%d", i))
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					return nil, err
-				}
+			c := &collector{opts: opts.Collector}
+			if opts.Collector.DataDir != "" {
+				c.opts.DataDir = filepath.Join(opts.Collector.DataDir, fmt.Sprintf("shard-%d", i))
 			}
-			c := &collector{opts: serverOpts(dir)}
 			if err := c.start(); err != nil {
 				return nil, err
 			}
@@ -629,17 +545,10 @@ func Run(opts Options) (*Result, error) {
 			return nil, err
 		}
 		rec.setInner(gw)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+		if gwLive, err = serveOn("", rec); err != nil {
 			return nil, err
 		}
-		gwHS = &http.Server{Handler: rec, ReadHeaderTimeout: 5 * time.Second}
-		gwDone = make(chan struct{})
-		go func() {
-			gwHS.Serve(ln)
-			close(gwDone)
-		}()
-		targetAddr = ln.Addr().String()
+		targetAddr = gwLive.addr
 	}
 	logf("storm: %d shard(s) behind %s, %d devices x %d frames",
 		nShards, targetAddr, opts.Devices, opts.FramesPerDevice)
@@ -711,14 +620,14 @@ func Run(opts Options) (*Result, error) {
 				}
 				ok := true
 				for _, c := range cols {
-					if code, body := getPath(c.server(), "/metrics"); code != http.StatusOK {
+					if code, body := httpx.Get(c.server(), "/metrics"); code != http.StatusOK {
 						ok = false
 					} else if _, err := obs.ParseText(body); err != nil {
 						ok = false
 					}
 				}
 				if gw != nil {
-					if code, _ := getPath(gw, "/metrics"); code != http.StatusOK {
+					if code, _ := httpx.Get(gw, "/metrics"); code != http.StatusOK {
 						ok = false
 					}
 				}
@@ -816,8 +725,8 @@ func Run(opts Options) (*Result, error) {
 	// Session-leak drain: with eviction on, pressure has lifted, so every
 	// slot (on every shard) must free once the idle horizon passes — the
 	// data stays in the WAL for the final recovery below.
-	if opts.IdleTimeout > 0 {
-		deadline := time.Now().Add(10*time.Second + 10*opts.IdleTimeout)
+	if idle := opts.Collector.IdleTimeout; idle > 0 {
+		deadline := time.Now().Add(10*time.Second + 10*idle)
 		for {
 			left := 0
 			for _, c := range cols {
@@ -828,7 +737,7 @@ func Run(opts Options) (*Result, error) {
 				res.LeakedSessions = left
 				break
 			}
-			time.Sleep(opts.IdleTimeout / 4)
+			time.Sleep(idle / 4)
 		}
 	}
 	for _, c := range cols {
@@ -838,7 +747,7 @@ func Run(opts Options) (*Result, error) {
 
 	// Final crash recovery: every shard dies and comes back; everything the
 	// storm acked must return from the per-shard WALs.
-	if opts.DataDir != "" {
+	if opts.Collector.DataDir != "" {
 		for _, c := range cols {
 			c.kill()
 			if err := c.start(); err != nil {
@@ -857,17 +766,16 @@ func Run(opts Options) (*Result, error) {
 	var code int
 	var body []byte
 	if gw != nil {
-		code, body = getPath(gw, "/fleet")
+		code, body = httpx.Get(gw, "/fleet")
 	} else {
-		code, body = getPath(cols[0].srv, "/fleet")
+		code, body = httpx.Get(cols[0].srv, "/fleet")
 	}
 	shutdown := func() {
 		for _, c := range cols {
 			c.kill()
 		}
-		if gwHS != nil {
-			gwHS.Close()
-			<-gwDone
+		if gwLive != nil {
+			gwLive.close()
 		}
 	}
 	if code != http.StatusOK {
@@ -887,7 +795,7 @@ func Run(opts Options) (*Result, error) {
 	if scrapeEvery > 0 {
 		merged := make(map[string]float64)
 		for _, c := range cols {
-			code, text := getPath(c.srv, "/metrics")
+			code, text := httpx.Get(c.srv, "/metrics")
 			if code != http.StatusOK {
 				shutdown()
 				return nil, fmt.Errorf("storm: final /metrics scrape: %d: %s", code, text)
@@ -907,23 +815,17 @@ func Run(opts Options) (*Result, error) {
 	// The fault-free reference: a fresh in-memory collector fed exactly
 	// the acked chunks, per device in ack order. Byte-equal /fleet is the
 	// graceful-degradation bar — chaos may slow the storm, never skew it.
-	met.mu.Lock()
-	latencies := append([]time.Duration(nil), met.latencies...)
-	offsets := append([]time.Duration(nil), met.offsets...)
-	faults := make(map[string]int, len(met.faults))
-	for k, v := range met.faults {
-		faults[k] = v
-	}
-	met.mu.Unlock()
-	res.FaultsInjected = faults
-	if len(latencies) > 0 {
+	// Every sink has returned (wg.Wait above), so the client-side
+	// observations are final and need no lock.
+	res.FaultsInjected = met.faults
+	if len(met.latencies) > 0 {
 		overall := obs.NewHistogram(obs.LatencyBounds())
-		for _, l := range latencies {
+		for _, l := range met.latencies {
 			overall.Observe(l.Seconds())
 		}
 		res.P99Latency = time.Duration(histQuantileNs(overall, 0.99))
 	}
-	res.LatencyHist = latencyHistogram(offsets, latencies, elapsed, 8)
+	res.LatencyHist = latencyHistogram(met.offsets, met.latencies, elapsed, 8)
 
 	rec.mu.Lock()
 	res.StatusCounts = make(map[int]int, len(rec.status))
@@ -941,7 +843,7 @@ func Run(opts Options) (*Result, error) {
 	distinct := make(map[string]struct{}, rec.ackedN)
 	for dev, chunks := range rec.acked {
 		for _, ch := range chunks {
-			distinct[dev+"\x00"+ch.stream+"\x00"+strconv.Itoa(ch.chunk)] = struct{}{}
+			distinct[dev+"\x00"+ch.up.Stream+"\x00"+strconv.Itoa(ch.up.Chunk)] = struct{}{}
 		}
 	}
 	res.DistinctAckedChunks = len(distinct)
@@ -967,19 +869,13 @@ func Run(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			req.Header.Set("X-MLEXray-Device", dev)
-			if ch.chunk >= 0 {
-				req.Header.Set("X-MLEXray-Chunk", strconv.Itoa(ch.chunk))
-				req.Header.Set("X-MLEXray-Stream", ch.stream)
-			}
-			w := newMemWriter()
-			refSrv.ServeHTTP(w, req)
-			if w.code != http.StatusOK {
+			ch.up.SetHeaders(req.Header)
+			if code, _ := httpx.Do(refSrv, req); code != http.StatusOK {
 				res.RefReplayRejects++
 			}
 		}
 	}
-	code, body = getPath(refSrv, "/fleet")
+	code, body = httpx.Get(refSrv, "/fleet")
 	if code != http.StatusOK {
 		return nil, fmt.Errorf("storm: reference /fleet: %d: %s", code, body)
 	}

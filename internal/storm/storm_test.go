@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mlexray/internal/ingest"
 	"mlexray/internal/obs"
 )
 
@@ -35,7 +36,7 @@ func TestStormOptionValidation(t *testing.T) {
 	if _, err := Run(Options{Devices: 1, KillAfterChunks: 1}); err == nil {
 		t.Error("kill/restart without DataDir accepted")
 	}
-	if _, err := Run(Options{Devices: 1, IdleTimeout: time.Second}); err == nil {
+	if _, err := Run(Options{Devices: 1, Collector: ingest.ServerOptions{IdleTimeout: time.Second}}); err == nil {
 		t.Error("idle eviction without DataDir accepted")
 	}
 }
@@ -96,15 +97,17 @@ func TestStormInvariants(t *testing.T) {
 		FramesPerDevice: 2,
 		Faults:          AllFaults(),
 		Seed:            42,
-		DataDir:         t.TempDir(),
-		MaxSessions:     64,
-		// The chunk rate is per device: burst 1 at 5/s means a device's
-		// back-to-back chunks trip a 429 and must honor Retry-After.
-		MaxChunksPerSec: 5,
-		ChunkBurst:      1,
-		IdleTimeout:     250 * time.Millisecond,
-		ReadTimeout:     150 * time.Millisecond,
-		WriteTimeout:    time.Second,
+		Collector: ingest.ServerOptions{
+			DataDir:     t.TempDir(),
+			MaxSessions: 64,
+			// The chunk rate is per device: burst 1 at 5/s means a device's
+			// back-to-back chunks trip a 429 and must honor Retry-After.
+			MaxChunksPerSec: 5,
+			ChunkBurst:      1,
+			IdleTimeout:     250 * time.Millisecond,
+			ReadTimeout:     150 * time.Millisecond,
+			WriteTimeout:    time.Second,
+		},
 		KillAfterChunks: 100,
 		Stragglers:      0.05,
 		StallFor:        300 * time.Millisecond,
@@ -176,11 +179,13 @@ func TestStormShardedInvariants(t *testing.T) {
 		Faults:          AllFaults(),
 		Seed:            42,
 		Shards:          4,
-		DataDir:         t.TempDir(),
-		SegmentBytes:    4096, // rotation + compaction under fire
-		IdleTimeout:     250 * time.Millisecond,
-		ReadTimeout:     150 * time.Millisecond,
-		WriteTimeout:    time.Second,
+		Collector: ingest.ServerOptions{
+			DataDir:      t.TempDir(),
+			SegmentBytes: 4096, // rotation + compaction under fire
+			IdleTimeout:  250 * time.Millisecond,
+			ReadTimeout:  150 * time.Millisecond,
+			WriteTimeout: time.Second,
+		},
 		KillAfterChunks: 40,
 		Stragglers:      0.05,
 		StallFor:        300 * time.Millisecond,
