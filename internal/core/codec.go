@@ -58,6 +58,10 @@ func ParseLogFormat(s string) (LogFormat, error) {
 type LogEncoder interface {
 	EncodeRecord(r *Record) error
 	Flush() error
+	// Reset discards any buffered output and starts a fresh log stream on
+	// w, so one encoder serves a sequence of standalone streams (an upload
+	// sink's chunks) without reallocating its buffers.
+	Reset(w io.Writer)
 }
 
 // LogDecoder is the reader side of a log codec: Next returns records in
@@ -113,6 +117,9 @@ func (e *JSONLEncoder) encodePreMarshaled(seq int, tail []byte) error {
 
 // Flush drains buffered output to the underlying writer.
 func (e *JSONLEncoder) Flush() error { return e.bw.Flush() }
+
+// Reset implements LogEncoder.
+func (e *JSONLEncoder) Reset(w io.Writer) { e.bw.Reset(w) }
 
 // JSONLDecoder reads the JSONL log format.
 type JSONLDecoder struct {
@@ -208,6 +215,13 @@ func (e *BinaryEncoder) Flush() error {
 	return e.bw.Flush()
 }
 
+// Reset implements LogEncoder: the next record (or Flush) writes a new
+// header.
+func (e *BinaryEncoder) Reset(w io.Writer) {
+	e.bw.Reset(w)
+	e.started = false
+}
+
 // appendRecordBinary serializes one record body. Field order is fixed;
 // readRecordBinary mirrors it exactly.
 func appendRecordBinary(buf []byte, r *Record) []byte {
@@ -247,16 +261,25 @@ func appendBinString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// BinaryDecoder reads the length-prefixed binary log format.
+// BinaryDecoder reads the length-prefixed binary log format, from a stream
+// (NewBinaryDecoder) or in place from a buffer that already holds the whole
+// log (OpenLogBytes).
 type BinaryDecoder struct {
-	br      *bufio.Reader
+	src interface {
+		io.Reader
+		io.ByteReader
+	}
+	// mem and buf are the in-place source: mem reads buf, and each record's
+	// body is sliced out of buf instead of copied through body.
+	mem     *bytes.Reader
+	buf     []byte
 	started bool
 	body    []byte
 }
 
 // NewBinaryDecoder wraps r in a binary log decoder.
 func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
-	return &BinaryDecoder{br: bufio.NewReaderSize(r, 1<<16)}
+	return &BinaryDecoder{src: bufio.NewReaderSize(r, 1<<16)}
 }
 
 func (d *BinaryDecoder) checkHeader() error {
@@ -265,7 +288,7 @@ func (d *BinaryDecoder) checkHeader() error {
 	}
 	d.started = true
 	head := make([]byte, len(binaryMagic)+1)
-	if _, err := io.ReadFull(d.br, head); err != nil {
+	if _, err := io.ReadFull(d.src, head); err != nil {
 		return fmt.Errorf("core: binary log header: %w", err)
 	}
 	if !bytes.Equal(head[:len(binaryMagic)], binaryMagic) {
@@ -282,7 +305,7 @@ func (d *BinaryDecoder) Next() (Record, error) {
 	if err := d.checkHeader(); err != nil {
 		return Record{}, err
 	}
-	n, err := binary.ReadUvarint(d.br)
+	n, err := binary.ReadUvarint(d.src)
 	if err == io.EOF {
 		return Record{}, io.EOF
 	}
@@ -292,14 +315,38 @@ func (d *BinaryDecoder) Next() (Record, error) {
 	if n > maxBinaryRecord {
 		return Record{}, fmt.Errorf("core: binary log record of %d bytes exceeds the %d limit", n, maxBinaryRecord)
 	}
+	if d.mem != nil {
+		body, err := d.sliceBody(int(n))
+		if err != nil {
+			return Record{}, fmt.Errorf("core: binary log record body: %w", err)
+		}
+		return readRecordBinary(body, true)
+	}
 	if uint64(cap(d.body)) < n {
 		d.body = make([]byte, n)
 	}
 	d.body = d.body[:n]
-	if _, err := io.ReadFull(d.br, d.body); err != nil {
+	if _, err := io.ReadFull(d.src, d.body); err != nil {
 		return Record{}, fmt.Errorf("core: binary log record body: %w", err)
 	}
-	return readRecordBinary(d.body)
+	return readRecordBinary(d.body, false)
+}
+
+// sliceBody is io.ReadFull for the in-place source: the next n bytes of buf
+// without a copy, failing as ReadFull does when the buffer ends first.
+func (d *BinaryDecoder) sliceBody(n int) ([]byte, error) {
+	rem := d.mem.Len()
+	if rem < n {
+		if rem == 0 {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
+	}
+	off := len(d.buf) - rem
+	if _, err := d.mem.Seek(int64(n), io.SeekCurrent); err != nil {
+		return nil, err
+	}
+	return d.buf[off : off+n : off+n], nil
 }
 
 // binCursor walks a record body with bounds checking.
@@ -355,8 +402,11 @@ func (c *binCursor) f64() (float64, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 }
 
-// readRecordBinary mirrors appendRecordBinary.
-func readRecordBinary(body []byte) (Record, error) {
+// readRecordBinary mirrors appendRecordBinary. With alias set the record's
+// Payload is a sub-slice of body (the in-place decoder, whose body outlives
+// the call); otherwise it is copied out, because body is the streaming
+// decoder's reused scratch. Every other field is always a copy.
+func readRecordBinary(body []byte, alias bool) (Record, error) {
 	c := &binCursor{buf: body}
 	var r Record
 	var err error
@@ -417,7 +467,10 @@ func readRecordBinary(body []byte) (Record, error) {
 		if err != nil {
 			return fail("payload", err)
 		}
-		r.Payload = append([]byte(nil), b...)
+		if !alias {
+			b = append([]byte(nil), b...)
+		}
+		r.Payload = b
 	}
 	flag, err := c.bytes(1)
 	if err != nil {
@@ -490,6 +543,18 @@ func OpenLog(r io.Reader) (LogDecoder, LogFormat, error) {
 		return NewBinaryDecoder(br), FormatBinary, nil
 	}
 	return NewJSONLDecoder(br), FormatJSONL, nil
+}
+
+// OpenLogBytes is OpenLog over a log already in memory. A plain binary log
+// decodes in place: each record's Payload aliases buf, so it is valid only
+// while buf is — a caller that reuses buf must copy what it keeps. Gzip and
+// JSONL logs go through OpenLog's copying readers and alias nothing.
+func OpenLogBytes(buf []byte) (LogDecoder, LogFormat, error) {
+	if bytes.HasPrefix(buf, binaryMagic) {
+		mem := bytes.NewReader(buf)
+		return &BinaryDecoder{src: mem, mem: mem, buf: buf}, FormatBinary, nil
+	}
+	return OpenLog(bytes.NewReader(buf))
 }
 
 // ReadLog reads a whole telemetry log in either format, auto-detected.

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -451,6 +453,164 @@ func TestLogEncoderUnknownFormat(t *testing.T) {
 	for _, f := range []LogFormat{FormatJSONL, FormatBinary} {
 		if parsed, err := ParseLogFormat(f.String()); err != nil || parsed != f {
 			t.Errorf("ParseLogFormat(%q) = %v, %v", f.String(), parsed, err)
+		}
+	}
+}
+
+// decodeAll drains a decoder, returning the records read before the first
+// error and that error's text ("" at a clean end).
+func decodeAll(dec LogDecoder, openErr error) ([]Record, string) {
+	if openErr != nil {
+		return nil, "open: " + openErr.Error()
+	}
+	var recs []Record
+	for {
+		rec, err := dec.Next()
+		if err == io.EOF {
+			return recs, ""
+		}
+		if err != nil {
+			return recs, err.Error()
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// TestOpenLogBytesMatchesOpenLog is the differential pin of the in-place
+// binary decoder: on a valid log, on every truncation of it and on
+// single-byte corruptions, OpenLogBytes yields exactly what the streaming
+// OpenLog yields — the same records, then the same error text. JSONL and
+// gzip bodies take the streaming path either way.
+func TestOpenLogBytesMatchesOpenLog(t *testing.T) {
+	check := func(what string, buf []byte) {
+		t.Helper()
+		sdec, _, serr := OpenLog(bytes.NewReader(buf))
+		want, wantErr := decodeAll(sdec, serr)
+		mdec, _, merr := OpenLogBytes(buf)
+		got, gotErr := decodeAll(mdec, merr)
+		if gotErr != wantErr {
+			t.Fatalf("%s: in-place error %q, streaming %q", what, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: in-place decoded %d records that differ from streaming's %d", what, len(got), len(want))
+		}
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		l := randomLog(seed)
+		for _, format := range []LogFormat{FormatBinary, FormatJSONL} {
+			var buf bytes.Buffer
+			if err := l.Write(&buf, format); err != nil {
+				t.Fatal(err)
+			}
+			whole := buf.Bytes()
+			check(fmt.Sprintf("seed %d %v whole", seed, format), whole)
+			if format != FormatBinary {
+				continue
+			}
+			for cut := 0; cut < len(whole); cut++ {
+				check(fmt.Sprintf("seed %d cut at %d", seed, cut), whole[:cut])
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 200 && len(whole) > 0; i++ {
+				bad := bytes.Clone(whole)
+				bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
+				check(fmt.Sprintf("seed %d corruption %d", seed, i), bad)
+			}
+		}
+	}
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	if err := goldenTelemetryLog().WriteBinary(zw); err != nil {
+		t.Fatal(err)
+	}
+	zw.Close()
+	check("gzip binary", gz.Bytes())
+}
+
+// TestOpenLogBytesAliasesOnlyPlainBinary pins the aliasing rule callers
+// rely on: a plain binary log's payloads point into the buffer (no copy),
+// while gzip and JSONL logs hand out payloads of their own.
+func TestOpenLogBytesAliasesOnlyPlainBinary(t *testing.T) {
+	l := goldenTelemetryLog()
+	encode := func(format LogFormat, gz bool) []byte {
+		var buf bytes.Buffer
+		var w io.Writer = &buf
+		var zw *gzip.Writer
+		if gz {
+			zw = gzip.NewWriter(&buf)
+			w = zw
+		}
+		if err := l.Write(w, format); err != nil {
+			t.Fatal(err)
+		}
+		if zw != nil {
+			zw.Close()
+		}
+		return buf.Bytes()
+	}
+	for _, c := range []struct {
+		name    string
+		buf     []byte
+		aliases bool
+	}{
+		{"binary", encode(FormatBinary, false), true},
+		{"binary gzip", encode(FormatBinary, true), false},
+		{"jsonl", encode(FormatJSONL, false), false},
+	} {
+		dec, _, err := OpenLogBytes(c.buf)
+		recs, errText := decodeAll(dec, err)
+		if errText != "" || len(recs) != len(l.Records) {
+			t.Fatalf("%s: decoded %d/%d records, err %q", c.name, len(recs), len(l.Records), errText)
+		}
+		pristine := make([][]byte, len(recs))
+		for i := range recs {
+			pristine[i] = bytes.Clone(recs[i].Payload)
+		}
+		for i := range c.buf { // what a reused buffer does to its old contents
+			c.buf[i] = 0xAA
+		}
+		changed := false
+		for i := range recs {
+			if !bytes.Equal(recs[i].Payload, pristine[i]) {
+				changed = true
+			}
+			if recs[i].Key != l.Records[i].Key || !reflect.DeepEqual(recs[i].Shape, l.Records[i].Shape) {
+				t.Fatalf("%s: record %d's key or shape changed with the buffer", c.name, i)
+			}
+		}
+		if changed != c.aliases {
+			t.Errorf("%s: payloads alias the buffer = %v, want %v", c.name, changed, c.aliases)
+		}
+	}
+}
+
+// TestLogEncoderReset: an encoder restarted on a new writer produces a
+// standalone stream, header included, byte-identical to a fresh encoder's.
+func TestLogEncoderReset(t *testing.T) {
+	l := goldenTelemetryLog()
+	for _, format := range []LogFormat{FormatJSONL, FormatBinary} {
+		var want bytes.Buffer
+		if err := l.Write(&want, format); err != nil {
+			t.Fatal(err)
+		}
+		var first, second bytes.Buffer
+		enc, err := NewLogEncoder(&first, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, out := range []*bytes.Buffer{&first, &second} {
+			enc.Reset(out)
+			for i := range l.Records {
+				if err := enc.EncodeRecord(&l.Records[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), want.Bytes()) {
+				t.Errorf("%v: stream after Reset differs from a fresh encoder's", format)
+			}
 		}
 	}
 }

@@ -92,9 +92,7 @@ func FleetValidate(shards []DeviceShardLog, ref *Log, opts ValidateOptions) (*Fl
 		fv.mu.Lock()
 		sessions[d] = fv.newSessionLocked(shard.Device)
 		fv.mu.Unlock()
-		for i := range shard.Log.Records {
-			_ = sessions[d].Consume(shard.Log.Records[i])
-		}
+		_ = sessions[d].ConsumeFrame(0, shard.Log.Records)
 	}
 	return fleetReportFrom(sessions, opts)
 }

@@ -161,35 +161,46 @@ func appendTensorLE(buf []byte, t *tensor.Tensor) []byte {
 	return buf
 }
 
+// tensorLayout validates a KindTensor record's dtype and shape against its
+// payload and returns the element type and count. It allocates nothing: a
+// corrupt or crafted log must fail here with an error, not with a panic on a
+// negative dim or a huge allocation from an implausible dim product. Both
+// DecodeTensor and the validator's fused drift pass (drift.go) go through
+// it, so the two cannot disagree about which records are malformed or what
+// the error says.
+func (r *Record) tensorLayout() (dt tensor.DType, elems int, err error) {
+	if r.Kind != KindTensor {
+		return 0, 0, fmt.Errorf("core: record %q is %s, not a full tensor", r.Key, r.Kind)
+	}
+	if dt, err = tensor.ParseDType(r.DType); err != nil {
+		return 0, 0, err
+	}
+	elems = 1
+	for _, d := range r.Shape {
+		if d < 0 {
+			return 0, 0, fmt.Errorf("core: record %q has negative dim in shape %v", r.Key, r.Shape)
+		}
+		if d > 0 && elems > maxBinaryRecord/d {
+			return 0, 0, fmt.Errorf("core: record %q shape %v exceeds the element limit", r.Key, r.Shape)
+		}
+		elems *= d
+	}
+	if elems*dt.Size() != len(r.Payload) {
+		return 0, 0, fmt.Errorf("core: record %q has %d payload bytes for %s%v", r.Key, len(r.Payload), dt, r.Shape)
+	}
+	return dt, elems, nil
+}
+
 // DecodeTensor reconstructs the tensor payload of a KindTensor record.
 // Integer payloads carrying quantization params (QScale set) dequantize to
 // float32, so comparisons happen in real units for both u8 activations and
 // i8 weights/activations.
 func (r *Record) DecodeTensor() (*tensor.Tensor, error) {
-	if r.Kind != KindTensor {
-		return nil, fmt.Errorf("core: record %q is %s, not a full tensor", r.Key, r.Kind)
-	}
-	dt, err := tensor.ParseDType(r.DType)
+	dt, _, err := r.tensorLayout()
 	if err != nil {
 		return nil, err
 	}
 	buf := r.Payload
-	// Validate the shape against the payload BEFORE allocating: a corrupt
-	// or crafted log must fail with an error, not a panic on a negative dim
-	// or a huge allocation from an implausible dim product.
-	elems := 1
-	for _, d := range r.Shape {
-		if d < 0 {
-			return nil, fmt.Errorf("core: record %q has negative dim in shape %v", r.Key, r.Shape)
-		}
-		if d > 0 && elems > maxBinaryRecord/d {
-			return nil, fmt.Errorf("core: record %q shape %v exceeds the element limit", r.Key, r.Shape)
-		}
-		elems *= d
-	}
-	if elems*dt.Size() != len(buf) {
-		return nil, fmt.Errorf("core: record %q has %d payload bytes for %s%v", r.Key, len(buf), dt, r.Shape)
-	}
 	t := tensor.New(dt, r.Shape...)
 	switch dt {
 	case tensor.F32:

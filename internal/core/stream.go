@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -28,13 +30,14 @@ import (
 // the gigabytes the log itself serializes to.
 
 // refIndex precomputes the reference-side lookups every stream consumer
-// needs: per-(frame, key) layer tensor records, per-frame output argmax, and
-// the per-layer modeled-latency means. One refIndex is shared read-only by
-// all sessions validating against the same reference log.
+// needs: per-frame output argmax, the per-layer modeled-latency means, and —
+// built on first use, since a healthy offline validation never asks —
+// the per-(frame, key) layer records with their value ranges. One refIndex is
+// shared by all sessions validating against the same reference log, which is
+// immutable; once built, nothing in it changes.
 type refIndex struct {
 	ref    *Log
 	frames int
-	layer  map[refKey]*Record
 	outArg map[int]int
 	// outErr is the first output-record decode error, in log order —
 	// propagated by the fleet path (outputArgmaxByFrame semantics), skipped
@@ -42,6 +45,9 @@ type refIndex struct {
 	// frame that fails to decode is simply not compared).
 	outErr error
 	lat    map[string]float64
+
+	layersOnce sync.Once
+	layer      map[refKey]refLayer // read through layers()
 }
 
 type refKey struct {
@@ -49,21 +55,28 @@ type refKey struct {
 	key   string
 }
 
+// refLayer is one reference layer record as the drift pass needs it:
+// validated once (err is what DecodeTensor would say), with the value range
+// max−min that normalizes the layer's rMSE computed once instead of per
+// device per frame.
+type refLayer struct {
+	rec   *Record
+	dt    tensor.DType
+	elems int
+	rng   float64
+	err   error
+}
+
 func newRefIndex(ref *Log) *refIndex {
 	ri := &refIndex{
 		ref:    ref,
 		frames: ref.Frames(),
-		layer:  make(map[refKey]*Record),
 		outArg: make(map[int]int),
 	}
 	seenOut := make(map[int]bool)
 	for i := range ref.Records {
 		r := &ref.Records[i]
 		if r.Kind != KindTensor {
-			continue
-		}
-		if strings.HasPrefix(r.Key, keyLayerPrefix) {
-			ri.layer[refKey{r.Frame, r.Key}] = r
 			continue
 		}
 		if r.Key == KeyModelOutput && !seenOut[r.Frame] {
@@ -82,6 +95,28 @@ func newRefIndex(ref *Log) *refIndex {
 	return ri
 }
 
+// layers returns the per-(frame, key) reference layer records, indexing and
+// range-scanning them on the first call.
+func (ri *refIndex) layers() map[refKey]refLayer {
+	ri.layersOnce.Do(func() {
+		ri.layer = make(map[refKey]refLayer)
+		var vals []float32
+		for i := range ri.ref.Records {
+			r := &ri.ref.Records[i]
+			if r.Kind != KindTensor || !strings.HasPrefix(r.Key, keyLayerPrefix) {
+				continue
+			}
+			rl := refLayer{rec: r}
+			if rl.dt, rl.elems, rl.err = r.tensorLayout(); rl.err == nil {
+				vals = widenPayload(vals[:0], r, rl.dt, rl.elems)
+				rl.rng = valueRange(vals)
+			}
+			ri.layer[refKey{r.Frame, r.Key}] = rl
+		}
+	})
+	return ri.layer
+}
+
 // layerAcc accumulates one layer's drift across frames.
 type layerAcc struct {
 	diff LayerDiff
@@ -94,43 +129,50 @@ type layerAcc struct {
 // layerDiffState is the per-layer drift analysis (CompareLayers feeds a whole
 // log through it): each consumed edge layer record is matched against the
 // reference index and folded into its layer's accumulator. A record that
-// fails to decode or compare poisons the whole analysis (sticky error).
+// fails to validate poisons the whole analysis (sticky error).
 type layerDiffState struct {
 	accs  map[string]*layerAcc
 	order []string
 	err   error
+	// edgeVals/refVals are the widening scratch of the uncommon dtype pairs
+	// (see drift); kept so a steady stream allocates nothing per record.
+	edgeVals, refVals []float32
 }
 
+// consume folds one edge layer record: normalized rMSE, rMSE and max|d|
+// against the reference record of the same frame and key, all from one walk
+// over the two payloads (drift.go). A layer the reference lacks, or whose
+// element count differs, is skipped.
 func (s *layerDiffState) consume(er *Record, ri *refIndex) error {
 	if s.err != nil {
 		return nil
 	}
-	rr, ok := ri.layer[refKey{er.Frame, er.Key}]
+	rl, ok := ri.layers()[refKey{er.Frame, er.Key}]
 	if !ok {
 		return nil
 	}
-	et, err := er.DecodeTensor()
+	edt, n, err := er.tensorLayout()
+	if err == nil {
+		err = rl.err
+	}
 	if err != nil {
 		s.err = err
 		return err
 	}
-	rt, err := rr.DecodeTensor()
-	if err != nil {
-		s.err = err
-		return err
-	}
-	et = dequantIfNeeded(et, er)
-	rt = dequantIfNeeded(rt, rr)
-	if et.Len() != rt.Len() {
+	if n != rl.elems {
 		return nil
 	}
-	nrmse, err := tensor.NormalizedRMSE(et, rt)
-	if err != nil {
-		s.err = err
-		return err
+	sumSq, maxA := s.drift(er, edt, rl)
+	rmse := 0.0
+	if n > 0 {
+		rmse = math.Sqrt(sumSq / float64(n))
 	}
-	rmse, _ := tensor.RMSE(et, rt)
-	maxA, _ := tensor.MaxAbsDiff(et, rt)
+	// A degenerate (constant) reference keeps the raw rMSE, as
+	// tensor.NormalizedRMSE does.
+	nrmse := rmse
+	if rl.rng > 0 {
+		nrmse = rmse / rl.rng
+	}
 	a, ok := s.accs[er.Key]
 	if !ok {
 		if s.accs == nil {
@@ -491,13 +533,21 @@ func (v *StreamValidator) consumeLocked(r *Record) error {
 	// throughout (they are what Metric/Sensor queries read), tensors only in
 	// the leading window the built-in assertions sample.
 	if r.Kind == KindMetric || r.Kind == KindSensor || r.Frame <= DefaultRetainBoundaryFrames {
-		v.retain.Records = append(v.retain.Records, *r)
+		// The caller keeps ownership of the payload bytes — the collector
+		// decodes chunks in place out of a pooled body — so what outlives
+		// this call is a copy.
+		kept := *r
+		kept.Payload = bytes.Clone(r.Payload)
+		v.retain.Records = append(v.retain.Records, kept)
 	}
 	return err
 }
 
-// ConsumeFrame folds one frame's records in order — the Sink-shaped entry
-// point the ingest service and replay engines use.
+// ConsumeFrame folds a run of records in order under one lock: one frame
+// from a replay engine's Sink, a whole upload chunk from the ingest service,
+// a whole log from the offline validator. It returns the first record error;
+// frame is informational. The records are only read, and nothing of them is
+// held after the call returns.
 func (v *StreamValidator) ConsumeFrame(frame int, recs []Record) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -555,3 +555,57 @@ func TestOfflineAnalysesMatchReport(t *testing.T) {
 		t.Errorf("OutputAgreement(empty) = %v", err)
 	}
 }
+
+// TestStreamValidatorOwnsRetainedPayloads pins the hand-off rule ConsumeFrame
+// documents: the caller may reuse the records' payload memory as soon as the
+// call returns (the collector decodes chunks in place out of a pooled body),
+// so the boundary tensors the validator retains as assertion evidence must
+// be its own copies.
+func TestStreamValidatorOwnsRetainedPayloads(t *testing.T) {
+	edge, ref := driftedLogs(4)
+	opts := DefaultValidateOptions()
+	want, err := Validate(edge, ref, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := NewStreamValidator(ref, opts)
+	for start := 0; start < len(edge.Records); {
+		end := start
+		for end < len(edge.Records) && edge.Records[end].Frame == edge.Records[start].Frame {
+			end++
+		}
+		frame := slices.Clone(edge.Records[start:end])
+		for i := range frame {
+			frame[i].Payload = bytes.Clone(frame[i].Payload)
+		}
+		if err := sv.ConsumeFrame(frame[0].Frame, frame); err != nil {
+			t.Fatal(err)
+		}
+		for i := range frame { // the buffer is reused for the next chunk
+			for j := range frame[i].Payload {
+				frame[i].Payload[j] = 0xAA
+			}
+		}
+		start = end
+	}
+	got, err := sv.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("report after the payload memory was reused differs from offline:\n%+v\nvs\n%+v", got, want)
+	}
+	retained := 0
+	for _, kept := range sv.retain.Records {
+		if kept.Kind != KindTensor {
+			continue
+		}
+		retained++
+		if orig := edge.Records[kept.Seq]; !bytes.Equal(kept.Payload, orig.Payload) {
+			t.Fatalf("retained %q of frame %d changed when its source buffer was reused", kept.Key, kept.Frame)
+		}
+	}
+	if retained == 0 {
+		t.Fatal("no boundary tensor was retained; the test exercises nothing")
+	}
+}

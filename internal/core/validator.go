@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"mlexray/internal/tensor"
 )
 
 // LayerDiff is the per-layer drift between an edge log and a reference log,
@@ -34,19 +32,6 @@ func CompareLayers(edge, ref *Log) ([]LayerDiff, error) {
 	var s layerDiffState
 	s.consumeLog(edge, newRefIndex(ref))
 	return s.finalize()
-}
-
-// dequantIfNeeded widens quantized layer captures to float using the stats
-// the record carries. Per-layer comparison across float and quantized model
-// versions needs both sides in real units; quantized records carry raw u8
-// values plus stats, and the capture path stores dequantized stats... to
-// stay self-contained, logs of quantized models are written already
-// dequantized by the pipeline layer, so this only widens integer payloads.
-func dequantIfNeeded(t *tensor.Tensor, r *Record) *tensor.Tensor {
-	if t.DType == tensor.F32 {
-		return t
-	}
-	return tensor.FromFloats(t.Floats(), t.Shape...)
 }
 
 // SuspectLayers returns the layers whose drift indicates a fault: NRMSE
@@ -229,12 +214,10 @@ func Validate(edge, ref *Log, opts ValidateOptions) (*Report, error) {
 	// records then) — healthy runs never pay for CompareLayers, exactly as
 	// before the streaming decomposition.
 	sv.deferLayers = true
-	for i := range edge.Records {
-		// Malformed records poison exactly the analyses the offline flow
-		// drops (per-layer drift, the frame's agreement sample); the errors
-		// they carry are re-surfaced by reportLocked where fatal.
-		_ = sv.Consume(edge.Records[i])
-	}
+	// Malformed records poison exactly the analyses the offline flow drops
+	// (per-layer drift, the frame's agreement sample); the errors they carry
+	// are re-surfaced by reportLocked where fatal.
+	_ = sv.ConsumeFrame(0, edge.Records)
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	return sv.reportLocked(edge)

@@ -195,7 +195,8 @@ func NewRemoteSink(opts SinkOptions) (*RemoteSink, error) {
 	return s, nil
 }
 
-// openChunk starts a fresh standalone log stream in the buffer.
+// openChunk starts a fresh standalone log stream in the buffer. The encoder
+// and its buffer are built once and restarted per chunk.
 func (s *RemoteSink) openChunk() error {
 	s.chunk.Reset()
 	s.pending = 0
@@ -213,6 +214,10 @@ func (s *RemoteSink) openChunk() error {
 	// internally, so the compressed buffer length lags far behind what has
 	// been encoded.
 	s.encoded.w = w
+	if s.enc != nil {
+		s.enc.Reset(&s.encoded)
+		return nil
+	}
 	enc, err := core.NewLogEncoder(&s.encoded, s.opts.Format)
 	if err != nil {
 		return fmt.Errorf("ingest: %w", err)
@@ -254,6 +259,13 @@ func (s *RemoteSink) WriteFrame(frame int, recs []core.Record) error {
 	}
 	if s.encoded.n >= s.opts.chunkBytes() {
 		return s.ship()
+	}
+	if s.frames == 1 {
+		// A chunk ships at the first frame boundary past the threshold, so
+		// it tops out near the threshold plus one frame — and only now is a
+		// frame's size known. Reserving that spares a new sink regrowing the
+		// buffer by doubling all the way through its first chunk.
+		s.chunk.Grow(s.opts.chunkBytes())
 	}
 	return nil
 }

@@ -537,13 +537,12 @@ func (sess *session) advanceStreamLocked(stream string, chunkIdx int) (dup bool,
 // by the HTTP path and WAL recovery — what makes recovery exact.
 func (sess *session) applyChunkLocked(recs []core.Record, wireBytes int64, now time.Time) {
 	if sess.sv != nil {
-		for i := range recs {
-			if err := sess.sv.Consume(recs[i]); err != nil && sess.lastErr == "" {
-				// A malformed payload poisons exactly the analyses the
-				// offline validator would drop; the stream keeps flowing and
-				// the status surfaces the defect.
-				sess.lastErr = err.Error()
-			}
+		// One call per chunk: one lock round-trip, records passed by pointer.
+		if err := sess.sv.ConsumeFrame(0, recs); err != nil && sess.lastErr == "" {
+			// A malformed payload poisons exactly the analyses the offline
+			// validator would drop; the stream keeps flowing and the status
+			// surfaces the chunk's first defect.
+			sess.lastErr = err.Error()
 		}
 	}
 	newFrames := 0

@@ -15,6 +15,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"mlexray/internal/core"
@@ -46,7 +47,14 @@ type chunk struct {
 	trace string // the request's trace ID; "" records no span
 	body  []byte // raw wire bytes, exactly what the WAL persists
 	sum   uint32 // httpx.Checksum(body), when announced or to be logged
-	recs  []core.Record
+	// recs are the decoded records. For a plain binary body their payloads
+	// alias body (core.OpenLogBytes), so they are good until the chunk's
+	// buffer is released and commit must leave nothing pointing at them:
+	// the WAL writes body out and the validator copies what it retains.
+	recs []core.Record
+	// mem is the pooled memory body and recs live in (nil for a chunk
+	// replayed from the WAL, which allocates its own).
+	mem *chunkMem
 	// when is the arrival time: commit stamps it for a live chunk, a
 	// replayed one carries its logged arrival (so a recovered session's
 	// status is identical to the uninterrupted one).
@@ -75,6 +83,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	c := &chunk{up: up, trace: r.Header.Get(obs.TraceHeader)}
+	defer c.release() // after ack
 	sess, rej := s.admit(up.Device, false)
 	if rej == nil {
 		rej = s.read(w, r, c)
@@ -149,24 +158,70 @@ func (s *Server) admit(device string, create bool) (*session, *refusal) {
 	return sess, nil
 }
 
+// chunkMem is the memory one in-flight upload occupies — the body's bytes
+// and the records decoded from them — recycled across requests through
+// chunkPool so a steady stream of chunks allocates neither.
+type chunkMem struct {
+	body bytes.Buffer
+	recs []core.Record
+}
+
+// poolable reports whether the memory is small enough to keep: the body
+// within maxPooledBody, and the record array (a Record is some 200 bytes)
+// within about as much again.
+func (m *chunkMem) poolable() bool {
+	return m.body.Cap() <= maxPooledBody && cap(m.recs) <= maxPooledBody/256
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(chunkMem) }}
+
+// maxPooledBody bounds both how much of an announced Content-Length read
+// reserves up front and how much memory a pooled chunkMem may keep: a few of
+// the sink's 1 MiB chunks. Past it a buffer grows only as bytes actually
+// arrive — a lying header cannot reserve memory a body never fills — and is
+// left to the garbage collector afterwards rather than pinned in the pool.
+const maxPooledBody = 4 << 20
+
+// release hands the chunk's memory back to the pool. The body, the records
+// and every payload decoded in place are dead after this.
+func (c *chunk) release() {
+	if m := c.mem; m != nil {
+		clear(c.recs) // drop the records' strings and shapes, keep the array
+		m.recs = c.recs[:0]
+		if m.poolable() {
+			chunkPool.Put(m)
+		}
+	}
+	c.mem, c.body, c.recs = nil, nil, nil
+}
+
 // read takes the whole body off the wire before the session is touched: a
 // failed chunk is atomic (no partial ingest — safe to retry after a
 // 400/disconnect) and the raw wire bytes are what the write-ahead log
-// persists. An announced checksum is verified here, so damaged bytes that
-// would still decode never reach commit: a delivery and its retry are
-// byte-equal or rejected.
+// persists. The bytes land in a pooled buffer sized from Content-Length
+// (trusted up to maxPooledBody), so an honest chunk is read without
+// regrowth and without a fresh allocation. An announced checksum is verified
+// here, so damaged bytes that would still decode never reach commit: a
+// delivery and its retry are byte-equal or rejected.
 func (s *Server) read(w http.ResponseWriter, r *http.Request, c *chunk) *refusal {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err != nil {
+	c.mem = chunkPool.Get().(*chunkMem)
+	c.recs = c.mem.recs
+	buf := &c.mem.body
+	buf.Reset()
+	// ReadFrom wants bytes.MinRead of room left over to see EOF without
+	// growing; the announced length is clamped before that is added, so no
+	// header can overflow the sum.
+	buf.Grow(int(min(max(r.ContentLength, 0), s.opts.MaxBodyBytes, maxPooledBody-bytes.MinRead)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return refuse(http.StatusRequestEntityTooLarge, "chunk exceeds the %d-byte limit", mbe.Limit)
 		}
 		return refuse(http.StatusBadRequest, "read chunk: %v", err)
 	}
-	c.body = body
+	c.body = buf.Bytes()
 	if c.up.HasSum || s.opts.DataDir != "" {
-		c.sum = httpx.Checksum(body) // for the wire check, the WAL entry, or both
+		c.sum = httpx.Checksum(c.body) // for the wire check, the WAL entry, or both
 	}
 	if c.up.HasSum && c.up.Sum != c.sum {
 		return refuse(http.StatusBadRequest, "chunk checksum mismatch: body sums to %08x, %s says %08x",
@@ -176,11 +231,14 @@ func (s *Server) read(w http.ResponseWriter, r *http.Request, c *chunk) *refusal
 }
 
 // decode turns the wire bytes (either encoding, plain or gzip — sniffed by
-// core.OpenLog) into records. MaxBodyBytes caps the decoded footprint too,
-// so a small gzip body cannot balloon into unbounded memory (a
-// decompression bomb gets 413, not 400).
+// core.OpenLogBytes) into records. A plain binary body decodes in place:
+// its records' payloads are slices of c.body, not copies (see chunk.recs
+// for who may hold them); gzip and JSONL bodies decode through copying
+// readers. MaxBodyBytes caps the decoded footprint too, so a small gzip body
+// cannot balloon into unbounded memory (a decompression bomb gets 413, not
+// 400).
 func (s *Server) decode(c *chunk) *refusal {
-	dec, _, err := core.OpenLog(bytes.NewReader(c.body))
+	dec, _, err := core.OpenLogBytes(c.body)
 	if err != nil {
 		return refuse(http.StatusBadRequest, "open log stream: %v", err)
 	}

@@ -72,17 +72,34 @@ func RMSE(a, b *Tensor) (float64, error) {
 // (§3.4): rMSE(a, b) normalized by the reference tensor's value range
 // max(e)-min(e). A degenerate (constant) reference yields the raw rMSE so a
 // drift against a flat-lined layer is still visible rather than dividing by
-// zero.
+// zero. The squared differences and the reference's range come out of one
+// walk; the result is RMSE(edge, ref) / ComputeStats(ref).Range() bit for bit.
 func NormalizedRMSE(edge, ref *Tensor) (float64, error) {
-	rmse, err := RMSE(edge, ref)
-	if err != nil {
-		return 0, err
+	if edge.Len() != ref.Len() {
+		return 0, fmt.Errorf("tensor: RMSE length mismatch %v vs %v", edge.Shape, ref.Shape)
 	}
-	rng := ComputeStats(ref).Range()
-	if rng <= 0 {
-		return rmse, nil
+	n := edge.Len()
+	if n == 0 {
+		return 0, nil
 	}
-	return rmse / rng, nil
+	mn, mx := math.Inf(1), math.Inf(-1)
+	var sum float64
+	for i := 0; i < n; i++ {
+		r := ref.flat(i)
+		if r < mn {
+			mn = r
+		}
+		if r > mx {
+			mx = r
+		}
+		d := edge.flat(i) - r
+		sum += d * d
+	}
+	rmse := math.Sqrt(sum / float64(n))
+	if rng := mx - mn; rng > 0 {
+		return rmse / rng, nil
+	}
+	return rmse, nil
 }
 
 // MaxAbsDiff returns the maximum absolute element-wise difference, an

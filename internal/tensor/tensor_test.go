@@ -217,6 +217,44 @@ func TestRMSEAndNormalized(t *testing.T) {
 	}
 }
 
+// TestNormalizedRMSEIsRMSEOverRange holds the one-walk NormalizedRMSE to its
+// definition, RMSE(edge, ref) / ComputeStats(ref).Range(), bit for bit — on
+// mixed dtypes, with NaN and ±Inf in either tensor, an all-NaN and a constant
+// reference, and the empty tensor — and to RMSE's error on a length mismatch.
+func TestNormalizedRMSEIsRMSEOverRange(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	cases := []struct{ edge, ref *Tensor }{
+		{FromFloats([]float32{1, 2.5, -3, 1e-7}, 4), FromFloats([]float32{0.1, 7, -3, 9}, 4)},
+		{FromFloats([]float32{1, nan, 3}, 3), FromFloats([]float32{4, 5, 9}, 3)},
+		{FromFloats([]float32{1, 2, 3}, 3), FromFloats([]float32{nan, 5, 9}, 3)},
+		{FromFloats([]float32{1, 2}, 2), FromFloats([]float32{nan, nan}, 2)},
+		{FromFloats([]float32{1, 2, 3}, 3), FromFloats([]float32{inf, -inf, 0}, 3)},
+		{FromFloats([]float32{inf, 2}, 2), FromFloats([]float32{inf, 1}, 2)},
+		{FromFloats([]float32{4, 4}, 2), FromFloats([]float32{7, 7}, 2)},
+		{FromBytes([]uint8{0, 255, 17}, 3), FromInt8([]int8{-128, 127, 3}, 3)},
+		{FromInt32([]int32{1 << 30, -5}, 2), FromFloats([]float32{0.5, 2}, 2)},
+		{New(F32, 0), New(F32, 0)},
+	}
+	for i, c := range cases {
+		got, err := NormalizedRMSE(c.edge, c.ref)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		want, _ := RMSE(c.edge, c.ref)
+		if rng := ComputeStats(c.ref).Range(); rng > 0 {
+			want /= rng
+		}
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("case %d: NormalizedRMSE = %v, RMSE/range = %v", i, got, want)
+		}
+	}
+	_, err := NormalizedRMSE(New(F32, 2), New(F32, 3))
+	_, want := RMSE(New(F32, 2), New(F32, 3))
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("length mismatch: %v, want RMSE's %v", err, want)
+	}
+}
+
 func TestMaxAbsDiff(t *testing.T) {
 	a := FromFloats([]float32{1, -4}, 2)
 	b := FromFloats([]float32{0, 1}, 2)
