@@ -83,43 +83,62 @@ func NewLogEncoder(w io.Writer, format LogFormat) (LogEncoder, error) {
 
 // ---- JSONL codec ----
 
-// JSONLEncoder writes the JSONL log format. Its output is byte-identical to
-// the pre-codec JSONL writer: one json.Marshal-ed record per line.
+// JSONLEncoder writes the JSONL log format, one record per line, through the
+// appender in jsonl.go. Lines are staged in one reused buffer and handed to
+// the writer whole, so a warmed encoder allocates nothing per record.
 type JSONLEncoder struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte
+	err error // first write error; sticky, like bufio.Writer's
 }
+
+// jsonlSpillBytes is the staged size from which the encoder writes through:
+// small records batch up to it, a full-tensor record goes out on its own.
+const jsonlSpillBytes = 4096
 
 // NewJSONLEncoder wraps w in a JSONL log encoder.
-func NewJSONLEncoder(w io.Writer) *JSONLEncoder {
-	bw := bufio.NewWriter(w)
-	return &JSONLEncoder{bw: bw, enc: json.NewEncoder(bw)}
-}
+func NewJSONLEncoder(w io.Writer) *JSONLEncoder { return &JSONLEncoder{w: w} }
 
-// EncodeRecord appends one record line.
-func (e *JSONLEncoder) EncodeRecord(r *Record) error { return e.enc.Encode(r) }
+// EncodeRecord appends one record line. A record the format cannot express
+// (a non-finite float) is an error naming record and field, and leaves no
+// part of its line behind.
+func (e *JSONLEncoder) EncodeRecord(r *Record) error {
+	var err error
+	if e.buf, err = appendRecordJSONL(e.buf, r); err != nil {
+		return err
+	}
+	return e.spill()
+}
 
 // encodePreMarshaled appends a record line whose tail — everything after the
 // leading `{"seq":<n>` group, including the trailing newline — was marshaled
 // elsewhere (the parallel pre-encode stage of the replay engine). The bytes
 // written are identical to EncodeRecord over the same record with Seq = seq.
 func (e *JSONLEncoder) encodePreMarshaled(seq int, tail []byte) error {
-	if _, err := e.bw.WriteString(`{"seq":`); err != nil {
-		return err
-	}
-	var digits [20]byte
-	if _, err := e.bw.Write(strconv.AppendInt(digits[:0], int64(seq), 10)); err != nil {
-		return err
-	}
-	_, err := e.bw.Write(tail)
-	return err
+	e.buf = strconv.AppendInt(append(e.buf, jsonlSeqOpen...), int64(seq), 10)
+	e.buf = append(e.buf, tail...)
+	return e.spill()
 }
 
-// Flush drains buffered output to the underlying writer.
-func (e *JSONLEncoder) Flush() error { return e.bw.Flush() }
+// spill writes the staged lines through once they reach jsonlSpillBytes.
+func (e *JSONLEncoder) spill() error {
+	if len(e.buf) >= jsonlSpillBytes {
+		return e.Flush()
+	}
+	return e.err
+}
+
+// Flush drains staged lines to the underlying writer.
+func (e *JSONLEncoder) Flush() error {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+	return e.err
+}
 
 // Reset implements LogEncoder.
-func (e *JSONLEncoder) Reset(w io.Writer) { e.bw.Reset(w) }
+func (e *JSONLEncoder) Reset(w io.Writer) { e.w, e.buf, e.err = w, e.buf[:0], nil }
 
 // JSONLDecoder reads the JSONL log format.
 type JSONLDecoder struct {
@@ -130,7 +149,7 @@ type JSONLDecoder struct {
 // NewJSONLDecoder wraps r in a JSONL log decoder.
 func NewJSONLDecoder(r io.Reader) *JSONLDecoder {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	sc.Buffer(make([]byte, 1<<16), 1<<26)
 	return &JSONLDecoder{sc: sc}
 }
 

@@ -107,8 +107,7 @@ func (m *Monitor) spillLocked() {
 	if m.sink == nil || len(m.log.Records) == 0 {
 		return
 	}
-	recs := m.log.Records
-	m.log.Records = nil
+	recs := m.takeLocked()
 	if m.sinkErr != nil {
 		return
 	}
@@ -155,8 +154,15 @@ func (m *Monitor) SetNextFrame(idx int) {
 func (m *Monitor) Drain() []Record {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.takeLocked()
+}
+
+// takeLocked hands the buffered records away and starts the next buffer at
+// their count: frames of one model log the same number of records, so the
+// slice is sized once per frame instead of regrown by doubling.
+func (m *Monitor) takeLocked() []Record {
 	recs := m.log.Records
-	m.log.Records = nil
+	m.log.Records = make([]Record, 0, len(recs))
 	return recs
 }
 

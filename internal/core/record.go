@@ -67,7 +67,9 @@ type Record struct {
 
 // recordWire is the JSON wire shape of a Record. Field order and tags define
 // the JSONL log format and must never change — the golden-fixture test pins
-// the serialized bytes to the pre-codec-redesign output.
+// the serialized bytes to the pre-codec-redesign output. Decoding unmarshals
+// into it; encoding is the hand-written appender in jsonl.go, which the tests
+// hold byte-identical to json.Marshal of this struct.
 type recordWire struct {
 	Seq        int           `json:"seq"`
 	Frame      int           `json:"frame"`
@@ -86,19 +88,15 @@ type recordWire struct {
 	Unit       string        `json:"unit,omitempty"`
 }
 
-// MarshalJSON serializes the record in the JSONL wire format, base64-encoding
-// the raw payload at this point and not before.
+// MarshalJSON serializes the record in the JSONL wire format: the record's
+// log line (jsonl.go — the payload is base64-encoded there and not before)
+// without its newline.
 func (r Record) MarshalJSON() ([]byte, error) {
-	w := recordWire{
-		Seq: r.Seq, Frame: r.Frame, Key: r.Key, Kind: r.Kind,
-		LayerIndex: r.LayerIndex, LayerName: r.LayerName, OpType: r.OpType,
-		Shape: r.Shape, DType: r.DType, Stats: r.Stats,
-		QScale: r.QScale, QZero: r.QZero, Value: r.Value, Unit: r.Unit,
+	line, err := appendRecordJSONL(nil, &r)
+	if err != nil {
+		return nil, err
 	}
-	if len(r.Payload) > 0 {
-		w.Data = base64.StdEncoding.EncodeToString(r.Payload)
-	}
-	return json.Marshal(w)
+	return line[:len(line)-1], nil
 }
 
 // UnmarshalJSON parses the JSONL wire format, decoding the base64 payload

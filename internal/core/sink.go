@@ -1,8 +1,7 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
+	"encoding/base64"
 	"fmt"
 	"io"
 )
@@ -93,13 +92,13 @@ func (s *streamSink) Bytes() int { return int(s.bytes) }
 func (s *streamSink) Format() LogFormat { return s.format }
 
 // PreEncodedFrame holds one frame's records marshaled ahead of the in-order
-// collector: serialized lines whose sequence-number prefix — which only the
-// collector knows — gets patched at write time. Produced by
+// collector: serialized lines missing their sequence-number prefix, which
+// only the collector knows and prepends at write time. Produced by
 // FramePreEncoder.PreEncodeFrame on worker goroutines, consumed by
 // WritePreEncoded on the collector.
 type PreEncodedFrame struct {
 	buf  []byte
-	offs []int // start offset of each record's line within buf
+	offs []int // start offset of each record's line tail within buf
 }
 
 // Records returns the number of records the frame carries.
@@ -142,33 +141,25 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 	return s
 }
 
-// preEncodeSeqPrefix is the byte prefix every record line marshaled with
-// Seq == 0 opens with; pre-encoding stores the line after it and
-// WritePreEncoded substitutes the real sequence number. The recordWire
-// field order guarantees "seq" always serializes first.
-var preEncodeSeqPrefix = []byte(`{"seq":0`)
-
-// PreEncodeFrame marshals recs into JSONL lines (Seq ignored — the
-// collector patches it). Safe for concurrent use: each call stages into its
-// own buffer, reusing one json.Encoder across the frame's records so the
-// marshal cost is a single streamed pass.
+// PreEncodeFrame marshals recs into JSONL line tails — each record's line
+// after its `{"seq":<n>` group, which the collector supplies. Safe for
+// concurrent use: each call stages into its own buffer, sized up front so
+// the frame is marshaled in a single pass without regrowth.
 func (s *JSONLSink) PreEncodeFrame(recs []Record) (PreEncodedFrame, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	offs := make([]int, 0, len(recs))
+	size := 0
 	for i := range recs {
-		r := recs[i]
-		r.Seq = 0
-		off := buf.Len()
-		if err := enc.Encode(r); err != nil {
-			return PreEncodedFrame{}, fmt.Errorf("core: pre-encode record %q: %w", r.Key, err)
-		}
-		if !bytes.HasPrefix(buf.Bytes()[off:], preEncodeSeqPrefix) {
-			return PreEncodedFrame{}, fmt.Errorf("core: pre-encode record %q: line does not open with %q", r.Key, preEncodeSeqPrefix)
-		}
-		offs = append(offs, off)
+		r := &recs[i]
+		size += 384 + len(r.Key) + len(r.LayerName) + len(r.OpType) + base64.StdEncoding.EncodedLen(len(r.Payload))
 	}
-	return PreEncodedFrame{buf: buf.Bytes(), offs: offs}, nil
+	pf := PreEncodedFrame{buf: make([]byte, 0, size), offs: make([]int, len(recs))}
+	for i := range recs {
+		pf.offs[i] = len(pf.buf)
+		var err error
+		if pf.buf, err = appendRecordTail(pf.buf, &recs[i]); err != nil {
+			return PreEncodedFrame{}, err
+		}
+	}
+	return pf, nil
 }
 
 // WritePreEncoded appends a frame pre-marshaled by PreEncodeFrame, patching
@@ -180,8 +171,7 @@ func (s *JSONLSink) WritePreEncoded(frame int, pf PreEncodedFrame, seq int) erro
 		if i+1 < len(pf.offs) {
 			end = pf.offs[i+1]
 		}
-		tail := pf.buf[off+len(preEncodeSeqPrefix) : end]
-		if err := s.jsonl.encodePreMarshaled(seq+i, tail); err != nil {
+		if err := s.jsonl.encodePreMarshaled(seq+i, pf.buf[off:end]); err != nil {
 			return fmt.Errorf("core: sink frame %d record %d: %w", frame, i, err)
 		}
 	}

@@ -187,6 +187,41 @@ func BenchmarkReplayFullCapture(b *testing.B) {
 	b.Run("jsonl-serial-collector", benchReplayFullCaptureSerialJSONL)
 }
 
+// BenchmarkEncodeJSONL is the JSONL encode path on its own: one real
+// full-capture frame (every layer's tensor, ~127 KiB of payload) through a
+// warmed encoder per iteration. Run with -benchmem: ns/op is ns/frame, and
+// allocs/op must read 0.
+func BenchmarkEncodeJSONL(b *testing.B) {
+	entry, err := zoo.Get("mobilenetv2-mini")
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame, err := Classification(entry.Mobile,
+		pipeline.Options{Resolver: ops.NewOptimized(ops.Fixed())}, testImages(b, 1),
+		runner.Options{MonitorOptions: []core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(true)}}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	size, err := frame.SizeBytes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc := core.NewJSONLEncoder(io.Discard)
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range frame.Records {
+			if err := enc.EncodeRecord(&frame.Records[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := enc.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ingestFrames sizes the upload benchmark (full-capture streams are
 // megabytes per frame; transport and incremental validation dominate).
 const ingestFrames = 32
