@@ -26,7 +26,8 @@
 // collector (chunked gzip uploads, one session per device — fleet devices
 // upload as d0-Pixel4, d1-..., matching their shard-log file names), so the
 // daemon's incremental /fleet and /devices reports are ready when the replay
-// ends.
+// ends. Uploads are always the binary encoding: -log-format chooses the
+// local file's format only.
 //
 // Usage:
 //
@@ -81,7 +82,7 @@ func run(args []string, stdout io.Writer) error {
 		shard    = fs.String("shard", "contiguous", "fleet shard policy: contiguous|round-robin|weighted")
 		kernel   = fs.String("kernel", "", "kernel backend: tiled|reference (default tiled)")
 		logFmt   = fs.String("log-format", "jsonl", "telemetry log encoding: jsonl|binary")
-		upload   = fs.String("upload", "", "also stream telemetry to an exrayd collector at this URL (per-device sessions)")
+		upload   = fs.String("upload", "", "also stream telemetry to an exrayd collector at this URL (per-device sessions; uploads are binary whatever -log-format writes locally)")
 		gz       = fs.Bool("upload-gzip", true, "gzip-compress upload chunks")
 		out      = fs.String("o", "edge.jsonl", "output log path")
 	)
@@ -136,12 +137,12 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	frameSink, remote, err := up.wrap(sink, *devName, format)
+	frameSink, remote, err := up.wrap(sink, *devName)
 	if err != nil {
 		return err
 	}
 	// DiscardLog: frames stream to disk as they merge, so memory stays flat
-	// however long the replay; MaxPending bounds the reorder window.
+	// however long the replay; the engine bounds the reorder window.
 	_, err = replay.Classification(m, popts, images, runner.Options{
 		Workers:        *parallel,
 		BatchFrames:    *batch,
@@ -188,13 +189,15 @@ type uploadOptions struct {
 }
 
 // wrap tees local into a RemoteSink for the named device session (a no-op
-// pass-through when no collector URL was given).
-func (u uploadOptions) wrap(local core.Sink, device string, format core.LogFormat) (core.Sink, *ingest.RemoteSink, error) {
+// pass-through when no collector URL was given). The upload encoding is a
+// wire decision, not the user's: always binary, which costs the device a
+// fraction of the JSONL encode and the collector a fraction of the decode.
+func (u uploadOptions) wrap(local core.Sink, device string) (core.Sink, *ingest.RemoteSink, error) {
 	if u.url == "" {
 		return local, nil, nil
 	}
 	remote, err := ingest.NewRemoteSink(ingest.SinkOptions{
-		URL: u.url, Device: device, Format: format, Gzip: u.gzip,
+		URL: u.url, Device: device, Format: core.FormatBinary, Gzip: u.gzip,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -265,7 +268,7 @@ func runFleet(stdout io.Writer, m *graph.Model, popts pipeline.Options, images [
 		// Each device streams to its own collector session, named like its
 		// shard-log file suffix (d0-Pixel4, ...), so the daemon's /fleet
 		// report lines up with the local shard logs.
-		devs[d].Sink, remotes[d], err = up.wrap(sinks[d], fmt.Sprintf("d%d-%s", d, devs[d].Name()), format)
+		devs[d].Sink, remotes[d], err = up.wrap(sinks[d], fmt.Sprintf("d%d-%s", d, devs[d].Name()))
 		if err != nil {
 			return err
 		}

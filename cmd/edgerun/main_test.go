@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"mlexray/internal/core"
 	"mlexray/internal/ingest"
@@ -143,7 +147,9 @@ func getDeviceStatus(t *testing.T, base, device string) ingest.DeviceStatus {
 
 // TestRunUpload drives -upload: the replay's telemetry lands both in the
 // local log(s) and in a live collector, one session per device, with the
-// collector's per-session record counts matching the local logs.
+// collector's per-session record counts matching the local logs. The upload
+// is binary whatever -log-format writes locally: both formats must reach the
+// collector as the same chunks and yield the same report.
 func TestRunUpload(t *testing.T) {
 	srv, err := ingest.NewServer(ingest.ServerOptions{})
 	if err != nil {
@@ -178,6 +184,51 @@ func TestRunUpload(t *testing.T) {
 		st := getDeviceStatus(t, ts.URL, "Pixel4")
 		if st.Records != len(local.Records) || st.Records == 0 {
 			t.Errorf("collector holds %d records, local log %d", st.Records, len(local.Records))
+		}
+	})
+
+	t.Run("formats", func(t *testing.T) {
+		dir := t.TempDir()
+		refPath := filepath.Join(dir, "ref.jsonl")
+		if err := run([]string{"-frames", "3", "-o", refPath}, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		ref := readLog(refPath)
+
+		// upload runs the same bugged replay against a fresh validating
+		// collector and returns what that collector saw.
+		upload := func(format string) ingest.DeviceStatus {
+			srv, err := ingest.NewServer(ingest.ServerOptions{Ref: ref})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			var buf bytes.Buffer
+			err = run([]string{"-frames", "3", "-bug", "normalization", "-log-format", format,
+				"-upload", ts.URL, "-upload-gzip=false", "-o", filepath.Join(dir, "edge."+format)}, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := getDeviceStatus(t, ts.URL, "Pixel4")
+			if st.Report == nil {
+				t.Fatalf("%s: no report: %s", format, st.ReportError)
+			}
+			// Wall-clock values aside: the straggler analysis reads measured
+			// per-layer latencies.
+			st.LastSeen = time.Time{}
+			st.Report.Stragglers = nil
+			st.Report.Findings = slices.DeleteFunc(st.Report.Findings, func(f core.Finding) bool {
+				return f.Assertion == core.StragglerAssertion{}.Name()
+			})
+			return st
+		}
+		jsonl, binary := upload("jsonl"), upload("binary")
+		if jsonl.Chunks == 0 || jsonl.Bytes == 0 || len(jsonl.Report.Findings) == 0 {
+			t.Fatalf("vacuous comparison: %+v", jsonl)
+		}
+		if !reflect.DeepEqual(jsonl, binary) {
+			t.Errorf("collector saw different uploads for the two local formats:\njsonl:  %+v\nbinary: %+v", jsonl, binary)
 		}
 	})
 

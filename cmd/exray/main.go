@@ -283,37 +283,9 @@ func captureLog(m *graph.Model, resolver *ops.Resolver, bug pipeline.Bug, frames
 		images := replay.Images(datasets.SynthImageNet(5555, frames))
 		return replay.Classification(m, popts, images, opts, nil)
 	case "speech":
-		base, err := pipeline.NewSpeechRecognizer(m, popts)
-		if err != nil {
-			return nil, err
-		}
-		samples := datasets.SynthSpeech(7777, frames)
-		return runner.Replay(len(samples), func(mon *core.Monitor) (runner.ProcessFunc, error) {
-			sr, err := base.Clone(mon)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) error {
-				_, _, err := sr.Recognize(samples[i].Wave)
-				return err
-			}, nil
-		}, opts)
+		return replay.Speech(m, popts, datasets.SynthSpeech(7777, frames), opts, nil)
 	case "text":
-		base, err := pipeline.NewTextClassifier(m, datasets.TokenizeText, popts)
-		if err != nil {
-			return nil, err
-		}
-		samples := datasets.SynthIMDB(9999, frames)
-		return runner.Replay(len(samples), func(mon *core.Monitor) (runner.ProcessFunc, error) {
-			tc, err := base.Clone(mon)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) error {
-				_, _, err := tc.ClassifyText(samples[i].Text)
-				return err
-			}, nil
-		}, opts)
+		return replay.Text(m, popts, datasets.SynthIMDB(9999, frames), opts, nil)
 	default:
 		return nil, fmt.Errorf("exray: task %q not supported by this command", m.Meta.Task)
 	}

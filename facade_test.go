@@ -251,14 +251,18 @@ func TestFacadeParallelReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := mlexray.NewJSONLSink(f)
-	par, err := mlexray.Replay(len(samples), func(mon *mlexray.Monitor) (mlexray.ProcessFunc, error) {
+	par, err := mlexray.ReplayBatched(len(samples), func(mon *mlexray.Monitor) (mlexray.ProcessBatchFunc, error) {
 		cl, err := base.Clone(mon)
 		if err != nil {
 			return nil, err
 		}
-		return func(i int) error {
-			_, _, err := cl.Classify(samples[i].Image)
-			return err
+		return func(start, end int) error {
+			for i := start; i < end; i++ {
+				if _, _, err := cl.Classify(samples[i].Image); err != nil {
+					return err
+				}
+			}
+			return nil
 		}, nil
 	}, mlexray.ReplayOptions{
 		Workers:        4,
@@ -360,14 +364,18 @@ func TestFacadeBinarySpillWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	samples := datasets.SynthImageNet(5555, 4)
-	if _, err := mlexray.Replay(len(samples), func(m *mlexray.Monitor) (mlexray.ProcessFunc, error) {
+	if _, err := mlexray.ReplayBatched(len(samples), func(m *mlexray.Monitor) (mlexray.ProcessBatchFunc, error) {
 		w, err := base.Clone(m)
 		if err != nil {
 			return nil, err
 		}
-		return func(i int) error {
-			_, _, err := w.Classify(samples[i].Image)
-			return err
+		return func(start, end int) error {
+			for i := start; i < end; i++ {
+				if _, _, err := w.Classify(samples[i].Image); err != nil {
+					return err
+				}
+			}
+			return nil
 		}, nil
 	}, mlexray.ReplayOptions{
 		Workers:        2,

@@ -302,9 +302,9 @@ func (l *Log) MemoryFootprintBytes() int {
 // workflows (e.g. logs gathered from separate devices). Each frame must have
 // been processed by exactly one shard, and each shard must have processed
 // its frames in increasing order; the result then reproduces the record
-// order a sequential run would have logged. runner.Replay applies the same
-// contract incrementally in its streaming collector; a runner test pins the
-// two to identical output.
+// order a sequential run would have logged. runner.ReplayBatched applies the
+// same contract incrementally in its streaming collector; a runner test pins
+// the two to identical output.
 func MergeByFrame(shards ...*Log) *Log {
 	total := 0
 	for _, s := range shards {

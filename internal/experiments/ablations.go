@@ -274,7 +274,7 @@ func AblationLogFormat() ([]AblationLogFormatRow, error) {
 	samples := datasets.SynthImageNet(5555, frames)
 	mergedLog, err := replay.Classification(e.Mobile,
 		pipeline.Options{Resolver: fixedOptimized()},
-		classificationImages(samples),
+		replay.Images(samples),
 		sweepOptions([]core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(true)}),
 		nil)
 	if err != nil {

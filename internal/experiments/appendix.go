@@ -10,6 +10,7 @@ import (
 	"mlexray/internal/metrics"
 	"mlexray/internal/models"
 	"mlexray/internal/pipeline"
+	"mlexray/internal/replay"
 	"mlexray/internal/tensor"
 	"mlexray/internal/zoo"
 )
@@ -45,29 +46,24 @@ func AppendixText(n int) ([]AppendixTextRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		run := func(bug pipeline.Bug) (float64, float64, error) {
-			tc, err := pipeline.NewTextClassifier(e.Mobile, datasets.TokenizeText,
-				pipeline.Options{Resolver: fixedOptimized(), Bug: bug})
+		accuracy := func(bug pipeline.Bug) (float64, error) {
+			preds := make([]int, len(samples))
+			labels := make([]int, len(samples))
+			_, err := replay.Text(e.Mobile, pipeline.Options{Resolver: fixedOptimized(), Bug: bug}, samples,
+				sweepOptions(nil), func(i int, r replay.ClassifyResult) error {
+					preds[i], labels[i] = r.Pred, samples[i].Label
+					return nil
+				})
 			if err != nil {
-				return 0, 0, err
+				return 0, err
 			}
-			hit := 0
-			for _, s := range samples {
-				p, _, err := tc.ClassifyText(s.Text)
-				if err != nil {
-					return 0, 0, err
-				}
-				if p == s.Label {
-					hit++
-				}
-			}
-			return float64(hit) / float64(len(samples)), 0, nil
+			return metrics.Top1(preds, labels)
 		}
-		accCased, _, err := run(pipeline.BugNone)
+		accCased, err := accuracy(pipeline.BugNone)
 		if err != nil {
 			return nil, err
 		}
-		accFolded, _, err := run(pipeline.BugLowercase)
+		accFolded, err := accuracy(pipeline.BugLowercase)
 		if err != nil {
 			return nil, err
 		}

@@ -22,7 +22,6 @@ import (
 	"mlexray/internal/datasets"
 	"mlexray/internal/device"
 	"mlexray/internal/graph"
-	"mlexray/internal/imaging"
 	"mlexray/internal/metrics"
 	"mlexray/internal/ops"
 	"mlexray/internal/pipeline"
@@ -50,18 +49,6 @@ func sweepOptions(monOpts []core.MonitorOption) runner.Options {
 	return runner.Options{Workers: ReplayWorkers, BatchFrames: ReplayBatch, MonitorOptions: monOpts}
 }
 
-// replayLog shards a replay across the worker pool and returns the merged
-// telemetry log. factory builds one worker's per-frame body around its
-// monitor shard.
-func replayLog(frames int, monOpts []core.MonitorOption, factory runner.WorkerFactory) (*core.Log, error) {
-	return runner.Replay(frames, factory, sweepOptions(monOpts))
-}
-
-// classificationImages projects an image-sample set to the replay input.
-func classificationImages(samples []datasets.ImageSample) []*imaging.Image {
-	return replay.Images(samples)
-}
-
 // evalClassifierAccuracy measures top-1 accuracy of a model version through
 // a pipeline with the given options, sharding frame batches across the
 // replay pool on the batched inference path. Per-frame results land in
@@ -72,8 +59,8 @@ func evalClassifierAccuracy(m *graph.Model, opts pipeline.Options, n int) (float
 	samples := datasets.SynthImageNet(5555, n)
 	preds := make([]int, len(samples))
 	labels := make([]int, len(samples))
-	_, err := replay.Classification(m, opts, classificationImages(samples),
-		runner.Options{Workers: ReplayWorkers, BatchFrames: ReplayBatch},
+	_, err := replay.Classification(m, opts, replay.Images(samples),
+		sweepOptions(nil),
 		func(i int, r replay.ClassifyResult) error {
 			preds[i], labels[i] = r.Pred, samples[i].Label
 			return nil

@@ -12,7 +12,6 @@ import (
 	"mlexray/internal/ops"
 	"mlexray/internal/pipeline"
 	"mlexray/internal/replay"
-	"mlexray/internal/runner"
 	"mlexray/internal/zoo"
 )
 
@@ -167,7 +166,7 @@ func runImageTask(task string, m *graph.Model, resolver *ops.Resolver, bug pipel
 		// frames per interpreter invoke); the merged log is byte-identical
 		// to the frame-at-a-time replay.
 		samples := datasets.SynthImageNet(5555, frames)
-		return replay.Classification(m, opts, classificationImages(samples), sweepOptions(monOpts), nil)
+		return replay.Classification(m, opts, replay.Images(samples), sweepOptions(monOpts), nil)
 	case "detection":
 		// Detection rides the batched inference path too: the two-output
 		// head decodes per element through interp.Batch.OutputAt.
@@ -178,62 +177,19 @@ func runImageTask(task string, m *graph.Model, resolver *ops.Resolver, bug pipel
 		}
 		return replay.Detection(m, opts, images, sweepOptions(monOpts), nil)
 	case "segmentation":
-		base, err := pipeline.NewSegmenter(m, opts)
-		if err != nil {
-			return nil, err
-		}
-		samples := datasets.SynthSegmentation(8888, frames)
-		return replayLog(len(samples), monOpts, func(mon *core.Monitor) (runner.ProcessFunc, error) {
-			sg, err := base.Clone(mon)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) error {
-				_, err := sg.Segment(samples[i].Image)
-				return err
-			}, nil
-		})
+		return replay.Segmentation(m, opts, datasets.SynthSegmentation(8888, frames), sweepOptions(monOpts), nil)
 	}
 	return nil, fmt.Errorf("experiments: unknown image task %q", task)
 }
 
 func runSpeech(m *graph.Model, resolver *ops.Resolver, bug pipeline.Bug, frames int) (*core.Log, error) {
-	base, err := pipeline.NewSpeechRecognizer(m, pipeline.Options{Resolver: resolver, Bug: bug})
-	if err != nil {
-		return nil, err
-	}
-	samples := datasets.SynthSpeech(7777, frames)
-	return replayLog(len(samples), []core.MonitorOption{core.WithCaptureMode(core.CaptureFull)},
-		func(mon *core.Monitor) (runner.ProcessFunc, error) {
-			sr, err := base.Clone(mon)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) error {
-				_, _, err := sr.Recognize(samples[i].Wave)
-				return err
-			}, nil
-		})
+	return replay.Speech(m, pipeline.Options{Resolver: resolver, Bug: bug}, datasets.SynthSpeech(7777, frames),
+		sweepOptions([]core.MonitorOption{core.WithCaptureMode(core.CaptureFull)}), nil)
 }
 
 func runText(m *graph.Model, bug pipeline.Bug, frames int) (*core.Log, error) {
-	base, err := pipeline.NewTextClassifier(m, datasets.TokenizeText,
-		pipeline.Options{Resolver: fixedOptimized(), Bug: bug})
-	if err != nil {
-		return nil, err
-	}
-	samples := datasets.SynthIMDB(9999, frames)
-	return replayLog(len(samples), []core.MonitorOption{core.WithCaptureMode(core.CaptureFull)},
-		func(mon *core.Monitor) (runner.ProcessFunc, error) {
-			tc, err := base.Clone(mon)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) error {
-				_, _, err := tc.ClassifyText(samples[i].Text)
-				return err
-			}, nil
-		})
+	return replay.Text(m, pipeline.Options{Resolver: fixedOptimized(), Bug: bug}, datasets.SynthIMDB(9999, frames),
+		sweepOptions([]core.MonitorOption{core.WithCaptureMode(core.CaptureFull)}), nil)
 }
 
 // runImageTaskOnDevice runs with the emulator latency model attached so the
@@ -250,7 +206,7 @@ func runImageTaskOnProfile(m *graph.Model, resolver *ops.Resolver, profile strin
 	samples := datasets.SynthImageNet(5555, frames)
 	monOpts := []core.MonitorOption{core.WithCaptureMode(core.CaptureStats), core.WithPerLayer(true)}
 	return replay.Classification(m, pipeline.Options{Resolver: resolver, Device: dev},
-		classificationImages(samples), sweepOptions(monOpts), nil)
+		replay.Images(samples), sweepOptions(monOpts), nil)
 }
 
 // RenderFigure3 prints the coverage matrix.

@@ -3,14 +3,12 @@ package experiments
 import (
 	"io"
 
-	"mlexray/internal/core"
 	"mlexray/internal/datasets"
 	"mlexray/internal/imaging"
 	"mlexray/internal/metrics"
 	"mlexray/internal/models"
 	"mlexray/internal/pipeline"
 	"mlexray/internal/replay"
-	"mlexray/internal/runner"
 	"mlexray/internal/tensor"
 	"mlexray/internal/zoo"
 )
@@ -96,7 +94,7 @@ func Figure4b() ([]Figure4bRow, error) {
 			// list in frame order regardless of worker scheduling.
 			byFrame := make([][]metrics.DetBox, len(samples))
 			_, err := replay.Detection(e.Mobile, pipeline.Options{Resolver: fixedOptimized(), Bug: bug}, images,
-				runner.Options{Workers: ReplayWorkers, BatchFrames: ReplayBatch},
+				sweepOptions(nil),
 				func(i int, r replay.DetectResult) error {
 					for _, d := range models.DecodeDetections(scoresOf(r.Scores), boxesOf(r.Boxes), e.Mobile.Meta.Anchors, 0.5, 0.45) {
 						byFrame[i] = append(byFrame[i], metrics.DetBox{Box: d.Box, Class: d.Class, Score: d.Score, Image: i})
@@ -162,26 +160,14 @@ func Figure4c() ([]Figure4cRow, error) {
 			return nil, err
 		}
 		eval := func(bug pipeline.Bug) (float64, error) {
-			base, err := pipeline.NewSpeechRecognizer(e.Mobile, pipeline.Options{Resolver: fixedOptimized(), Bug: bug})
-			if err != nil {
-				return 0, err
-			}
 			preds := make([]int, len(samples))
 			labels := make([]int, len(samples))
-			_, err = replayLog(len(samples), nil, func(*core.Monitor) (runner.ProcessFunc, error) {
-				sr, err := base.Clone(nil) // accuracy eval needs no telemetry
-				if err != nil {
-					return nil, err
-				}
-				return func(i int) error {
-					p, _, err := sr.Recognize(samples[i].Wave)
-					if err != nil {
-						return err
-					}
-					preds[i], labels[i] = p, samples[i].Label
+			// Accuracy eval needs no telemetry: nil MonitorOptions.
+			_, err := replay.Speech(e.Mobile, pipeline.Options{Resolver: fixedOptimized(), Bug: bug}, samples,
+				sweepOptions(nil), func(i int, r replay.ClassifyResult) error {
+					preds[i], labels[i] = r.Pred, samples[i].Label
 					return nil
-				}, nil
-			})
+				})
 			if err != nil {
 				return 0, err
 			}

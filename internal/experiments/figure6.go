@@ -5,11 +5,9 @@ import (
 	"io"
 
 	"mlexray/internal/core"
-	"mlexray/internal/datasets"
 	"mlexray/internal/graph"
 	"mlexray/internal/ops"
 	"mlexray/internal/pipeline"
-	"mlexray/internal/runner"
 	"mlexray/internal/zoo"
 )
 
@@ -67,22 +65,7 @@ func Figure6(frames int) ([]Figure6Series, error) {
 // perLayerLog runs the classification pipeline over the evaluation set with
 // full per-layer capture, sharded across the replay pool.
 func perLayerLog(m *graph.Model, resolver *ops.Resolver, frames int) (*core.Log, error) {
-	base, err := pipeline.NewClassifier(m, pipeline.Options{Resolver: resolver})
-	if err != nil {
-		return nil, err
-	}
-	samples := datasets.SynthImageNet(5555, frames)
-	return replayLog(len(samples), []core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(true)},
-		func(mon *core.Monitor) (runner.ProcessFunc, error) {
-			cl, err := base.Clone(mon)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) error {
-				_, _, err := cl.Classify(samples[i].Image)
-				return err
-			}, nil
-		})
+	return runImageTask("classification", m, resolver, pipeline.BugNone, frames, true)
 }
 
 // RenderFigure6 prints each series as (layer, op, nRMSE) rows with the

@@ -69,7 +69,7 @@ func Fleet(frames int, task string) ([]FleetRow, error) {
 	}
 	edgeOpts := pipeline.Options{Resolver: fixedOptimized()}
 	refPopts := pipeline.Options{Resolver: ops.NewReference(ops.Fixed())}
-	refRopts := runner.Options{Workers: ReplayWorkers, BatchFrames: ReplayBatch, MonitorOptions: monOpts}
+	refRopts := sweepOptions(monOpts)
 
 	var res *runner.FleetResult
 	var ref *core.Log
@@ -79,7 +79,7 @@ func Fleet(frames int, task string) ([]FleetRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		images := classificationImages(datasets.SynthImageNet(5555, frames))
+		images := replay.Images(datasets.SynthImageNet(5555, frames))
 		if res, err = replay.FleetClassification(entry.Mobile, edgeOpts, images, fleet, perDevice); err != nil {
 			return nil, err
 		}

@@ -45,7 +45,7 @@ func Table2(frames int) ([]Table2Row, error) {
 		return nil, err
 	}
 	samples := datasets.SynthImageNet(5555, frames)
-	images := classificationImages(samples)
+	images := replay.Images(samples)
 	var rows []Table2Row
 	for _, devName := range []string{"Pixel4", "Pixel4-GPU", "Pixel3", "Pixel3-GPU"} {
 		dev, err := device.ByName(devName)
@@ -205,7 +205,7 @@ func offlineOverhead(frames int, quantized bool) ([]Table3Row, error) {
 		wallStart := time.Now()
 		mergedLog, err := replay.Classification(m,
 			pipeline.Options{Resolver: fixedOptimized(), Device: dev},
-			classificationImages(samples),
+			replay.Images(samples),
 			sweepOptions([]core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(true)}),
 			func(i int, r replay.ClassifyResult) error {
 				modeledNs[i] = r.Modeled

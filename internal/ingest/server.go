@@ -15,8 +15,8 @@
 //
 //   - RemoteSink is the device side: a core.Sink that streams a replay's
 //     telemetry to the collector in chunked, optionally gzip-compressed
-//     uploads with retry/backoff, so runner.Replay / runner.Fleet per-device
-//     sinks feed the service directly instead of a local file.
+//     uploads with retry/backoff, so runner.ReplayBatched / runner.Fleet
+//     per-device sinks feed the service directly instead of a local file.
 //
 // Streams may use either log encoding (JSONL or MLXB binary) and may be
 // gzip-compressed; the server auto-detects per chunk via core.OpenLog. A

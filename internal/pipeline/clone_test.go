@@ -47,45 +47,6 @@ func TestClassifierCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestTextClassifierCloneKeepsBug: cloning a bugged text pipeline must not
-// stack the lowercase wrapper a second time, and must keep the bug active.
-func TestTextClassifierCloneKeepsBug(t *testing.T) {
-	m := models.NNLMMini(99, datasets.TextSeqLen, datasets.TextVocabSize)
-	var calls int
-	countingTok := func(s string) []int32 {
-		calls++
-		return datasets.TokenizeText(s)
-	}
-	base, err := NewTextClassifier(m, countingTok,
-		Options{Resolver: ops.NewOptimized(ops.Fixed()), Bug: BugLowercase})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone, err := base.Clone(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clone.opts.Bug != BugLowercase {
-		t.Fatal("clone dropped the injected bug")
-	}
-	s := datasets.SynthIMDB(9999, 1)[0]
-	pBase, _, err := base.ClassifyText(s.Text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls = 0
-	pClone, _, err := clone.ClassifyText(s.Text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("clone called the tokenizer %d times per frame, want 1 (no double wrapping)", calls)
-	}
-	if pBase != pClone {
-		t.Errorf("clone predicted %d, parent %d", pClone, pBase)
-	}
-}
-
 // TestBatchClassifierPlansOptionsBackend: the batched pipeline plans the
 // kernel backend its options name, like the frame-at-a-time one. Modeled
 // latency is the deterministic witness — the backend's cost factors move it.

@@ -41,33 +41,6 @@ func (o *Options) resolver() *ops.Resolver {
 	return ops.NewOptimized(ops.Historical())
 }
 
-// Classifier is an instrumented image-classification pipeline.
-type Classifier struct {
-	model   *graph.Model
-	ip      *interp.Interpreter
-	preproc ImagePreproc
-	opts    Options
-}
-
-// NewClassifier builds a classification pipeline for the model. The
-// preprocessing starts from the model's correct conventions with opts.Bug
-// applied.
-func NewClassifier(m *graph.Model, opts Options) (*Classifier, error) {
-	if m.Meta.Task != "classification" {
-		return nil, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
-	}
-	pp, err := CorrectImagePreproc(m.Meta)
-	if err != nil {
-		return nil, err
-	}
-	c := &Classifier{model: m, preproc: pp.WithBug(opts.Bug), opts: opts}
-	c.ip, err = newInterp(m, &opts)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // interpOptions maps the pipeline options onto interpreter options, for the
 // frame-at-a-time and the batched interpreter alike.
 func (o *Options) interpOptions() []interp.Option {
@@ -81,8 +54,126 @@ func (o *Options) interpOptions() []interp.Option {
 	return iopts
 }
 
-func newInterp(m *graph.Model, opts *Options) (*interp.Interpreter, error) {
-	return interp.New(m, opts.resolver(), opts.interpOptions()...)
+// checkTask rejects a model built for another task than the pipeline's.
+func checkTask(m *graph.Model, task string) error {
+	if m.Meta.Task != task {
+		return fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
+	}
+	return nil
+}
+
+// frame is what the five frame-at-a-time pipelines share: the model, its
+// interpreter, and the instrumented skeleton of one inference —
+//
+//	begin → (the pipeline's own preprocessing) → invoke → output
+//
+// which logs, in this order, the frame advance, the orientation sensor
+// reading (when a sensor is attached), the preprocessed input, the per-layer
+// events and the latency metrics and model output of OnInferenceStop. The
+// batched pipelines (batch.go) emit the same records per element.
+type frame struct {
+	model *graph.Model
+	ip    *interp.Interpreter
+	opts  Options
+}
+
+func newFrame(m *graph.Model, task string, opts Options) (frame, error) {
+	if err := checkTask(m, task); err != nil {
+		return frame{}, err
+	}
+	ip, err := interp.New(m, opts.resolver(), opts.interpOptions()...)
+	if err != nil {
+		return frame{}, err
+	}
+	return frame{model: m, ip: ip, opts: opts}, nil
+}
+
+// Interpreter exposes the underlying interpreter (for memory accounting and
+// per-invoke stats).
+func (f *frame) Interpreter() *interp.Interpreter { return f.ip }
+
+// begin opens a frame on the monitor: one frame is one sensor capture.
+func (f *frame) begin() {
+	if mon := f.opts.Monitor; mon != nil {
+		mon.NextFrame()
+		if f.opts.Orientation != nil {
+			mon.LogSensor(core.KeySensorOrientation, f.opts.Orientation.Read(), "deg")
+		}
+	}
+}
+
+// invoke logs the preprocessed input and runs the model on it between the
+// monitor's inference marks.
+func (f *frame) invoke(in *tensor.Tensor) error {
+	mon := f.opts.Monitor
+	if mon != nil {
+		mon.LogTensor(core.KeyPreprocessOutput, in)
+		mon.OnInferenceStart()
+	}
+	if err := f.ip.SetInput(0, in); err != nil {
+		return err
+	}
+	if err := f.ip.Invoke(); err != nil {
+		return err
+	}
+	if mon != nil {
+		mon.OnInferenceStop(f.ip)
+	}
+	return nil
+}
+
+// output returns a copy of model output slot i, safe to retain across
+// invokes.
+func (f *frame) output(i int) (*tensor.Tensor, error) {
+	out, err := f.ip.Output(i)
+	if err != nil {
+		return nil, err
+	}
+	return out.Clone(), nil
+}
+
+// classify is invoke for the single-output classification heads: the argmax
+// class and the scores.
+func (f *frame) classify(in *tensor.Tensor) (int, *tensor.Tensor, error) {
+	if err := f.invoke(in); err != nil {
+		return 0, nil, err
+	}
+	out, err := f.output(0)
+	if err != nil {
+		return 0, nil, err
+	}
+	return out.ArgMax(), out, nil
+}
+
+// Classifier is an instrumented image-classification pipeline.
+type Classifier struct {
+	frame
+	preproc ImagePreproc
+}
+
+// NewClassifier builds a classification pipeline for the model. The
+// preprocessing starts from the model's correct conventions with opts.Bug
+// applied.
+func NewClassifier(m *graph.Model, opts Options) (*Classifier, error) {
+	f, pp, err := newImageFrame(m, "classification", opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Classifier{frame: f, preproc: pp}, nil
+}
+
+// newImageFrame is newFrame plus the image preprocessing the three image
+// tasks share: the model's correct conventions with opts.Bug applied.
+func newImageFrame(m *graph.Model, task string, opts Options) (frame, ImagePreproc, error) {
+	f, err := newFrame(m, task, opts)
+	if err != nil {
+		return frame{}, ImagePreproc{}, err
+	}
+	pp, err := CorrectImagePreproc(m.Meta)
+	if err != nil {
+		return frame{}, ImagePreproc{}, err
+	}
+	return f, pp.WithBug(opts.Bug), nil
 }
 
 // Clone builds an independent replica of the pipeline — same model, bug and
@@ -95,157 +186,69 @@ func (c *Classifier) Clone(mon *core.Monitor) (*Classifier, error) {
 	return NewClassifier(c.model, opts)
 }
 
-// Interpreter exposes the underlying interpreter (for memory accounting).
-func (c *Classifier) Interpreter() *interp.Interpreter { return c.ip }
-
-// Preproc returns the active preprocessing configuration.
-func (c *Classifier) Preproc() ImagePreproc { return c.preproc }
-
 // Classify runs one frame through the instrumented pipeline and returns the
 // predicted class and scores.
 func (c *Classifier) Classify(im *imaging.Image) (int, *tensor.Tensor, error) {
-	mon := c.opts.Monitor
-	if mon != nil {
-		mon.NextFrame()
-		if c.opts.Orientation != nil {
-			mon.LogSensor(core.KeySensorOrientation, c.opts.Orientation.Read(), "deg")
-		}
-	}
-	in := PreprocessImage(im, c.model.Meta, c.preproc)
-	if mon != nil {
-		mon.LogTensor(core.KeyPreprocessOutput, in)
-		mon.OnInferenceStart()
-	}
-	out, err := c.runModel(in)
-	if err != nil {
-		return 0, nil, err
-	}
-	if mon != nil {
-		mon.OnInferenceStop(c.ip)
-	}
-	return out.ArgMax(), out, nil
-}
-
-func (c *Classifier) runModel(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return c.ip.Run(in)
+	c.begin()
+	return c.classify(PreprocessImage(im, c.model.Meta, c.preproc))
 }
 
 // Detector is an instrumented object-detection pipeline (SSD-style models
 // with class-score and box-offset outputs).
 type Detector struct {
-	model   *graph.Model
-	ip      *interp.Interpreter
+	frame
 	preproc ImagePreproc
-	opts    Options
 }
 
 // NewDetector builds a detection pipeline.
 func NewDetector(m *graph.Model, opts Options) (*Detector, error) {
-	if m.Meta.Task != "detection" {
-		return nil, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
-	}
-	pp, err := CorrectImagePreproc(m.Meta)
+	f, pp, err := newImageFrame(m, "detection", opts)
 	if err != nil {
 		return nil, err
 	}
-	d := &Detector{model: m, preproc: pp.WithBug(opts.Bug), opts: opts}
-	d.ip, err = newInterp(m, &opts)
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// Clone builds an independent replica with its own interpreter arena and the
-// given monitor (see Classifier.Clone).
-func (d *Detector) Clone(mon *core.Monitor) (*Detector, error) {
-	opts := d.opts
-	opts.Monitor = mon
-	return NewDetector(d.model, opts)
+	return &Detector{frame: f, preproc: pp}, nil
 }
 
 // Detect runs one frame and returns raw class scores [A, C] and box offsets
 // [A, 4]; decoding/NMS is the caller's postprocessing (models.DecodeDetections).
 func (d *Detector) Detect(im *imaging.Image) (scores, boxes *tensor.Tensor, err error) {
-	mon := d.opts.Monitor
-	if mon != nil {
-		mon.NextFrame()
-	}
-	in := PreprocessImage(im, d.model.Meta, d.preproc)
-	if mon != nil {
-		mon.LogTensor(core.KeyPreprocessOutput, in)
-		mon.OnInferenceStart()
-	}
-	if err := d.ip.SetInput(0, in); err != nil {
+	d.begin()
+	if err := d.invoke(PreprocessImage(im, d.model.Meta, d.preproc)); err != nil {
 		return nil, nil, err
 	}
-	if err := d.ip.Invoke(); err != nil {
+	if scores, err = d.output(0); err != nil {
 		return nil, nil, err
 	}
-	if mon != nil {
-		mon.OnInferenceStop(d.ip)
-	}
-	s, err := d.ip.Output(0)
-	if err != nil {
+	if boxes, err = d.output(1); err != nil {
 		return nil, nil, err
 	}
-	b, err := d.ip.Output(1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.Clone(), b.Clone(), nil
+	return scores, boxes, nil
 }
 
 // Segmenter is an instrumented segmentation pipeline.
 type Segmenter struct {
-	model   *graph.Model
-	ip      *interp.Interpreter
+	frame
 	preproc ImagePreproc
-	opts    Options
 }
 
 // NewSegmenter builds a segmentation pipeline.
 func NewSegmenter(m *graph.Model, opts Options) (*Segmenter, error) {
-	if m.Meta.Task != "segmentation" {
-		return nil, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
-	}
-	pp, err := CorrectImagePreproc(m.Meta)
+	f, pp, err := newImageFrame(m, "segmentation", opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Segmenter{model: m, preproc: pp.WithBug(opts.Bug), opts: opts}
-	s.ip, err = newInterp(m, &opts)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Clone builds an independent replica with its own interpreter arena and the
-// given monitor (see Classifier.Clone).
-func (s *Segmenter) Clone(mon *core.Monitor) (*Segmenter, error) {
-	opts := s.opts
-	opts.Monitor = mon
-	return NewSegmenter(s.model, opts)
+	return &Segmenter{frame: f, preproc: pp}, nil
 }
 
 // Segment returns the per-pixel argmax label map.
 func (s *Segmenter) Segment(im *imaging.Image) ([]int32, error) {
-	mon := s.opts.Monitor
-	if mon != nil {
-		mon.NextFrame()
-	}
-	in := PreprocessImage(im, s.model.Meta, s.preproc)
-	if mon != nil {
-		mon.LogTensor(core.KeyPreprocessOutput, in)
-		mon.OnInferenceStart()
-	}
-	out, err := s.ip.Run(in)
-	if err != nil {
+	s.begin()
+	if err := s.invoke(PreprocessImage(im, s.model.Meta, s.preproc)); err != nil {
 		return nil, err
 	}
-	if mon != nil {
-		mon.OnInferenceStop(s.ip)
+	out, err := s.ip.Output(0)
+	if err != nil {
+		return nil, err
 	}
 	// out is [1, h, w, C]: argmax over the class axis.
 	h, w, c := out.Shape[1], out.Shape[2], out.Shape[3]
@@ -264,88 +267,51 @@ func (s *Segmenter) Segment(im *imaging.Image) ([]int32, error) {
 
 // SpeechRecognizer is an instrumented keyword-spotting pipeline.
 type SpeechRecognizer struct {
-	model   *graph.Model
-	ip      *interp.Interpreter
+	frame
 	preproc SpeechPreproc
-	opts    Options
 }
 
 // NewSpeechRecognizer builds a speech pipeline.
 func NewSpeechRecognizer(m *graph.Model, opts Options) (*SpeechRecognizer, error) {
-	if m.Meta.Task != "speech" {
-		return nil, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
+	f, err := newFrame(m, "speech", opts)
+	if err != nil {
+		return nil, err
 	}
 	pp, err := CorrectSpeechPreproc(m.Meta)
 	if err != nil {
 		return nil, err
 	}
-	s := &SpeechRecognizer{model: m, preproc: pp.WithBug(opts.Bug), opts: opts}
-	s.ip, err = newInterp(m, &opts)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Clone builds an independent replica with its own interpreter arena and the
-// given monitor (see Classifier.Clone).
-func (s *SpeechRecognizer) Clone(mon *core.Monitor) (*SpeechRecognizer, error) {
-	opts := s.opts
-	opts.Monitor = mon
-	return NewSpeechRecognizer(s.model, opts)
+	return &SpeechRecognizer{frame: f, preproc: pp.WithBug(opts.Bug)}, nil
 }
 
 // Recognize classifies one waveform.
 func (s *SpeechRecognizer) Recognize(wave []float64) (int, *tensor.Tensor, error) {
-	mon := s.opts.Monitor
-	if mon != nil {
-		mon.NextFrame()
-	}
+	s.begin()
 	in, err := PreprocessSpeech(wave, s.preproc)
 	if err != nil {
 		return 0, nil, err
 	}
-	if mon != nil {
-		mon.LogTensor(core.KeyPreprocessOutput, in)
-		mon.OnInferenceStart()
-	}
-	out, err := s.ip.Run(in)
-	if err != nil {
-		return 0, nil, err
-	}
-	if mon != nil {
-		mon.OnInferenceStop(s.ip)
-	}
-	return out.ArgMax(), out, nil
+	return s.classify(in)
 }
 
 // TextClassifier is an instrumented sentiment pipeline.
 type TextClassifier struct {
-	model *graph.Model
-	ip    *interp.Interpreter
-	opts  Options
+	frame
 	// tokenize maps raw text to ids; the BugLowercase variant folds case
-	// first (the §A experiment). origTok keeps the unwrapped tokenizer so
-	// Clone can rebuild without stacking the bug twice.
+	// first (the §A experiment).
 	tokenize func(string) []int32
-	origTok  func(string) []int32
 }
 
 // NewTextClassifier builds a text pipeline. tokenizer maps text to fixed-
 // length token ids (datasets.TokenizeText for the synthetic vocab).
 func NewTextClassifier(m *graph.Model, tokenizer func(string) []int32, opts Options) (*TextClassifier, error) {
-	if m.Meta.Task != "text" {
-		return nil, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
-	}
-	t := &TextClassifier{model: m, opts: opts, tokenize: tokenizer, origTok: tokenizer}
-	if opts.Bug == BugLowercase {
-		inner := tokenizer
-		t.tokenize = func(s string) []int32 { return inner(lowercase(s)) }
-	}
-	var err error
-	t.ip, err = newInterp(m, &opts)
+	f, err := newFrame(m, "text", opts)
 	if err != nil {
 		return nil, err
+	}
+	t := &TextClassifier{frame: f, tokenize: tokenizer}
+	if opts.Bug == BugLowercase {
+		t.tokenize = func(s string) []int32 { return tokenizer(lowercase(s)) }
 	}
 	return t, nil
 }
@@ -360,32 +326,9 @@ func lowercase(s string) string {
 	return string(b)
 }
 
-// Clone builds an independent replica with its own interpreter arena and the
-// given monitor (see Classifier.Clone).
-func (t *TextClassifier) Clone(mon *core.Monitor) (*TextClassifier, error) {
-	opts := t.opts
-	opts.Monitor = mon
-	return NewTextClassifier(t.model, t.origTok, opts)
-}
-
 // ClassifyText runs one review through the pipeline.
 func (t *TextClassifier) ClassifyText(text string) (int, *tensor.Tensor, error) {
-	mon := t.opts.Monitor
-	if mon != nil {
-		mon.NextFrame()
-	}
+	t.begin()
 	ids := t.tokenize(text)
-	in := tensor.FromInt32(ids, 1, len(ids))
-	if mon != nil {
-		mon.LogTensor(core.KeyPreprocessOutput, in)
-		mon.OnInferenceStart()
-	}
-	out, err := t.ip.Run(in)
-	if err != nil {
-		return 0, nil, err
-	}
-	if mon != nil {
-		mon.OnInferenceStop(t.ip)
-	}
-	return out.ArgMax(), out, nil
+	return t.classify(tensor.FromInt32(ids, 1, len(ids)))
 }

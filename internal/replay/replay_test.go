@@ -2,6 +2,8 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"mlexray/internal/core"
@@ -57,8 +59,7 @@ func sequentialLog(t testing.TB, m *graph.Model, bug pipeline.Bug, resolver *ops
 	return mon.Log()
 }
 
-// batchedLog replays the standard samples through the batched inference path
-// (pipeline.BatchClassifier on runner.ReplayBatched).
+// batchedLog replays the standard samples through Classification.
 func batchedLog(t testing.TB, m *graph.Model, bug pipeline.Bug, resolver *ops.Resolver, workers, batch int, dev *device.Profile) *core.Log {
 	t.Helper()
 	l, err := Classification(m,
@@ -91,10 +92,236 @@ func logBytes(t testing.TB, l *core.Log) []byte {
 	return buf.Bytes()
 }
 
-// TestBatchedReplayMatchesSequential is the batched determinism contract:
-// for every (batch, workers) combination — including partial final batches
-// and batches larger than the dataset — the merged log is byte-identical to
-// a sequential single-pipeline replay after wall-clock normalization.
+// taskCase is one row of the determinism table: a task's replay binding and
+// an independent oracle for it, written against the plain pipeline API.
+type taskCase struct {
+	name, model string
+	// oracle builds one pipeline and returns its per-frame body: replay
+	// dataset frame i, return a printout of the result.
+	oracle func(m *graph.Model, o pipeline.Options) (func(i int) (string, error), error)
+	// single and fleet replay the same frames through the binding; single
+	// stores each frame's printed onFrame result in results.
+	single func(m *graph.Model, o pipeline.Options, ropts runner.Options, results []string) (*core.Log, error)
+	fleet  func(m *graph.Model, o pipeline.Options, f *runner.Fleet) (*runner.FleetResult, error)
+}
+
+// bound fills a taskCase's replay side from the task's binding.
+func bound[R any](tc taskCase, b func(m *graph.Model) binding[R], print func(R) string) taskCase {
+	tc.single = func(m *graph.Model, o pipeline.Options, ropts runner.Options, results []string) (*core.Log, error) {
+		return run(b(m), o, ropts, func(i int, r R) error {
+			results[i] = print(r)
+			return nil
+		})
+	}
+	tc.fleet = func(m *graph.Model, o pipeline.Options, f *runner.Fleet) (*runner.FleetResult, error) {
+		return runFleet(b(m), o, f, nil)
+	}
+	return tc
+}
+
+const tableFrames = 14 // at batch 4: three full ranges and a short tail
+
+func printClassified(r ClassifyResult) string { return fmt.Sprint(r.Pred, r.Modeled) }
+
+func taskCases() []taskCase {
+	images := Images(datasets.SynthImageNet(5555, tableFrames))
+	coco := datasets.SynthCOCO(6666, tableFrames)
+	cocoImages := make([]*imaging.Image, len(coco))
+	for i := range coco {
+		cocoImages[i] = coco[i].Image
+	}
+	segs := datasets.SynthSegmentation(8888, tableFrames)
+	waves := datasets.SynthSpeech(7777, tableFrames)
+	reviews := datasets.SynthIMDB(9999, tableFrames)
+	printDetected := func(r DetectResult) string { return fmt.Sprint(r.Scores.F, r.Boxes.F) }
+	printLabels := func(labels []int32) string { return fmt.Sprint(labels) }
+	return []taskCase{
+		bound(taskCase{name: "classification", model: "mobilenetv2-mini",
+			oracle: func(m *graph.Model, o pipeline.Options) (func(int) (string, error), error) {
+				cl, err := pipeline.NewClassifier(m, o)
+				if err != nil {
+					return nil, err
+				}
+				return func(i int) (string, error) {
+					pred, _, err := cl.Classify(images[i])
+					return printClassified(ClassifyResult{Pred: pred, Modeled: cl.Interpreter().LastInvokeStats().Modeled}), err
+				}, nil
+			}}, func(m *graph.Model) binding[ClassifyResult] { return classification(m, images) }, printClassified),
+		bound(taskCase{name: "detection", model: "ssd-mini",
+			oracle: func(m *graph.Model, o pipeline.Options) (func(int) (string, error), error) {
+				det, err := pipeline.NewDetector(m, o)
+				if err != nil {
+					return nil, err
+				}
+				return func(i int) (string, error) {
+					scores, boxes, err := det.Detect(cocoImages[i])
+					if err != nil {
+						return "", err
+					}
+					return printDetected(DetectResult{Scores: scores, Boxes: boxes}), nil
+				}, nil
+			}}, func(m *graph.Model) binding[DetectResult] { return detection(m, cocoImages) }, printDetected),
+		bound(taskCase{name: "segmentation", model: "deeplab-mini",
+			oracle: func(m *graph.Model, o pipeline.Options) (func(int) (string, error), error) {
+				sg, err := pipeline.NewSegmenter(m, o)
+				if err != nil {
+					return nil, err
+				}
+				return func(i int) (string, error) {
+					labels, err := sg.Segment(segs[i].Image)
+					return printLabels(labels), err
+				}, nil
+			}}, func(m *graph.Model) binding[[]int32] { return segmentation(m, segs) }, printLabels),
+		bound(taskCase{name: "speech", model: "kws-mini-a",
+			oracle: func(m *graph.Model, o pipeline.Options) (func(int) (string, error), error) {
+				sr, err := pipeline.NewSpeechRecognizer(m, o)
+				if err != nil {
+					return nil, err
+				}
+				return func(i int) (string, error) {
+					pred, _, err := sr.Recognize(waves[i].Wave)
+					return printClassified(ClassifyResult{Pred: pred, Modeled: sr.Interpreter().LastInvokeStats().Modeled}), err
+				}, nil
+			}}, func(m *graph.Model) binding[ClassifyResult] { return speech(m, waves) }, printClassified),
+		bound(taskCase{name: "text", model: "nnlm-mini",
+			oracle: func(m *graph.Model, o pipeline.Options) (func(int) (string, error), error) {
+				tc, err := pipeline.NewTextClassifier(m, datasets.TokenizeText, o)
+				if err != nil {
+					return nil, err
+				}
+				return func(i int) (string, error) {
+					pred, _, err := tc.ClassifyText(reviews[i].Text)
+					return printClassified(ClassifyResult{Pred: pred, Modeled: tc.Interpreter().LastInvokeStats().Modeled}), err
+				}, nil
+			}}, func(m *graph.Model) binding[ClassifyResult] { return text(m, reviews) }, printClassified),
+	}
+}
+
+// firstDiff names the first record at which two logs differ, wall-clock
+// latency values masked; "" when they are equal record for record.
+func firstDiff(got, want *core.Log) string {
+	normalizeWallClock(got)
+	normalizeWallClock(want)
+	for i := 0; i < len(got.Records) && i < len(want.Records); i++ {
+		if g, w := got.Records[i], want.Records[i]; !reflect.DeepEqual(g, w) {
+			return fmt.Sprintf("record %d: got %q (frame %d, seq %d), want %q (frame %d, seq %d)",
+				i, g.Key, g.Frame, g.Seq, w.Key, w.Frame, w.Seq)
+		}
+	}
+	if len(got.Records) != len(want.Records) {
+		return fmt.Sprintf("%d records, want %d", len(got.Records), len(want.Records))
+	}
+	return ""
+}
+
+// TestReplayDeterminism is the determinism contract of every replay
+// binding, in one table: each task × {frame at a time, batch 4 — the batched
+// replica where the task has one, dispatch batching where it does not} ×
+// {single device, three-device round-robin fleet of unlike profiles} ×
+// workers {1, 3}. The merged log must equal, record for record (wall-clock
+// values masked), the log of one monitor shared by plain pipelines run
+// sequentially — each frame through the pipeline of the device the shard
+// policy gave it — and onFrame must report the results those pipelines
+// returned. Every replay also streams through JSONL sinks, which must
+// receive exactly the in-memory shard logs: with one worker the collector
+// encodes, with three the workers pre-encode, and `go test -cpu 1,4` runs
+// both on one core and on several.
+func TestReplayDeterminism(t *testing.T) {
+	profiles := []*device.Profile{device.Pixel4(), device.Pixel3(), device.EmulatorX86()}
+	for _, tc := range taskCases() {
+		entry, err := zoo.Get(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range []int{1, 4} {
+			for _, fleet := range []bool{false, true} {
+				for _, workers := range []int{1, 3} {
+					name := fmt.Sprintf("%s/batch=%d/fleet=%v/workers=%d", tc.name, batch, fleet, workers)
+					t.Run(name, func(t *testing.T) {
+						popts := pipeline.Options{Resolver: ops.NewOptimized(ops.Fixed())}
+						devs := profiles
+						if !fleet {
+							devs = profiles[:1]
+						}
+						sinks := make([]*core.JSONLSink, len(devs))
+						streamed := make([]bytes.Buffer, len(devs))
+						for d := range sinks {
+							sinks[d] = core.NewJSONLSink(&streamed[d])
+						}
+						owner := make([]int, tableFrames) // frame -> device index
+						results := make([]string, tableFrames)
+						var got *core.Log
+						var shards []*core.Log
+						if fleet {
+							f := &runner.Fleet{Policy: runner.RoundRobin{}, MonitorOptions: monOpts}
+							for d, p := range devs {
+								f.Devices = append(f.Devices, runner.DeviceSpec{Profile: p, Workers: workers, BatchFrames: batch, Sink: sinks[d]})
+							}
+							res, err := tc.fleet(entry.Mobile, popts, f)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, shards = res.Merged, res.DeviceLogs
+							for d, ranges := range res.Assignment {
+								for _, r := range ranges {
+									for g := r.Start; g < r.End; g++ {
+										owner[g] = d
+									}
+								}
+							}
+						} else {
+							popts.Device = devs[0]
+							got, err = tc.single(entry.Mobile, popts, runner.Options{
+								Workers: workers, BatchFrames: batch, MonitorOptions: monOpts, Sink: sinks[0]}, results)
+							if err != nil {
+								t.Fatal(err)
+							}
+							shards = []*core.Log{got}
+						}
+						for d, sink := range sinks {
+							if err := sink.Flush(); err != nil {
+								t.Fatal(err)
+							}
+							if !bytes.Equal(streamed[d].Bytes(), logBytes(t, shards[d])) {
+								t.Errorf("device %d: streamed JSONL differs from its in-memory shard log", d)
+							}
+						}
+
+						mon := core.NewMonitor(monOpts...)
+						oracles := make([]func(int) (string, error), len(devs))
+						for d, p := range devs {
+							o := popts
+							o.Monitor, o.Device = mon, p
+							if oracles[d], err = tc.oracle(entry.Mobile, o); err != nil {
+								t.Fatal(err)
+							}
+						}
+						for g := 0; g < tableFrames; g++ {
+							want, err := oracles[owner[g]](g)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !fleet && results[g] != want {
+								t.Errorf("frame %d: onFrame reported %.60s, sequential pipeline %.60s", g, results[g], want)
+							}
+						}
+						if len(got.Records) == 0 {
+							t.Fatal("merged log empty")
+						}
+						if d := firstDiff(got, mon.Log()); d != "" {
+							t.Errorf("merged log differs from sequential: %s", d)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestBatchedReplayMatchesSequential sweeps the batch sizes the table in
+// TestReplayDeterminism does not: a batch of 2 (only full batches) and a
+// batch larger than the dataset (one short batch, every other lane padded),
+// next to batch 1.
 func TestBatchedReplayMatchesSequential(t *testing.T) {
 	m := testModel(t, false)
 	seq := sequentialLog(t, m, pipeline.BugNone, ops.NewReference(ops.Fixed()), nil)
@@ -182,81 +409,6 @@ func TestBatchedReplayWithBugMatchesSequential(t *testing.T) {
 	if got := logBytes(t, par); !bytes.Equal(got, want) {
 		t.Error("bugged batched replay differs from sequential")
 	}
-}
-
-// TestBatchedDetectionMatchesSequential is the detection twin of the
-// batched determinism contract: batched detector replays — two-output head
-// decoded per element through interp.Batch.OutputAt — merge byte-identical
-// to sequential frame-at-a-time detection, and report identical raw
-// scores/boxes per frame.
-func TestBatchedDetectionMatchesSequential(t *testing.T) {
-	entry, err := zoo.Get("ssd-mini")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := entry.Mobile
-	samples := datasets.SynthCOCO(6666, testFrames)
-	images := make([]*imaging.Image, len(samples))
-	for i := range samples {
-		images[i] = samples[i].Image
-	}
-
-	// Sequential ground truth: one detector, one monitor, frames in order.
-	mon := core.NewMonitor(monOpts...)
-	det, err := pipeline.NewDetector(m, pipeline.Options{Resolver: ops.NewOptimized(ops.Fixed()), Monitor: mon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type pair struct{ scores, boxes []float32 }
-	want := make([]pair, len(images))
-	for i, im := range images {
-		s, b, err := det.Detect(im)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = pair{scores: s.F, boxes: b.F}
-	}
-	seq := mon.Log()
-	normalizeWallClock(seq)
-	wantLog := logBytes(t, seq)
-	if len(wantLog) == 0 {
-		t.Fatal("sequential detection log empty")
-	}
-
-	for _, batch := range []int{2, 4, 8} {
-		got := make([]pair, len(images))
-		l, err := Detection(m, pipeline.Options{Resolver: ops.NewOptimized(ops.Fixed())}, images,
-			runner.Options{Workers: 2, BatchFrames: batch, MonitorOptions: monOpts},
-			func(i int, r DetectResult) error {
-				got[i] = pair{scores: r.Scores.F, boxes: r.Boxes.F}
-				return nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		normalizeWallClock(l)
-		if gotLog := logBytes(t, l); !bytes.Equal(gotLog, wantLog) {
-			t.Errorf("batch=%d: batched detection log differs from sequential (%d vs %d bytes)",
-				batch, len(gotLog), len(wantLog))
-		}
-		for i := range want {
-			if !floatsEqual(got[i].scores, want[i].scores) || !floatsEqual(got[i].boxes, want[i].boxes) {
-				t.Errorf("batch=%d frame %d: batched scores/boxes differ from sequential", batch, i)
-			}
-		}
-	}
-}
-
-func floatsEqual(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestClassificationUninstrumented pins the accuracy-eval contract: nil

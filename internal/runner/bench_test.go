@@ -63,15 +63,15 @@ func BenchmarkReplayParallel(b *testing.B) {
 	b.ReportMetric(float64(benchFrames), "frames/op")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l, err := Replay(len(samples), func(mon *core.Monitor) (ProcessFunc, error) {
+		l, err := ReplayBatched(len(samples), func(mon *core.Monitor) (ProcessBatchFunc, error) {
 			cl, err := base.Clone(mon)
 			if err != nil {
 				return nil, err
 			}
-			return func(j int) error {
+			return PerFrame(mon, func(j int) error {
 				_, _, err := cl.Classify(samples[j].Image)
 				return err
-			}, nil
+			}), nil
 		}, Options{Workers: workers, MonitorOptions: monOpts})
 		if err != nil {
 			b.Fatal(err)

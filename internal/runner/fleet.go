@@ -33,9 +33,6 @@ type Fleet struct {
 	// Options.MonitorOptions, all shards must be configured identically;
 	// nil replays uninstrumented.
 	MonitorOptions []core.MonitorOption
-	// MaxPending caps each device's reorder window (see
-	// Options.MaxPending); <= 0 derives the default per device.
-	MaxPending int
 	// DiscardLogs suppresses the in-memory per-device and merged logs.
 	// Requires every device to carry a Sink, or telemetry would be lost.
 	DiscardLogs bool
@@ -275,13 +272,10 @@ func checkAssignment(frames int, devices int, asn [][]Range) error {
 	return nil
 }
 
-// FleetWorkerFactory builds one worker for device dev (index into
-// Fleet.Devices): the same contract as WorkerFactory, plus the device spec
-// so the factory can attach the device's latency profile (or a per-device
-// configuration under test) to its pipeline replica.
-type FleetWorkerFactory func(dev int, spec DeviceSpec, mon *core.Monitor) (ProcessFunc, error)
-
-// FleetBatchWorkerFactory builds one batch-aware worker for device dev.
+// FleetBatchWorkerFactory builds one worker for device dev (index into
+// Fleet.Devices): the same contract as BatchWorkerFactory, plus the device
+// spec so the factory can attach the device's latency profile (or a
+// per-device configuration under test) to its pipeline replica.
 type FleetBatchWorkerFactory func(dev int, spec DeviceSpec, mon *core.Monitor) (ProcessBatchFunc, error)
 
 // FleetResult is one fleet replay's output.
@@ -308,30 +302,15 @@ func (r *FleetResult) Frames(d int) int {
 	return n
 }
 
-// Replay shards frames 0..frames-1 across the fleet's devices and runs
-// every device's shard concurrently through the per-device replay core,
-// frame at a time. See ReplayBatched for the batched variant and the
-// determinism contract.
-func (f *Fleet) Replay(frames int, factory FleetWorkerFactory) (*FleetResult, error) {
-	var bf FleetBatchWorkerFactory
-	if factory != nil {
-		bf = func(dev int, spec DeviceSpec, mon *core.Monitor) (ProcessBatchFunc, error) {
-			process, err := factory(dev, spec, mon)
-			if err != nil {
-				return nil, err
-			}
-			return PerFrame(mon, process), nil
-		}
-	}
-	return f.ReplayBatched(frames, bf)
-}
-
-// ReplayBatched shards frames 0..frames-1 across the fleet's devices; each
-// device's workers process its shard in BatchFrames-sized dispatches (one
-// batched interpreter invoke each, with a batch-aware worker). Per-device
-// shard logs stream to the device sinks as frames merge in order;
+// ReplayBatched shards frames 0..frames-1 across the fleet's devices and
+// runs every device's shard concurrently through the per-device replay core,
+// each device's workers taking its shard in BatchFrames-sized ranges.
+// Per-device shard logs stream to the device sinks as frames merge in order;
 // FleetResult.Merged is the fleet-wide sequential-order log.
 func (f *Fleet) ReplayBatched(frames int, factory FleetBatchWorkerFactory) (*FleetResult, error) {
+	if factory == nil {
+		return nil, errNilFactory
+	}
 	if len(f.Devices) == 0 {
 		return nil, fmt.Errorf("runner: fleet has no devices")
 	}
@@ -371,7 +350,6 @@ func (f *Fleet) ReplayBatched(frames int, factory FleetBatchWorkerFactory) (*Fle
 			opts := Options{
 				Workers:        spec.workers(),
 				BatchFrames:    spec.BatchFrames,
-				MaxPending:     f.MaxPending,
 				MonitorOptions: f.MonitorOptions,
 				Sink:           spec.Sink,
 				DiscardLog:     f.DiscardLogs,

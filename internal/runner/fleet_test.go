@@ -230,25 +230,31 @@ func TestShardPolicies(t *testing.T) {
 }
 
 // TestFleetErrors covers the loud-failure paths: empty fleet, negative
-// frames, DiscardLogs without sinks, and a policy that loses frames.
+// frames, DiscardLogs without sinks, a policy that loses frames, and a nil
+// worker factory.
 func TestFleetErrors(t *testing.T) {
-	noop := func(dev int, spec DeviceSpec, mon *core.Monitor) (ProcessFunc, error) {
-		return func(int) error { return nil }, nil
+	noop := func(dev int, spec DeviceSpec, mon *core.Monitor) (ProcessBatchFunc, error) {
+		return func(int, int) error { return nil }, nil
 	}
-	if _, err := (&Fleet{}).Replay(4, noop); err == nil || !strings.Contains(err.Error(), "no devices") {
+	if _, err := (&Fleet{}).ReplayBatched(4, noop); err == nil || !strings.Contains(err.Error(), "no devices") {
 		t.Errorf("empty fleet: %v", err)
 	}
 	fleet := &Fleet{Devices: []DeviceSpec{{Profile: device.Pixel4()}}}
-	if _, err := fleet.Replay(-1, noop); err == nil || !strings.Contains(err.Error(), "negative") {
+	if _, err := fleet.ReplayBatched(-1, noop); err == nil || !strings.Contains(err.Error(), "negative") {
 		t.Errorf("negative frames: %v", err)
 	}
 	bad := &Fleet{Devices: []DeviceSpec{{Profile: device.Pixel4()}}, Policy: dropPolicy{}}
-	if _, err := bad.Replay(4, noop); err == nil || !strings.Contains(err.Error(), "covered") {
+	if _, err := bad.ReplayBatched(4, noop); err == nil || !strings.Contains(err.Error(), "covered") {
 		t.Errorf("lossy policy: %v", err)
 	}
 	discard := &Fleet{Devices: []DeviceSpec{{Profile: device.Pixel4()}}, DiscardLogs: true}
-	if _, err := discard.Replay(4, noop); err == nil || !strings.Contains(err.Error(), "Sink") {
+	if _, err := discard.ReplayBatched(4, noop); err == nil || !strings.Contains(err.Error(), "Sink") {
 		t.Errorf("DiscardLogs without sink: %v", err)
+	}
+	// A nil factory used to panic inside a device goroutine, killing the
+	// process; it is refused before any device starts.
+	if _, err := fleet.ReplayBatched(4, nil); err == nil || err.Error() != "runner: nil worker factory" {
+		t.Errorf("nil factory: %v", err)
 	}
 }
 

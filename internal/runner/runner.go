@@ -1,51 +1,49 @@
-// Package runner is the parallel replay engine: it shards a dataset replay
-// across a pool of workers, each owning its own pipeline replica (its own
-// interpreter arena) and its own core.Monitor shard, and merges the shard
-// telemetry deterministically by frame index. The merged log is record-for-
-// record identical to what a sequential replay would have produced (modulo
-// wall-clock latency values, which no two runs share), so CompareLayers and
-// the deployment validator see exactly the sequential result — replay is
-// embarrassingly parallel across frames and this engine exploits that
-// without giving up reproducibility.
-//
-// The flow:
+// Package runner is the parallel replay engine. It has one worker contract:
+// a range function func(start, end int) error (ProcessBatchFunc) that replays
+// the dataset frames [start, end) through a worker-local pipeline replica and
+// logs them, one frame tag per frame in frame order, to that worker's
+// core.Monitor shard. One factory type (BatchWorkerFactory) builds a worker
+// around its shard, and one entry point (ReplayBatched) runs a pool of them
+// and merges the shard telemetry by frame index. The merged log is record-
+// for-record identical to what a sequential replay would have produced
+// (modulo wall-clock latency values, which no two runs share), so
+// CompareLayers and the deployment validator see exactly the sequential
+// result — replay is embarrassingly parallel across frames and this engine
+// exploits that without giving up reproducibility.
 //
 //	frames ─► dispatcher ─► worker 0 (pipeline replica + monitor shard) ─┐
 //	   ▲                ├─► worker 1 (pipeline replica + monitor shard) ─┤─► in-order
-//	   │                └─► worker N (pipeline replica + monitor shard) ─┘    collector ─► Log / JSONL sink
-//	   └──────────────── reorder-window credits (MaxPending) ◄───────────────────┘
+//	   │                └─► worker N (pipeline replica + monitor shard) ─┘    collector ─► Log / sink
+//	   └──────────────── reorder-window credits (4 × workers × batch) ◄──────────┘
 //
-// Two axes of batching compose with the worker pool:
-//
-//   - Dispatch batching (Options.BatchFrames): the dispatcher hands each
-//     worker a contiguous [start,end) frame range instead of single frames,
-//     amortizing the channel round-trip, shard positioning and drain across
-//     the range.
-//   - Execution batching (ReplayBatched + a batch-aware worker, e.g.
-//     pipeline.BatchClassifier): the worker runs the whole range through one
-//     batched interpreter invoke, amortizing per-node dispatch across B
-//     frames. Per-frame record groups still come out identical to a
-//     sequential run — the batched interpreter replays per-frame hook events
-//     from sliced output views.
+// Options.BatchFrames sets the range length the dispatcher hands out (1 by
+// default: every range is one frame). What a worker does with a range is its
+// own business: a per-frame body wrapped in PerFrame runs it frame by frame
+// and only the dispatch round-trip is amortized; a batched replica (e.g.
+// pipeline.BatchClassifier) runs it through one batched interpreter invoke.
+// Either way the collector splits the range's drained records back into
+// per-frame groups, so the merged log does not depend on the range length.
 //
 // Workers drain their monitor shard after every range, so shard buffers stay
-// one range deep; with a FrameSink attached (and KeepLog false) the collector
-// streams frames to disk as soon as they are in order. When the sink supports
-// pre-encoding (core.FramePreEncoder — the JSONL sink does), workers also
-// pre-marshal their frames' record lines, so the serial collector only patches
-// sequence numbers and concatenates — full-capture JSONL encoding scales with
-// the worker count instead of bottlenecking on the collector. The reorder
-// window is bounded: at most Options.MaxPending frames may be dispatched and
-// not yet flushed, so a single slow frame throttles dispatch instead of
-// growing the window without limit — streaming million-frame replays hold
-// flat memory.
+// one range deep; with a sink attached (and DiscardLog set) the collector
+// streams frames out as soon as they are in order. When the sink supports
+// pre-encoding (core.FramePreEncoder — the JSONL sink does) and there is more
+// than one worker, workers also pre-marshal their frames' record lines, so
+// the serial collector only patches sequence numbers and concatenates. The
+// reorder window is bounded: at most 4 × workers × batch frames may be
+// dispatched and not yet flushed, so a single slow frame throttles dispatch
+// instead of growing the window without limit — streaming million-frame
+// replays hold flat memory.
 //
-// A third tier sits on top: the fleet scheduler (fleet.go) shards one frame
-// range across several simulated devices, each running its shard through this
-// same engine with its own worker pool and per-device shard log.
+// The fleet scheduler (fleet.go) is the same contract one tier up: one
+// factory type (FleetBatchWorkerFactory, the worker contract plus the device
+// it is built for) behind one entry point (Fleet.ReplayBatched), which shards
+// the frame range across simulated devices and runs each device's shard
+// through this engine with its own worker pool and per-device shard log.
 package runner
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -53,40 +51,26 @@ import (
 	"mlexray/internal/core"
 )
 
-// ProcessFunc replays one dataset frame (0-based index) through the
+// ProcessBatchFunc is the engine's one worker contract: it replays the
+// contiguous frame range [start, end) (0-based dataset indices) through a
 // worker-local pipeline replica. The monitor shard handed to the factory is
-// already positioned so the pipeline's NextFrame call tags records with the
-// global frame number; a ProcessFunc that logs records MUST advance the
-// frame exactly once via Monitor.NextFrame before logging (every pipeline
-// type does this on entry) — the collector groups records by their frame
-// tag and rejects records tagged outside the dispatched range.
-type ProcessFunc func(frame int) error
-
-// WorkerFactory builds one worker's state: given that worker's monitor
-// shard, it returns the function that processes a frame on that worker.
-// Factories run sequentially before any worker starts, so they may touch
-// shared caches (zoo, resolvers) without synchronisation; the returned
-// ProcessFuncs run concurrently and must only share read-only state.
-type WorkerFactory func(mon *core.Monitor) (ProcessFunc, error)
-
-// ProcessBatchFunc replays the contiguous frame range [start, end) through a
-// worker-local (typically batched) pipeline replica. The monitor shard is
-// positioned at start before the call; the function must advance the shard's
-// frame counter exactly once per frame, in frame order, so every record
-// lands in its frame's group.
+// positioned at start before the call, so the replica's first NextFrame tags
+// records with global frame number start+1; the function must advance the
+// shard's frame counter exactly once per frame, in frame order (every
+// pipeline type does this on entry) — the collector groups records by their
+// frame tag and rejects records tagged outside the dispatched range or out
+// of frame order.
 type ProcessBatchFunc func(start, end int) error
 
-// BatchWorkerFactory builds one batch-aware worker. Same sequencing
-// guarantees as WorkerFactory.
+// BatchWorkerFactory builds one worker's state: given that worker's monitor
+// shard, it returns the function that replays a frame range on that worker.
+// Factories run sequentially before any worker starts, so they may touch
+// shared caches (zoo, resolvers) without synchronisation; the returned
+// functions run concurrently and must only share read-only state.
 type BatchWorkerFactory func(mon *core.Monitor) (ProcessBatchFunc, error)
 
-// FrameSink receives frames strictly in increasing frame order, with record
-// sequence numbers already globally renumbered. It is the core.Sink
-// interface: core.JSONLSink streams JSONL logs to disk and core.BinarySink
-// streams the length-prefixed binary format (core.NewLogSink picks by
-// core.LogFormat). The replay engine never calls Flush — the sink's
-// lifecycle stays with the caller.
-type FrameSink = core.Sink
+// errNilFactory is returned by both entry points before any worker is built.
+var errNilFactory = errors.New("runner: nil worker factory")
 
 // Range is a half-open interval of dataset frames [Start, End). Shard
 // policies express device assignments as ordered, disjoint range lists.
@@ -104,12 +88,6 @@ type Options struct {
 	// per dispatch; <= 1 dispatches frame at a time. The merged output is
 	// identical for every batch size.
 	BatchFrames int
-	// MaxPending caps the reorder window: the maximum number of frames
-	// dispatched but not yet flushed in order. When one slow frame holds
-	// back the flush, dispatch blocks instead of buffering without bound.
-	// <= 0 defaults to 4 × workers × batch; values below one batch are
-	// raised to one batch so a batch can always be in flight.
-	MaxPending int
 	// MonitorOptions configure each worker's monitor shard (capture mode,
 	// per-layer logging). All shards must be configured identically or the
 	// merged log would depend on which worker processed which frame.
@@ -117,10 +95,11 @@ type Options struct {
 	// Sink, when set, receives frames in order as soon as they are
 	// contiguous — the streaming path for replays too large to hold in
 	// memory. Sinks implementing core.FramePreEncoder (the JSONL sink)
-	// additionally move record marshaling onto the worker goroutines.
-	Sink FrameSink
-	// DiscardLog suppresses the in-memory merged log (Replay returns an
-	// empty log). Only meaningful with a Sink; without one the records
+	// additionally move record marshaling onto the worker goroutines. The
+	// engine never calls Flush — the sink's lifecycle stays with the caller.
+	Sink core.Sink
+	// DiscardLog suppresses the in-memory merged log (ReplayBatched returns
+	// an empty log). Only meaningful with a Sink; without one the records
 	// would be lost.
 	DiscardLog bool
 }
@@ -131,10 +110,7 @@ func (o *Options) workers(frames int) int {
 		w = runtime.GOMAXPROCS(0)
 	}
 	if b := o.batch(); frames > 0 && w > (frames+b-1)/b {
-		w = (frames + b - 1) / b
-	}
-	if w < 1 {
-		w = 1
+		w = (frames + b - 1) / b // at least 1: no more workers than ranges
 	}
 	return w
 }
@@ -144,20 +120,6 @@ func (o *Options) batch() int {
 		return 1
 	}
 	return o.BatchFrames
-}
-
-func (o *Options) maxPending(workers int) int {
-	b := o.batch()
-	mp := o.MaxPending
-	if mp <= 0 {
-		mp = 4 * workers * b
-	}
-	if mp < b {
-		// A full batch must fit in the window or the dispatcher could
-		// never issue one.
-		mp = b
-	}
-	return mp
 }
 
 // frameResult is one completed frame's telemetry en route to the collector.
@@ -174,34 +136,11 @@ type frameResult struct {
 	hasPre bool
 }
 
-// Replay runs frames 0..frames-1 through the worker pool and returns the
-// merged telemetry log (empty when DiscardLog is set). On error the first
-// failure is returned and in-flight workers stop at the next frame boundary.
-//
-// With Options.BatchFrames > 1 the per-frame ProcessFunc still runs once per
-// frame but dispatch overhead is amortized across the range; use
-// ReplayBatched with a batch-aware worker to also batch the tensor compute.
-func Replay(frames int, factory WorkerFactory, opts Options) (*core.Log, error) {
-	var bf BatchWorkerFactory
-	if factory != nil {
-		bf = func(mon *core.Monitor) (ProcessBatchFunc, error) {
-			process, err := factory(mon)
-			if err != nil {
-				return nil, err
-			}
-			return PerFrame(mon, process), nil
-		}
-	}
-	return ReplayBatched(frames, bf, opts)
-}
-
-// PerFrame adapts a per-frame body to the ProcessBatchFunc range contract:
-// each frame is re-positioned individually, because a ProcessFunc only
-// advances the counter once and the range contract wants exact tags even if
-// a frame logs nothing. Replay applies it internally; frame-at-a-time
-// workers inside batch-oriented factories (fleet devices without a batched
-// pipeline) use it directly.
-func PerFrame(mon *core.Monitor, process ProcessFunc) ProcessBatchFunc {
+// PerFrame adapts a per-frame body to the range contract: each frame is
+// re-positioned individually, because a per-frame body only advances the
+// counter once and the range contract wants exact tags even if a frame logs
+// nothing.
+func PerFrame(mon *core.Monitor, process func(frame int) error) ProcessBatchFunc {
 	return func(start, end int) error {
 		for g := start; g < end; g++ {
 			mon.SetNextFrame(g + 1)
@@ -214,12 +153,16 @@ func PerFrame(mon *core.Monitor, process ProcessFunc) ProcessBatchFunc {
 }
 
 // ReplayBatched runs frames 0..frames-1 through the worker pool, handing
-// each worker contiguous [start,end) ranges of Options.BatchFrames frames.
-// The factory's ProcessBatchFunc owns the whole range (typically one batched
-// interpreter invoke); the collector splits each range's drained records
-// back into per-frame groups and merges them exactly as the per-frame
-// engine would.
+// each worker contiguous [start,end) ranges of Options.BatchFrames frames,
+// and returns the merged telemetry log (empty when DiscardLog is set). The
+// collector splits each range's drained records back into per-frame groups,
+// so the merged log is the same for every range length and worker count. On
+// error the first failure is returned and in-flight workers stop at the next
+// range boundary.
 func ReplayBatched(frames int, factory BatchWorkerFactory, opts Options) (*core.Log, error) {
+	if factory == nil {
+		return nil, errNilFactory
+	}
 	if frames < 0 {
 		return nil, fmt.Errorf("runner: negative frame count %d", frames)
 	}
@@ -242,14 +185,14 @@ func checkRanges(ranges []Range) error {
 	return nil
 }
 
-// runShard is the replay core shared by the single-device entry points
-// (Replay/ReplayBatched over one [0,frames) range) and the fleet scheduler
-// (one call per device, over that device's assigned ranges): a worker pool
-// with per-worker monitor shards, a credit-bounded reorder window, and an
-// in-order collector that renumbers sequence numbers across the shard and
-// streams frames to the sink. Ranges must be ordered and disjoint; records
-// keep their global frame tags, so shard logs from different devices merge
-// with core.MergeByFrame into exactly the sequential record order.
+// runShard is the replay core shared by ReplayBatched (one [0,frames) range)
+// and the fleet scheduler (one call per device, over that device's assigned
+// ranges): a worker pool with per-worker monitor shards, a credit-bounded
+// reorder window, and an in-order collector that renumbers sequence numbers
+// across the shard and streams frames to the sink. Ranges must be ordered and
+// disjoint; records keep their global frame tags, so shard logs from
+// different devices merge with core.MergeByFrame into exactly the sequential
+// record order.
 func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.Log, error) {
 	if err := checkRanges(ranges); err != nil {
 		return nil, err
@@ -263,7 +206,9 @@ func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.L
 	}
 	nw := opts.workers(frames)
 	batch := opts.batch()
-	maxPending := opts.maxPending(nw)
+	// The reorder window: at most this many frames dispatched and not yet
+	// flushed in order. nw >= 1, so a full batch always fits.
+	maxPending := 4 * nw * batch
 	// Pre-encoding pays off by overlapping record marshaling across worker
 	// goroutines; with a single worker there is nothing to overlap and the
 	// extra staging buffer would only cost, so the collector encodes.
@@ -448,20 +393,32 @@ func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.L
 	return merged, nil
 }
 
-// splitByFrame groups a drained record range back into per-frame groups.
-// Monitors tag records with 1-based frame numbers; the range [start,end) is
-// 0-based, so frame tag start+1 lands in group 0. A record tagged outside
-// the range means the worker body advanced the frame counter out of
+// splitByFrame groups a drained record range back into per-frame groups,
+// each a sub-slice of recs: a shard logs its range in frame order, so every
+// frame's records are one contiguous run. Monitors tag records with 1-based
+// frame numbers; the range [start,end) is 0-based, so frame tag start+1
+// lands in group 0. A record tagged outside the range, or a tag lower than
+// its predecessor's, means the worker body advanced the frame counter out of
 // contract, which would silently corrupt the merge — fail loudly instead.
 func splitByFrame(start, end int, recs []core.Record) ([][]core.Record, error) {
 	groups := make([][]core.Record, end-start)
-	for _, r := range recs {
-		g := r.Frame - 1 - start
+	for lo := 0; lo < len(recs); {
+		tag := recs[lo].Frame
+		hi := lo + 1
+		for hi < len(recs) && recs[hi].Frame == tag {
+			hi++
+		}
+		g := tag - 1 - start
 		if g < 0 || g >= len(groups) {
 			return nil, fmt.Errorf("runner: record %q tagged frame %d outside dispatched range [%d,%d)",
-				r.Key, r.Frame, start+1, end+1)
+				recs[lo].Key, tag, start+1, end+1)
 		}
-		groups[g] = append(groups[g], r)
+		if hi < len(recs) && recs[hi].Frame < tag {
+			return nil, fmt.Errorf("runner: record %q tagged frame %d after frame %d: shard records out of frame order",
+				recs[hi].Key, recs[hi].Frame, tag)
+		}
+		groups[g] = recs[lo:hi:hi]
+		lo = hi
 	}
 	return groups, nil
 }

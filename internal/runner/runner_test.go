@@ -44,7 +44,7 @@ func sequentialLog(t testing.TB, bug pipeline.Bug, resolver *ops.Resolver) *core
 }
 
 // parallelLog replays the same samples through the worker pool.
-func parallelLog(t testing.TB, bug pipeline.Bug, resolver *ops.Resolver, workers int, sink FrameSink, discard bool) *core.Log {
+func parallelLog(t testing.TB, bug pipeline.Bug, resolver *ops.Resolver, workers int, sink core.Sink, discard bool) *core.Log {
 	t.Helper()
 	entry, err := zoo.Get("mobilenetv2-mini")
 	if err != nil {
@@ -55,15 +55,15 @@ func parallelLog(t testing.TB, bug pipeline.Bug, resolver *ops.Resolver, workers
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Replay(len(samples), func(mon *core.Monitor) (ProcessFunc, error) {
+	l, err := ReplayBatched(len(samples), func(mon *core.Monitor) (ProcessBatchFunc, error) {
 		cl, err := base.Clone(mon)
 		if err != nil {
 			return nil, err
 		}
-		return func(i int) error {
+		return PerFrame(mon, func(i int) error {
 			_, _, err := cl.Classify(samples[i].Image)
 			return err
-		}, nil
+		}), nil
 	}, Options{Workers: workers, MonitorOptions: monOpts, Sink: sink, DiscardLog: discard})
 	if err != nil {
 		t.Fatal(err)
@@ -74,6 +74,14 @@ func parallelLog(t testing.TB, bug pipeline.Bug, resolver *ops.Resolver, workers
 // normalizeWallClock zeroes wall-clock latency values ("ns" unit), the only
 // record content that legitimately differs between two runs — even two
 // sequential ones.
+// perFrame is a worker factory whose workers run body once per frame against
+// their monitor shard.
+func perFrame(body func(mon *core.Monitor, frame int) error) BatchWorkerFactory {
+	return func(mon *core.Monitor) (ProcessBatchFunc, error) {
+		return PerFrame(mon, func(i int) error { return body(mon, i) }), nil
+	}
+}
+
 func normalizeWallClock(l *core.Log) {
 	for i := range l.Records {
 		if l.Records[i].Kind == core.KindMetric && l.Records[i].Unit == "ns" {
@@ -151,34 +159,33 @@ func TestReplayValidatorIdentical(t *testing.T) {
 }
 
 // TestReplayMaxPendingBoundsWindow pins the reorder-window cap: with frame 0
-// stalled, at most MaxPending frames may enter processing before the flush
-// releases credits.
+// stalled, at most 4 × workers × batch frames may enter processing before
+// the flush releases credits.
 func TestReplayMaxPendingBoundsWindow(t *testing.T) {
 	const frames = 60
-	const maxPending = 8
+	const workers = 4
+	const maxPending = 4 * workers * 1
 	var started, flushed atomic.Int64
 	var worst atomic.Int64
 	sink := sinkFunc(func(frame int, recs []core.Record) error {
 		flushed.Add(1)
 		return nil
 	})
-	l, err := Replay(frames, func(mon *core.Monitor) (ProcessFunc, error) {
-		return func(i int) error {
-			inFlight := started.Add(1) - flushed.Load()
-			for {
-				w := worst.Load()
-				if inFlight <= w || worst.CompareAndSwap(w, inFlight) {
-					break
-				}
+	l, err := ReplayBatched(frames, perFrame(func(mon *core.Monitor, i int) error {
+		inFlight := started.Add(1) - flushed.Load()
+		for {
+			w := worst.Load()
+			if inFlight <= w || worst.CompareAndSwap(w, inFlight) {
+				break
 			}
-			if i == 0 {
-				time.Sleep(50 * time.Millisecond) // the straggler everyone else outruns
-			}
-			mon.NextFrame()
-			mon.LogMetric("frame/value", float64(i), "count")
-			return nil
-		}, nil
-	}, Options{Workers: 4, MaxPending: maxPending, Sink: sink})
+		}
+		if i == 0 {
+			time.Sleep(50 * time.Millisecond) // the straggler everyone else outruns
+		}
+		mon.NextFrame()
+		mon.LogMetric("frame/value", float64(i), "count")
+		return nil
+	}), Options{Workers: workers, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,16 +273,14 @@ func TestReplayStreamingSink(t *testing.T) {
 
 func TestReplayErrorStopsPool(t *testing.T) {
 	boom := fmt.Errorf("injected failure")
-	_, err := Replay(64, func(mon *core.Monitor) (ProcessFunc, error) {
-		return func(i int) error {
-			if i == 3 {
-				return boom
-			}
-			mon.NextFrame()
-			mon.LogMetric("test/metric", float64(i), "count")
-			return nil
-		}, nil
-	}, Options{Workers: 4})
+	_, err := ReplayBatched(64, perFrame(func(mon *core.Monitor, i int) error {
+		if i == 3 {
+			return boom
+		}
+		mon.NextFrame()
+		mon.LogMetric("test/metric", float64(i), "count")
+		return nil
+	}), Options{Workers: 4})
 	if err == nil || !strings.Contains(err.Error(), "frame 3") {
 		t.Fatalf("want frame-3 error, got %v", err)
 	}
@@ -283,7 +288,7 @@ func TestReplayErrorStopsPool(t *testing.T) {
 
 func TestReplayFactoryError(t *testing.T) {
 	boom := fmt.Errorf("no pipeline for you")
-	_, err := Replay(4, func(mon *core.Monitor) (ProcessFunc, error) {
+	_, err := ReplayBatched(4, func(mon *core.Monitor) (ProcessBatchFunc, error) {
 		return nil, boom
 	}, Options{Workers: 2})
 	if err == nil || !strings.Contains(err.Error(), "no pipeline") {
@@ -292,17 +297,58 @@ func TestReplayFactoryError(t *testing.T) {
 }
 
 func TestReplayEdgeCases(t *testing.T) {
-	l, err := Replay(0, func(mon *core.Monitor) (ProcessFunc, error) {
-		return func(int) error { return nil }, nil
-	}, Options{Workers: 4})
+	noop := perFrame(func(*core.Monitor, int) error { return nil })
+	l, err := ReplayBatched(0, noop, Options{Workers: 4})
 	if err != nil || len(l.Records) != 0 {
 		t.Fatalf("zero frames: log=%v err=%v", l, err)
 	}
-	if _, err := Replay(-1, nil, Options{}); err == nil {
-		t.Fatal("negative frames should error")
+	if _, err := ReplayBatched(-1, noop, Options{}); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("negative frames: %v", err)
 	}
-	if _, err := Replay(1, nil, Options{DiscardLog: true}); err == nil {
-		t.Fatal("DiscardLog without sink should error")
+	if _, err := ReplayBatched(1, noop, Options{DiscardLog: true}); err == nil || !strings.Contains(err.Error(), "DiscardLog") {
+		t.Fatalf("DiscardLog without sink: %v", err)
+	}
+}
+
+// TestReplayNilFactory: a nil worker factory is a documented error returned
+// before any worker is built, not a nil-pointer panic.
+func TestReplayNilFactory(t *testing.T) {
+	if _, err := ReplayBatched(3, nil, Options{}); err == nil || err.Error() != "runner: nil worker factory" {
+		t.Fatalf("nil factory: %v", err)
+	}
+}
+
+// TestSplitByFrame pins the drained-range split: groups are sub-slices of
+// the drained records (no copy), frames that logged nothing get no group, and
+// both out-of-contract taggings — outside the range, or out of frame order —
+// fail loudly.
+func TestSplitByFrame(t *testing.T) {
+	tagged := func(frames ...int) []core.Record {
+		recs := make([]core.Record, len(frames))
+		for i, f := range frames {
+			recs[i] = core.Record{Key: fmt.Sprintf("r%d", i), Frame: f}
+		}
+		return recs
+	}
+	recs := tagged(5, 5, 7, 7, 7)
+	groups, err := splitByFrame(4, 8, recs) // frame tags 5..8
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 4 || len(groups[0]) != 2 || groups[1] != nil || len(groups[2]) != 3 || groups[3] != nil {
+		t.Fatalf("groups = %v", groups)
+	}
+	if &groups[0][0] != &recs[0] || &groups[2][0] != &recs[2] {
+		t.Error("groups are copies, want sub-slices of the drained records")
+	}
+	if cap(groups[0]) != 2 {
+		t.Errorf("group 0 has cap %d: an append would scribble on the next frame's records", cap(groups[0]))
+	}
+	if _, err := splitByFrame(4, 8, tagged(5, 9)); err == nil || !strings.Contains(err.Error(), "outside dispatched range") {
+		t.Errorf("out-of-range tag: %v", err)
+	}
+	if _, err := splitByFrame(4, 8, tagged(6, 6, 5)); err == nil || !strings.Contains(err.Error(), "out of frame order") {
+		t.Errorf("non-monotone tag: %v", err)
 	}
 }
 
@@ -328,14 +374,12 @@ func TestMergeByFrameMatchesReplay(t *testing.T) {
 	}
 	manual := core.MergeByFrame(monA.Log(), monB.Log())
 
-	viaReplay, err := Replay(n, func(mon *core.Monitor) (ProcessFunc, error) {
-		return func(i int) error {
-			mon.NextFrame() // Replay pre-seeks the shard; same frame tags
-			mon.LogMetric("frame/value", float64(i*3), "count")
-			mon.LogSensor("frame/sensor", float64(i), "deg")
-			return nil
-		}, nil
-	}, Options{Workers: 3})
+	viaReplay, err := ReplayBatched(n, perFrame(func(mon *core.Monitor, i int) error {
+		mon.NextFrame() // the engine pre-seeks the shard; same frame tags
+		mon.LogMetric("frame/value", float64(i*3), "count")
+		mon.LogSensor("frame/sensor", float64(i), "deg")
+		return nil
+	}), Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,18 +388,16 @@ func TestMergeByFrameMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestReplayCustomProcessFunc exercises a non-pipeline worker: process funcs
+// TestReplayCustomProcessFunc exercises a non-pipeline worker: per-frame bodies
 // that log directly against the shard monitor still merge deterministically.
 func TestReplayCustomProcessFunc(t *testing.T) {
 	run := func(workers int) *core.Log {
-		l, err := Replay(40, func(mon *core.Monitor) (ProcessFunc, error) {
-			return func(i int) error {
-				mon.NextFrame()
-				mon.LogMetric("frame/value", float64(i*i), "count")
-				mon.LogSensor("frame/sensor", float64(i), "deg")
-				return nil
-			}, nil
-		}, Options{Workers: workers})
+		l, err := ReplayBatched(40, perFrame(func(mon *core.Monitor, i int) error {
+			mon.NextFrame()
+			mon.LogMetric("frame/value", float64(i*i), "count")
+			mon.LogSensor("frame/sensor", float64(i), "deg")
+			return nil
+		}), Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

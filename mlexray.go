@@ -221,33 +221,22 @@ func WithSink(s Sink) MonitorOption { return core.WithSink(s) }
 
 // ---- parallel replay API ----
 
-// ProcessFunc replays one dataset frame on a worker-local pipeline replica.
-// A ProcessFunc that logs records must advance its shard monitor's frame
-// exactly once (Monitor.NextFrame) before logging; every built-in pipeline
-// does this on entry.
-type ProcessFunc = runner.ProcessFunc
-
-// WorkerFactory builds one replay worker's state around its monitor shard.
-type WorkerFactory = runner.WorkerFactory
-
-// ProcessBatchFunc replays a contiguous [start,end) frame range on a
-// worker-local batched pipeline replica.
+// ProcessBatchFunc is the replay worker contract: it replays a contiguous
+// [start,end) frame range on a worker-local pipeline replica, advancing its
+// shard monitor's frame exactly once per frame, in order (every built-in
+// pipeline does this on entry).
 type ProcessBatchFunc = runner.ProcessBatchFunc
 
-// BatchWorkerFactory builds one batch-aware replay worker around its monitor
-// shard.
+// BatchWorkerFactory builds one replay worker around its monitor shard.
 type BatchWorkerFactory = runner.BatchWorkerFactory
 
 // ReplayOptions configures a parallel replay (worker count, frames per
-// batch, reorder-window cap, shard monitor options, streaming sink).
+// batch, shard monitor options, streaming sink).
 type ReplayOptions = runner.Options
 
 // Sink consumes telemetry frames in order: replays stream through it
 // (ReplayOptions.Sink) and spill-mode monitors write to it directly.
 type Sink = core.Sink
-
-// FrameSink is the historical name replays used for Sink.
-type FrameSink = runner.FrameSink
 
 // LogSink is the interface of the built-in streaming sinks: a Sink that
 // writes one of the log formats and reports records/bytes written.
@@ -270,25 +259,18 @@ type BinarySink = core.BinarySink
 // NewBinarySink wraps w in a streaming binary log writer.
 func NewBinarySink(w io.Writer) *BinarySink { return core.NewBinarySink(w) }
 
-// Replay shards a dataset replay across a worker pool, each worker owning a
-// pipeline replica and a monitor shard, and returns the shard logs merged by
-// frame index — record-for-record identical to a sequential replay (modulo
-// wall-clock latency values), at roughly core-count throughput.
-func Replay(frames int, factory WorkerFactory, opts ReplayOptions) (*Log, error) {
-	return runner.Replay(frames, factory, opts)
-}
-
-// ReplayBatched shards a dataset replay in contiguous frame batches: each
-// worker owns a batch-capable pipeline replica (e.g. a batched interpreter
-// built on opts.BatchFrames) and processes whole [start,end) ranges per
-// dispatch, amortizing per-node dispatch across the batch. The merged log
-// keeps the Replay determinism contract frame for frame.
+// ReplayBatched shards a dataset replay across a worker pool, each worker
+// owning a pipeline replica and a monitor shard and taking contiguous
+// [start,end) ranges of opts.BatchFrames frames (one frame by default), and
+// returns the shard logs merged by frame index — record-for-record identical
+// to a sequential replay (modulo wall-clock latency values), at roughly
+// core-count throughput.
 func ReplayBatched(frames int, factory BatchWorkerFactory, opts ReplayOptions) (*Log, error) {
 	return runner.ReplayBatched(frames, factory, opts)
 }
 
 // MergeByFrame merges shard logs by frame index, renumbering sequence
-// numbers globally (the merge Replay applies internally).
+// numbers globally (the merge ReplayBatched applies internally).
 func MergeByFrame(shards ...*Log) *Log { return core.MergeByFrame(shards...) }
 
 // ---- fleet replay API ----
@@ -324,11 +306,7 @@ type FrameRange = runner.Range
 // shard logs and the shard assignment.
 type FleetResult = runner.FleetResult
 
-// FleetWorkerFactory builds one replay worker for a fleet device.
-type FleetWorkerFactory = runner.FleetWorkerFactory
-
-// FleetBatchWorkerFactory builds one batch-aware replay worker for a fleet
-// device.
+// FleetBatchWorkerFactory builds one replay worker for a fleet device.
 type FleetBatchWorkerFactory = runner.FleetBatchWorkerFactory
 
 // DeviceProfile is a simulated device (latency model, logging overheads) —
