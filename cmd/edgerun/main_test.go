@@ -149,7 +149,9 @@ func getDeviceStatus(t *testing.T, base, device string) ingest.DeviceStatus {
 // local log(s) and in a live collector, one session per device, with the
 // collector's per-session record counts matching the local logs. The upload
 // is binary whatever -log-format writes locally: both formats must reach the
-// collector as the same chunks and yield the same report.
+// collector as the same chunks and yield the same report. Chunks go plain by
+// default; the -upload-gzip=true opt-in must deliver the same session on
+// fewer wire bytes.
 func TestRunUpload(t *testing.T) {
 	srv, err := ingest.NewServer(ingest.ServerOptions{})
 	if err != nil {
@@ -197,7 +199,7 @@ func TestRunUpload(t *testing.T) {
 
 		// upload runs the same bugged replay against a fresh validating
 		// collector and returns what that collector saw.
-		upload := func(format string) ingest.DeviceStatus {
+		upload := func(format string, extra ...string) ingest.DeviceStatus {
 			srv, err := ingest.NewServer(ingest.ServerOptions{Ref: ref})
 			if err != nil {
 				t.Fatal(err)
@@ -205,8 +207,8 @@ func TestRunUpload(t *testing.T) {
 			ts := httptest.NewServer(srv)
 			defer ts.Close()
 			var buf bytes.Buffer
-			err = run([]string{"-frames", "3", "-bug", "normalization", "-log-format", format,
-				"-upload", ts.URL, "-upload-gzip=false", "-o", filepath.Join(dir, "edge."+format)}, &buf)
+			err = run(append([]string{"-frames", "3", "-bug", "normalization", "-log-format", format,
+				"-upload", ts.URL, "-o", filepath.Join(dir, "edge."+format)}, extra...), &buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,6 +231,14 @@ func TestRunUpload(t *testing.T) {
 		}
 		if !reflect.DeepEqual(jsonl, binary) {
 			t.Errorf("collector saw different uploads for the two local formats:\njsonl:  %+v\nbinary: %+v", jsonl, binary)
+		}
+		gz := upload("binary", "-upload-gzip=true")
+		if gz.Bytes >= binary.Bytes {
+			t.Errorf("gzip upload took %d wire bytes, the default (plain) upload %d", gz.Bytes, binary.Bytes)
+		}
+		gz.Bytes = binary.Bytes
+		if !reflect.DeepEqual(gz, binary) {
+			t.Errorf("gzip upload reached the collector as a different session:\ngzip:  %+v\nplain: %+v", gz, binary)
 		}
 	})
 

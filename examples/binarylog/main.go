@@ -3,7 +3,7 @@
 //
 // Full per-layer tensor capture is megabytes per frame; the JSONL format
 // pays a base64 expansion plus JSON escaping on every payload byte. This
-// example streams the edge replay through a BinarySink (raw little-endian
+// example streams the edge replay through a binary LogSink (raw little-endian
 // payloads, length-prefixed records — a fraction of the encode cost and
 // none of the base64 growth), writes the reference log as ordinary JSONL,
 // and then reads both back with the auto-detecting reader: Validate neither

@@ -15,11 +15,16 @@ import (
 	"testing"
 
 	"mlexray"
+	"mlexray/internal/core"
 	"mlexray/internal/datasets"
 	"mlexray/internal/imaging"
+	"mlexray/internal/ingest"
+	"mlexray/internal/obs"
 	"mlexray/internal/ops"
 	"mlexray/internal/pipeline"
 	"mlexray/internal/replay"
+	"mlexray/internal/runner"
+	"mlexray/internal/shard"
 	"mlexray/internal/zoo"
 )
 
@@ -105,22 +110,22 @@ func TestFacadeEndToEndChannelBug(t *testing.T) {
 // log, and the flag-name round trip must cover every backend — and nothing
 // else: a deleted backend name must fail, not alias.
 func TestFacadeKernelBackend(t *testing.T) {
-	for _, b := range mlexray.KernelBackends() {
-		got, err := mlexray.ParseKernelBackend(b.String())
+	for _, b := range ops.Backends() {
+		got, err := ops.ParseBackend(b.String())
 		if err != nil {
-			t.Fatalf("ParseKernelBackend(%q): %v", b.String(), err)
+			t.Fatalf("ParseBackend(%q): %v", b.String(), err)
 		}
 		if got != b {
-			t.Errorf("ParseKernelBackend(%q) = %v, want %v", b.String(), got, b)
+			t.Errorf("ParseBackend(%q) = %v, want %v", b.String(), got, b)
 		}
 	}
 	for _, name := range []string{"simd512", "blocked"} {
-		if _, err := mlexray.ParseKernelBackend(name); err == nil || !strings.Contains(err.Error(), "tiled or reference") {
-			t.Errorf("ParseKernelBackend(%q) error = %v, want one naming the valid backends", name, err)
+		if _, err := ops.ParseBackend(name); err == nil || !strings.Contains(err.Error(), "tiled or reference") {
+			t.Errorf("ParseBackend(%q) error = %v, want one naming the valid backends", name, err)
 		}
 	}
 
-	capture := func(backend mlexray.KernelBackend) *mlexray.Log {
+	capture := func(backend ops.Backend) *mlexray.Log {
 		entry, err := zoo.Get("mobilenetv2-mini")
 		if err != nil {
 			t.Fatal(err)
@@ -137,8 +142,8 @@ func TestFacadeKernelBackend(t *testing.T) {
 		}
 		return mon.Log()
 	}
-	edge := capture(mlexray.KernelTiled)
-	ref := capture(mlexray.KernelReference)
+	edge := capture(ops.BackendTiled)
+	ref := capture(ops.BackendReference)
 	report, err := mlexray.Validate(edge, ref, mlexray.DefaultValidateOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +175,7 @@ func TestFacadeCustomAssertion(t *testing.T) {
 		AssertionName: "user-check",
 		Fn: func(ctx *mlexray.AssertCtx) *mlexray.Finding {
 			called = true
-			if len(ctx.Edge.MetricValues(mlexray.KeyInferenceLatency)) == 0 {
+			if len(ctx.Edge.MetricValues(core.KeyInferenceLatency)) == 0 {
 				return &mlexray.Finding{Assertion: "user-check", Detail: "no latency telemetry"}
 			}
 			return nil
@@ -250,8 +255,8 @@ func TestFacadeParallelReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := mlexray.NewJSONLSink(f)
-	par, err := mlexray.ReplayBatched(len(samples), func(mon *mlexray.Monitor) (mlexray.ProcessBatchFunc, error) {
+	sink := core.NewJSONLSink(f)
+	par, err := runner.ReplayBatched(len(samples), func(mon *mlexray.Monitor) (runner.ProcessBatchFunc, error) {
 		cl, err := base.Clone(mon)
 		if err != nil {
 			return nil, err
@@ -307,8 +312,8 @@ func TestFacadeParallelReplay(t *testing.T) {
 }
 
 // TestFacadeBinarySpillWorkflow drives the codec/sink surface of the facade
-// end to end: an edge capture spills frame by frame through a BinarySink to
-// disk, a parallel reference replay streams through a binary sink, both read
+// end to end: an edge capture spills frame by frame through a binary LogSink
+// to disk, a parallel reference replay streams through a binary sink, both read
 // back via the auto-detecting ReadLog, and Validate reports exactly what the
 // JSONL path reports for the same telemetry.
 func TestFacadeBinarySpillWorkflow(t *testing.T) {
@@ -325,9 +330,12 @@ func TestFacadeBinarySpillWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := mlexray.NewBinarySink(ef)
+	sink, err := mlexray.NewLogSink(ef, mlexray.FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mon := mlexray.NewMonitor(mlexray.WithCaptureMode(mlexray.CaptureFull),
-		mlexray.WithPerLayer(true), mlexray.WithSink(sink))
+		mlexray.WithPerLayer(true), core.WithSink(sink))
 	cl, err := pipeline.NewClassifier(entry.Mobile, pipeline.Options{
 		Resolver: ops.NewOptimized(ops.Fixed()), Monitor: mon, Bug: pipeline.BugNormalization,
 	})
@@ -364,7 +372,7 @@ func TestFacadeBinarySpillWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	samples := datasets.SynthImageNet(5555, 4)
-	if _, err := mlexray.ReplayBatched(len(samples), func(m *mlexray.Monitor) (mlexray.ProcessBatchFunc, error) {
+	if _, err := runner.ReplayBatched(len(samples), func(m *mlexray.Monitor) (runner.ProcessBatchFunc, error) {
 		w, err := base.Clone(m)
 		if err != nil {
 			return nil, err
@@ -398,7 +406,7 @@ func TestFacadeBinarySpillWorkflow(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		l, format, err := mlexray.ReadLogWithFormat(f)
+		l, format, err := core.ReadLogWithFormat(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +461,7 @@ func TestFacadeFleetWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy, err := mlexray.ParseShardPolicy("round-robin")
+	policy, err := runner.ParseShardPolicy("round-robin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +503,7 @@ func TestFacadeFleetWorkflow(t *testing.T) {
 	}
 
 	// The merged shard logs behave as one log under the standard validator.
-	merged := mlexray.MergeByFrame(res.DeviceLogs...)
+	merged := core.MergeByFrame(res.DeviceLogs...)
 	report, err := mlexray.Validate(merged, ref, mlexray.DefaultValidateOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -529,7 +537,7 @@ func captureLogN(t *testing.T, bug pipeline.Bug, resolver *ops.Resolver, frames 
 }
 
 // TestFacadeShardedIngest drives the sharded ingestion API through the
-// facade: two collectors behind an IngestGateway, a fleet of devices
+// facade: two collectors behind a shard.Gateway, a fleet of devices
 // uploaded through it, and the merged /fleet byte-identical to a single
 // collector ingesting the same uploads.
 func TestFacadeShardedIngest(t *testing.T) {
@@ -547,8 +555,8 @@ func TestFacadeShardedIngest(t *testing.T) {
 	}
 	single := newCollector()
 	s0, s1 := newCollector(), newCollector()
-	gw, err := mlexray.NewIngestGateway(mlexray.IngestGatewayOptions{
-		Shards: []mlexray.IngestShard{
+	gw, err := shard.NewGateway(shard.GatewayOptions{
+		Shards: []shard.ShardAddr{
 			{Name: "shard-0", URL: s0.URL},
 			{Name: "shard-1", URL: s1.URL},
 		},
@@ -603,7 +611,7 @@ func TestFacadeShardedIngest(t *testing.T) {
 
 	// The placement ring is exposed directly too, and agrees with the
 	// gateway's routing decisions.
-	ring, err := mlexray.NewHashRing([]string{"shard-0", "shard-1"}, 0)
+	ring, err := shard.NewRing([]string{"shard-0", "shard-1"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +632,7 @@ func TestFacadeStreamingIngest(t *testing.T) {
 	edge := captureLog(t, pipeline.BugNormalization, ops.NewOptimized(ops.Fixed()), false)
 
 	// Streaming validator alone: identical to offline Validate.
-	sv := mlexray.NewStreamValidator(ref, mlexray.DefaultValidateOptions())
+	sv := core.NewStreamValidator(ref, mlexray.DefaultValidateOptions())
 	for _, r := range edge.Records {
 		if err := sv.Consume(r); err != nil {
 			t.Fatal(err)
@@ -687,7 +695,7 @@ func TestFacadeStreamingIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	var rs mlexray.IngestRecoveryStats = srv2.Recovery()
+	var rs ingest.RecoveryStats = srv2.Recovery()
 	if rs.Sessions != 1 || rs.Chunks != sink.Chunks() {
 		t.Errorf("recovery stats %+v, want 1 session / %d chunks", rs, sink.Chunks())
 	}
@@ -701,16 +709,16 @@ func TestFacadeStreamingIngest(t *testing.T) {
 }
 
 // TestFacadeObservability drives the self-telemetry API through the facade:
-// a shared MetricsRegistry across a collector and an upload sink, the
-// Prometheus exposition served by DebugMux, the sink's client-side Stats
+// a shared obs.Registry across a collector and an upload sink, the
+// Prometheus exposition served by obs.DebugMux, the sink's client-side Stats
 // reconciling with the server's chunk counter, and the per-chunk trace in
-// the collector's TraceRing.
+// the collector's trace ring.
 func TestFacadeObservability(t *testing.T) {
 	ref := captureLog(t, pipeline.BugNone, ops.NewReference(ops.Fixed()), false)
 	edge := captureLog(t, pipeline.BugNormalization, ops.NewOptimized(ops.Fixed()), false)
 
-	reg := mlexray.NewMetricsRegistry()
-	mlexray.RegisterRuntimeMetrics(reg)
+	reg := obs.NewRegistry()
+	obs.RegisterRuntimeMetrics(reg)
 	srv, err := mlexray.NewIngestServer(mlexray.IngestServerOptions{Ref: ref, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -735,14 +743,14 @@ func TestFacadeObservability(t *testing.T) {
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	var st mlexray.SinkStats = sink.Stats()
+	var st ingest.SinkStats = sink.Stats()
 	if st.Chunks == 0 || st.GiveUps != 0 {
 		t.Fatalf("sink stats %+v: want chunks > 0, no give-ups", st)
 	}
 
 	// One scrape shows both sides of the same session: the sink's
 	// client-side counter and the collector's ingest counter agree.
-	debug := httptest.NewServer(mlexray.DebugMux(reg, srv.Traces()))
+	debug := httptest.NewServer(obs.DebugMux(reg, srv.Traces()))
 	defer debug.Close()
 	resp, err := http.Get(debug.URL + "/metrics")
 	if err != nil {

@@ -99,41 +99,73 @@ func goldenTelemetryLog() *Log {
 	return l
 }
 
-// TestGoldenJSONLPinned asserts the serialized JSONL of the golden log is
-// byte-identical to the fixture generated before the codec redesign — the
-// proof that lazy payloads did not change the on-disk JSONL format.
-// Regenerate (only for a deliberate, documented format change) with
-// REGEN_GOLDEN=1 go test ./internal/core -run TestGoldenJSONLPinned.
-func TestGoldenJSONLPinned(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenTelemetryLog().WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	const path = "testdata/golden.jsonl"
+// pinGolden holds got to the committed fixture at path and returns the
+// fixture's bytes. Regenerate a fixture (only for a deliberate, documented
+// format change) with REGEN_GOLDEN=1 go test ./internal/core -run <that test>.
+func pinGolden(t *testing.T, path string, got []byte) []byte {
+	t.Helper()
 	if os.Getenv("REGEN_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s (%d bytes)", path, buf.Len())
-		return
+		t.Logf("regenerated %s (%d bytes)", path, len(got))
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("JSONL output diverged from the pre-redesign golden fixture (%d vs %d bytes)", buf.Len(), len(want))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoder output diverged from the golden fixture %s (%d vs %d bytes)", path, len(got), len(want))
 	}
+	return want
+}
+
+// TestGoldenJSONLPinned asserts the serialized JSONL of the golden log is
+// byte-identical to the fixture generated before the codec redesign — the
+// proof that lazy payloads did not change the on-disk JSONL format.
+func TestGoldenJSONLPinned(t *testing.T) {
+	want := pinGolden(t, "testdata/golden.jsonl", jsonlBytes(t, goldenTelemetryLog()))
 	// And the fixture reads back whole.
-	back, err := ReadJSONL(bytes.NewReader(want))
+	back, err := ReadLog(bytes.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Records) != len(goldenTelemetryLog().Records) {
 		t.Fatalf("fixture reads back %d records", len(back.Records))
+	}
+}
+
+// TestGoldenMLXBPinned is the binary twin: the MLXB bytes of the golden log
+// are the wire format of every upload and every WAL entry body, so a change
+// to them is a deliberate act. The fixture must also read back through both
+// decoders — streaming and in-place — to the same records, and those records
+// re-encode to golden.jsonl, tying the two fixtures to one log.
+func TestGoldenMLXBPinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := goldenTelemetryLog().WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := pinGolden(t, "testdata/golden.mlxb", buf.Bytes())
+
+	sdec, sformat, serr := OpenLog(bytes.NewReader(want))
+	streamed, errText := decodeAll(sdec, serr)
+	if errText != "" || sformat != FormatBinary {
+		t.Fatalf("OpenLog: format %v, error %q", sformat, errText)
+	}
+	mdec, mformat, merr := OpenLogBytes(want)
+	inPlace, errText := decodeAll(mdec, merr)
+	if errText != "" || mformat != FormatBinary {
+		t.Fatalf("OpenLogBytes: format %v, error %q", mformat, errText)
+	}
+	if !reflect.DeepEqual(inPlace, streamed) {
+		t.Fatal("in-place and streaming decoders disagree on the fixture")
+	}
+	jsonl, err := os.ReadFile("testdata/golden.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := jsonlBytes(t, &Log{Records: streamed}); !bytes.Equal(got, jsonl) {
+		t.Fatalf("golden.mlxb does not decode to golden.jsonl's log (%d vs %d bytes)", len(got), len(jsonl))
 	}
 }
 

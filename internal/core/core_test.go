@@ -72,7 +72,7 @@ func TestLogJSONLRoundTripProperty(t *testing.T) {
 		if err := l.WriteJSONL(&buf); err != nil {
 			return false
 		}
-		back, err := ReadJSONL(&buf)
+		back, err := ReadLog(&buf)
 		if err != nil || len(back.Records) != len(l.Records) {
 			return false
 		}
@@ -88,8 +88,8 @@ func TestLogJSONLRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
+func TestReadLogRejectsGarbage(t *testing.T) {
+	if _, err := ReadLog(strings.NewReader("not json\n")); err == nil {
 		t.Error("accepted garbage line")
 	}
 }

@@ -261,12 +261,6 @@ func (l *Log) Write(w io.Writer, format LogFormat) error {
 	return enc.Flush()
 }
 
-// ReadJSONL parses a JSONL log written by WriteJSONL. Use ReadLog to accept
-// either format with auto-detection.
-func ReadJSONL(r io.Reader) (*Log, error) {
-	return readAll(NewJSONLDecoder(r))
-}
-
 // SizeBytes returns the serialized JSONL size of the log, the disk-footprint
 // metric of the overhead tables. EncodedSize reports other formats.
 func (l *Log) SizeBytes() (int, error) { return l.EncodedSize(FormatJSONL) }

@@ -40,7 +40,11 @@ func NewLogSink(w io.Writer, format LogFormat) (LogSink, error) {
 	case FormatJSONL:
 		return NewJSONLSink(w), nil
 	case FormatBinary:
-		return NewBinarySink(w), nil
+		// The binary format needs nothing beyond the shared machinery (raw
+		// little-endian payloads, no base64, no pre-encode stage).
+		s := &streamSink{}
+		s.init(w, FormatBinary)
+		return s, nil
 	}
 	return nil, fmt.Errorf("core: unknown log format %v", format)
 }
@@ -177,16 +181,4 @@ func (s *JSONLSink) WritePreEncoded(frame int, pf PreEncodedFrame, seq int) erro
 	}
 	s.records += len(pf.offs)
 	return nil
-}
-
-// BinarySink streams telemetry records to a writer in the length-prefixed
-// binary log format — the low-overhead Sink implementation for full-tensor
-// capture (raw little-endian payloads, no base64).
-type BinarySink struct{ streamSink }
-
-// NewBinarySink wraps w in a streaming binary log writer.
-func NewBinarySink(w io.Writer) *BinarySink {
-	s := &BinarySink{}
-	s.init(w, FormatBinary)
-	return s
 }

@@ -100,7 +100,7 @@ func TestJSONLSinkMatchesWriteJSONL(t *testing.T) {
 		t.Errorf("sink.Bytes() = %d, want %d", sink.Bytes(), want.Len())
 	}
 	// And the stream reads back as a log.
-	back, err := ReadJSONL(&got)
+	back, err := ReadLog(&got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestPreEncodeMatchesWriteFrame(t *testing.T) {
 	if sink.Records() != len(l.Records) {
 		t.Errorf("sink.Records() = %d, want %d", sink.Records(), len(l.Records))
 	}
-	back, err := ReadJSONL(&got)
+	back, err := ReadLog(&got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPreEncodeMatchesWriteFrame(t *testing.T) {
 
 // TestBinarySinkMatchesWriteBinary is the binary twin of the JSONL sink
 // parity test: streaming frame by frame produces the same bytes as writing
-// the accumulated log at the end, for either sink constructor.
+// the accumulated log at the end.
 func TestBinarySinkMatchesWriteBinary(t *testing.T) {
 	m := NewMonitor(WithCaptureMode(CaptureFull))
 	tt := tensor.FromFloats([]float32{1, 2, 3, 4}, 2, 2)
@@ -205,43 +205,35 @@ func TestBinarySinkMatchesWriteBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, mk := range []func(w *bytes.Buffer) LogSink{
-		func(w *bytes.Buffer) LogSink { return NewBinarySink(w) },
-		func(w *bytes.Buffer) LogSink {
-			s, err := NewLogSink(w, FormatBinary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-	} {
-		var got bytes.Buffer
-		sink := mk(&got)
-		if sink.Format() != FormatBinary {
-			t.Errorf("Format() = %v", sink.Format())
-		}
-		for f := 1; f <= 3; f++ {
-			if err := sink.WriteFrame(f, l.ByFrame(f)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sink.Flush(); err != nil {
+	var got bytes.Buffer
+	sink, err := NewLogSink(&got, FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sink.Format() != FormatBinary {
+		t.Errorf("Format() = %v", sink.Format())
+	}
+	for f := 1; f <= 3; f++ {
+		if err := sink.WriteFrame(f, l.ByFrame(f)); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Error("sink output differs from WriteBinary")
-		}
-		if sink.Records() != len(l.Records) || sink.Bytes() != want.Len() {
-			t.Errorf("sink stats = %d records / %d bytes, want %d / %d",
-				sink.Records(), sink.Bytes(), len(l.Records), want.Len())
-		}
-		back, err := ReadLog(&got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(back.Records) != len(l.Records) {
-			t.Errorf("read back %d records, want %d", len(back.Records), len(l.Records))
-		}
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("sink output differs from WriteBinary")
+	}
+	if sink.Records() != len(l.Records) || sink.Bytes() != want.Len() {
+		t.Errorf("sink stats = %d records / %d bytes, want %d / %d",
+			sink.Records(), sink.Bytes(), len(l.Records), want.Len())
+	}
+	back, err := ReadLog(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Records) != len(l.Records) {
+		t.Errorf("read back %d records, want %d", len(back.Records), len(l.Records))
 	}
 }
 

@@ -18,10 +18,8 @@ type DetectionSample struct {
 	Boxes []Box
 }
 
-// DetectionClassNames names the object classes (index 0 is background).
-var DetectionClassNames = []string{"background", "red-square", "green-disk", "blue-diamond"}
-
-// DetectionNumClasses counts foreground classes + background.
+// DetectionNumClasses counts the classes: background (index 0), then
+// red-square, green-disk and blue-diamond.
 const DetectionNumClasses = 4
 
 // DetectionImageSize is the raw capture resolution.

@@ -72,9 +72,9 @@ func AblationErrorMetrics() ([]AblationErrorMetricsRow, error) {
 
 // RenderAblationErrorMetrics prints the metric ablation.
 func RenderAblationErrorMetrics(w io.Writer, rows []AblationErrorMetricsRow) {
-	fprintf(w, "Ablation — drift metric vs localisation (v2 quant, optimized resolver)\n")
+	fmt.Fprintf(w, "Ablation — drift metric vs localisation (v2 quant, optimized resolver)\n")
 	for _, r := range rows {
-		fprintf(w, "  %-16s -> %s (%s)\n", r.Metric, r.SpikeLayer, r.SpikeOp)
+		fmt.Fprintf(w, "  %-16s -> %s (%s)\n", r.Metric, r.SpikeLayer, r.SpikeOp)
 	}
 }
 
@@ -193,9 +193,9 @@ func calibSet(e *zoo.Entry) []*tensor.Tensor {
 
 // RenderAblationQuant prints a quantization-option ablation.
 func RenderAblationQuant(w io.Writer, caption string, rows []AblationQuantRow) {
-	fprintf(w, "%s\n", caption)
+	fmt.Fprintf(w, "%s\n", caption)
 	for _, r := range rows {
-		fprintf(w, "  %-24s accuracy = %.2f\n", r.Option, r.Accuracy)
+		fmt.Fprintf(w, "  %-24s accuracy = %.2f\n", r.Option, r.Accuracy)
 	}
 }
 
@@ -242,9 +242,9 @@ func AblationCaptureMode() ([]AblationCaptureRow, error) {
 
 // RenderAblationCapture prints the capture-mode ablation.
 func RenderAblationCapture(w io.Writer, rows []AblationCaptureRow) {
-	fprintf(w, "Ablation — per-layer log cost by capture mode (per frame)\n")
+	fmt.Fprintf(w, "Ablation — per-layer log cost by capture mode (per frame)\n")
 	for _, r := range rows {
-		fprintf(w, "  %-14s %d bytes\n", r.Mode, r.BytesPerFrame)
+		fmt.Fprintf(w, "  %-14s %d bytes\n", r.Mode, r.BytesPerFrame)
 	}
 }
 
@@ -317,10 +317,10 @@ func AblationLogFormat() ([]AblationLogFormatRow, error) {
 
 // RenderAblationLogFormat prints the log-encoding ablation.
 func RenderAblationLogFormat(w io.Writer, rows []AblationLogFormatRow) {
-	fprintf(w, "Ablation — full-capture log encoding (per frame)\n")
-	fprintf(w, "  %-8s %12s %14s %10s\n", "format", "bytes/frm", "encode ns/frm", "records")
+	fmt.Fprintf(w, "Ablation — full-capture log encoding (per frame)\n")
+	fmt.Fprintf(w, "  %-8s %12s %14s %10s\n", "format", "bytes/frm", "encode ns/frm", "records")
 	for _, r := range rows {
-		fprintf(w, "  %-8s %12d %14.0f %10d\n", r.Format, r.BytesPerFrame, r.EncodeNsPerFrm, r.RecordsPerFrame)
+		fmt.Fprintf(w, "  %-8s %12d %14.0f %10d\n", r.Format, r.BytesPerFrame, r.EncodeNsPerFrm, r.RecordsPerFrame)
 	}
 }
 
@@ -444,9 +444,9 @@ func tensorBitsEqual(a, b *tensor.Tensor) bool {
 
 // RenderAblationKernel prints the kernel-backend ablation.
 func RenderAblationKernel(w io.Writer, rows []AblationKernelRow) {
-	fprintf(w, "Ablation — kernel backend (mobilenetv2-mini, invoke only)\n")
-	fprintf(w, "  %-8s %-10s %12s %10s %9s\n", "kind", "backend", "ns/frm", "top1agree", "bitexact")
+	fmt.Fprintf(w, "Ablation — kernel backend (mobilenetv2-mini, invoke only)\n")
+	fmt.Fprintf(w, "  %-8s %-10s %12s %10s %9s\n", "kind", "backend", "ns/frm", "top1agree", "bitexact")
 	for _, r := range rows {
-		fprintf(w, "  %-8s %-10s %12.0f %10.2f %9v\n", r.Kind, r.Backend, r.NsPerFrm, r.Top1Agree, r.BitExact)
+		fmt.Fprintf(w, "  %-8s %-10s %12.0f %10.2f %9v\n", r.Kind, r.Backend, r.NsPerFrm, r.Top1Agree, r.BitExact)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 
 	"mlexray/internal/datasets"
@@ -106,10 +107,10 @@ func runEmbedding(ip *interp.Interpreter, ids []int32, embID int) *tensor.Tensor
 
 // RenderAppendixText prints the case-folding study.
 func RenderAppendixText(w io.Writer, rows []AppendixTextRow) {
-	fprintf(w, "Appendix A — case folding: embedding drift vs task accuracy\n")
-	fprintf(w, "%-18s %16s %10s %10s\n", "model", "embedding nRMSE", "cased", "folded")
+	fmt.Fprintf(w, "Appendix A — case folding: embedding drift vs task accuracy\n")
+	fmt.Fprintf(w, "%-18s %16s %10s %10s\n", "model", "embedding nRMSE", "cased", "folded")
 	for _, r := range rows {
-		fprintf(w, "%-18s %16.3f %10.2f %10.2f\n", r.Model, r.EmbeddingNRMSE, r.AccuracyCased, r.AccuracyFolded)
+		fmt.Fprintf(w, "%-18s %16.3f %10.2f %10.2f\n", r.Model, r.EmbeddingNRMSE, r.AccuracyCased, r.AccuracyFolded)
 	}
 }
 
@@ -193,9 +194,9 @@ func rawImageTensor(im *imaging.Image) *tensor.Tensor {
 
 // RenderAppendixInGraph prints the in-graph preprocessing study.
 func RenderAppendixInGraph(w io.Writer, rows []AppendixInGraphRow) {
-	fprintf(w, "Appendix A — in-graph preprocessing immunity (MobileNet-v2)\n")
-	fprintf(w, "%-26s %9s %8s %8s\n", "variant", "baseline", "resize", "norm")
+	fmt.Fprintf(w, "Appendix A — in-graph preprocessing immunity (MobileNet-v2)\n")
+	fmt.Fprintf(w, "%-26s %9s %8s %8s\n", "variant", "baseline", "resize", "norm")
 	for _, r := range rows {
-		fprintf(w, "%-26s %9.2f %8.2f %8.2f\n", r.Variant, r.Baseline, r.Resize, r.Norm)
+		fmt.Fprintf(w, "%-26s %9.2f %8.2f %8.2f\n", r.Variant, r.Baseline, r.Resize, r.Norm)
 	}
 }

@@ -15,12 +15,8 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"mlexray/internal/core"
 	"mlexray/internal/datasets"
-	"mlexray/internal/device"
 	"mlexray/internal/graph"
 	"mlexray/internal/metrics"
 	"mlexray/internal/ops"
@@ -88,9 +84,3 @@ func classifierZoo() ([]*zoo.Entry, error) {
 	}
 	return out, nil
 }
-
-func fprintf(w io.Writer, format string, args ...interface{}) {
-	fmt.Fprintf(w, format, args...)
-}
-
-func deviceByName(name string) (*device.Profile, error) { return device.ByName(name) }

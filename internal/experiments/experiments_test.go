@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -313,6 +314,31 @@ func TestTable1LoCAdvantage(t *testing.T) {
 	RenderTable1(&buf, rows)
 	if !strings.Contains(buf.String(), "Preprocessing") {
 		t.Error("render")
+	}
+}
+
+// TestMeanStd holds Table 2's ± column to math.Sqrt at the magnitudes it is
+// fed: latencies are in ns, so a σ of 1 ms is a variance of 1e12 — where the
+// 20-step Newton iteration this replaced had not converged (it read 1.28× the
+// true σ at 1e12 and 9.6× at 1e14).
+func TestMeanStd(t *testing.T) {
+	for _, c := range []struct {
+		xs             []float64
+		mean, variance float64
+	}{
+		{[]float64{10e6, 20e6}, 15e6, 2.5e13},
+		{[]float64{10e6, 12e6}, 11e6, 1e12},
+		{[]float64{1e6, 21e6}, 11e6, 1e14},
+		{[]float64{3e6, 3e6, 3e6, 7e6}, 4e6, 3e12}, // irrational σ
+	} {
+		mean, std := meanStd(c.xs)
+		want := math.Sqrt(c.variance)
+		if mean != c.mean || math.Abs(std-want) > 1e-12*want {
+			t.Errorf("meanStd(%v) = %v ± %v, want %v ± %v", c.xs, mean, std, c.mean, want)
+		}
+	}
+	if mean, std := meanStd(nil); mean != 0 || std != 0 {
+		t.Errorf("meanStd(nil) = %v ± %v, want 0 ± 0", mean, std)
 	}
 }
 

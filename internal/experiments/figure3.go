@@ -7,6 +7,7 @@ import (
 
 	"mlexray/internal/core"
 	"mlexray/internal/datasets"
+	"mlexray/internal/device"
 	"mlexray/internal/graph"
 	"mlexray/internal/imaging"
 	"mlexray/internal/ops"
@@ -199,7 +200,7 @@ func runImageTaskOnDevice(m *graph.Model, resolver *ops.Resolver, frames int) (*
 }
 
 func runImageTaskOnProfile(m *graph.Model, resolver *ops.Resolver, profile string, frames int) (*core.Log, error) {
-	dev, err := deviceByName(profile)
+	dev, err := device.ByName(profile)
 	if err != nil {
 		return nil, err
 	}
@@ -211,13 +212,13 @@ func runImageTaskOnProfile(m *graph.Model, resolver *ops.Resolver, profile strin
 
 // RenderFigure3 prints the coverage matrix.
 func RenderFigure3(w io.Writer, cells []Figure3Cell) {
-	fprintf(w, "Figure 3 — task x issue coverage: what ML-EXray catches\n")
-	fprintf(w, "%-16s %-14s %10s %7s  %s\n", "task", "issue", "agreement", "caught", "assertion")
+	fmt.Fprintf(w, "Figure 3 — task x issue coverage: what ML-EXray catches\n")
+	fmt.Fprintf(w, "%-16s %-14s %10s %7s  %s\n", "task", "issue", "agreement", "caught", "assertion")
 	for _, c := range cells {
 		mark := " "
 		if c.Caught {
 			mark = "X"
 		}
-		fprintf(w, "%-16s %-14s %10.2f %7s  %s\n", c.Task, c.Issue, c.Agreement, mark, c.Assertion)
+		fmt.Fprintf(w, "%-16s %-14s %10.2f %7s  %s\n", c.Task, c.Issue, c.Agreement, mark, c.Assertion)
 	}
 }

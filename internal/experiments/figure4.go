@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 
 	"mlexray/internal/datasets"
@@ -51,10 +52,10 @@ func Figure4a() ([]Figure4aRow, error) {
 
 // RenderFigure4a prints the figure as a table.
 func RenderFigure4a(w io.Writer, rows []Figure4aRow) {
-	fprintf(w, "Figure 4a — image classification top-1 accuracy under preprocessing bugs\n")
-	fprintf(w, "%-18s %8s %8s %8s %8s %8s\n", "model", "baseline", "resize", "channel", "norm", "rotation")
+	fmt.Fprintf(w, "Figure 4a — image classification top-1 accuracy under preprocessing bugs\n")
+	fmt.Fprintf(w, "%-18s %8s %8s %8s %8s %8s\n", "model", "baseline", "resize", "channel", "norm", "rotation")
 	for _, r := range rows {
-		fprintf(w, "%-18s %8.2f %8.2f %8.2f %8.2f %8.2f\n", r.Model, r.Baseline,
+		fmt.Fprintf(w, "%-18s %8.2f %8.2f %8.2f %8.2f %8.2f\n", r.Model, r.Baseline,
 			r.ByBug[pipeline.BugResize], r.ByBug[pipeline.BugChannel],
 			r.ByBug[pipeline.BugNormalization], r.ByBug[pipeline.BugRotation])
 	}
@@ -131,10 +132,10 @@ func boxesOf(t *tensor.Tensor) *tensor.Tensor  { return t.Reshape(-1, 4) }
 
 // RenderFigure4b prints the detection figure.
 func RenderFigure4b(w io.Writer, rows []Figure4bRow) {
-	fprintf(w, "Figure 4b — object detection mAP@0.5 under preprocessing bugs\n")
-	fprintf(w, "%-18s %8s %8s %8s %8s %8s\n", "model", "baseline", "resize", "channel", "norm", "rotation")
+	fmt.Fprintf(w, "Figure 4b — object detection mAP@0.5 under preprocessing bugs\n")
+	fmt.Fprintf(w, "%-18s %8s %8s %8s %8s %8s\n", "model", "baseline", "resize", "channel", "norm", "rotation")
 	for _, r := range rows {
-		fprintf(w, "%-18s %8.2f %8.2f %8.2f %8.2f %8.2f\n", r.Model, r.Baseline,
+		fmt.Fprintf(w, "%-18s %8.2f %8.2f %8.2f %8.2f %8.2f\n", r.Model, r.Baseline,
 			r.ByBug[pipeline.BugResize], r.ByBug[pipeline.BugChannel],
 			r.ByBug[pipeline.BugNormalization], r.ByBug[pipeline.BugRotation])
 	}
@@ -187,9 +188,9 @@ func Figure4c() ([]Figure4cRow, error) {
 
 // RenderFigure4c prints the speech figure.
 func RenderFigure4c(w io.Writer, rows []Figure4cRow) {
-	fprintf(w, "Figure 4c — speech keyword accuracy under spectrogram normalization mismatch\n")
-	fprintf(w, "%-14s %-14s %9s %10s\n", "model", "convention", "baseline", "wrong-norm")
+	fmt.Fprintf(w, "Figure 4c — speech keyword accuracy under spectrogram normalization mismatch\n")
+	fmt.Fprintf(w, "%-14s %-14s %9s %10s\n", "model", "convention", "baseline", "wrong-norm")
 	for _, r := range rows {
-		fprintf(w, "%-14s %-14s %9.2f %10.2f\n", r.Model, r.Convention, r.Baseline, r.WrongNorm)
+		fmt.Fprintf(w, "%-14s %-14s %9.2f %10.2f\n", r.Model, r.Convention, r.Baseline, r.WrongNorm)
 	}
 }

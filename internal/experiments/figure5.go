@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 
 	"mlexray/internal/ops"
@@ -57,10 +58,10 @@ func Figure5() ([]Figure5Row, error) {
 
 // RenderFigure5 prints the figure as a table.
 func RenderFigure5(w io.Writer, rows []Figure5Row) {
-	fprintf(w, "Figure 5 — top-1 accuracy across deployment versions (historical kernels)\n")
-	fprintf(w, "%-18s %10s %8s %12s %15s\n", "model", "reference", "mobile", "mobile-quant", "mobile-quant-ref")
+	fmt.Fprintf(w, "Figure 5 — top-1 accuracy across deployment versions (historical kernels)\n")
+	fmt.Fprintf(w, "%-18s %10s %8s %12s %15s\n", "model", "reference", "mobile", "mobile-quant", "mobile-quant-ref")
 	for _, r := range rows {
-		fprintf(w, "%-18s %10.2f %8.2f %12.2f %15.2f\n", r.Model, r.Reference, r.Mobile, r.MobileQuant, r.MobileQuantR)
+		fmt.Fprintf(w, "%-18s %10.2f %8.2f %12.2f %15.2f\n", r.Model, r.Reference, r.Mobile, r.MobileQuant, r.MobileQuantR)
 	}
 }
 

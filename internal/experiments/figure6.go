@@ -71,9 +71,9 @@ func perLayerLog(m *graph.Model, resolver *ops.Resolver, frames int) (*core.Log,
 // RenderFigure6 prints each series as (layer, op, nRMSE) rows with the
 // localised spike.
 func RenderFigure6(w io.Writer, series []Figure6Series) {
-	fprintf(w, "Figure 6 — per-layer normalized rMSE of quantized vs float baseline\n")
+	fmt.Fprintf(w, "Figure 6 — per-layer normalized rMSE of quantized vs float baseline\n")
 	for _, s := range series {
-		fprintf(w, "\n%s under %s resolver (spike: %s %s)\n", s.Model, s.Resolver, s.SpikeLayer, s.SpikeOp)
+		fmt.Fprintf(w, "\n%s under %s resolver (spike: %s %s)\n", s.Model, s.Resolver, s.SpikeLayer, s.SpikeOp)
 		for _, d := range s.Diffs {
 			bar := ""
 			n := int(d.NRMSE * 40)
@@ -83,7 +83,7 @@ func RenderFigure6(w io.Writer, series []Figure6Series) {
 			for i := 0; i < n; i++ {
 				bar += "#"
 			}
-			fprintf(w, "  [%3d] %-26s %-16s %7.3f %s\n", d.Index, d.Name, d.OpType, d.NRMSE, bar)
+			fmt.Fprintf(w, "  [%3d] %-26s %-16s %7.3f %s\n", d.Index, d.Name, d.OpType, d.NRMSE, bar)
 		}
 	}
 }

@@ -138,16 +138,16 @@ func RenderFleet(w io.Writer, task string, rows []FleetRow) {
 	if task == "" {
 		task = "classification"
 	}
-	fprintf(w, "Fleet replay (%s) — heterogeneous device sharding with per-device validation\n", task)
-	fprintf(w, "(normalization bug injected into the Pixel3 pipeline only)\n")
-	fprintf(w, "%-14s %7s %5s %6s %6s %9s %8s %10s %8s\n",
+	fmt.Fprintf(w, "Fleet replay (%s) — heterogeneous device sharding with per-device validation\n", task)
+	fmt.Fprintf(w, "(normalization bug injected into the Pixel3 pipeline only)\n")
+	fmt.Fprintf(w, "%-14s %7s %5s %6s %6s %9s %8s %10s %8s\n",
 		"device", "workers", "batch", "frames", "share", "agreement", "nRMSE", "modeled-ms", "flagged")
 	for _, r := range rows {
 		mark := " "
 		if r.Flagged {
 			mark = "X"
 		}
-		fprintf(w, "%-14s %7d %5d %6d %5.1f%% %9.2f %8.4f %10.2f %8s\n",
+		fmt.Fprintf(w, "%-14s %7d %5d %6d %5.1f%% %9.2f %8.4f %10.2f %8s\n",
 			r.Device, r.Workers, r.Batch, r.Frames, r.SharePct, r.Agreement, r.MeanNRMSE, r.MeanModeledMs, mark)
 	}
 }

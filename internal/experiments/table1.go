@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 	"strings"
 )
@@ -345,11 +346,11 @@ func Table1() []Table1Row {
 
 // RenderTable1 prints the LoC comparison.
 func RenderTable1(w io.Writer, rows []Table1Row) {
-	fprintf(w, "Table 1 — lines of code with vs without ML-EXray\n")
-	fprintf(w, "%-16s | %5s %5s %6s | %5s %5s %6s\n", "target", "inst", "asrt", "total", "inst", "asrt", "total")
-	fprintf(w, "%-16s | %18s | %18s\n", "", "with ML-EXray", "without")
+	fmt.Fprintf(w, "Table 1 — lines of code with vs without ML-EXray\n")
+	fmt.Fprintf(w, "%-16s | %5s %5s %6s | %5s %5s %6s\n", "target", "inst", "asrt", "total", "inst", "asrt", "total")
+	fmt.Fprintf(w, "%-16s | %18s | %18s\n", "", "with ML-EXray", "without")
 	for _, r := range rows {
-		fprintf(w, "%-16s | %5d %5d %6d | %5d %5d %6d\n", r.Target,
+		fmt.Fprintf(w, "%-16s | %5d %5d %6d | %5d %5d %6d\n", r.Target,
 			r.WithInst, r.WithAssert, r.WithInst+r.WithAssert,
 			r.WithoutInst, r.WithoutAssert, r.WithoutInst+r.WithoutAssert)
 	}

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"time"
 
@@ -118,33 +120,21 @@ func meanStd(xs []float64) (mean, std float64) {
 		d := x - mean
 		sq += d * d
 	}
-	return mean, sqrtf(sq / float64(len(xs)))
-}
-
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton's method is fine here; avoids importing math for one call.
-	z := x
-	for i := 0; i < 20; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
+	return mean, math.Sqrt(sq / float64(len(xs)))
 }
 
 // RenderTable2 prints the overhead table. The replay column is the suite's
 // own measured wall-clock per frame (batched parallel engine), not a device
 // projection.
 func RenderTable2(w io.Writer, rows []Table2Row) {
-	fprintf(w, "Table 2 — run-time instrumentation overhead (MobileNet-v2 app)\n")
-	fprintf(w, "%-14s %-6s %14s %10s %14s %15s\n", "device", "inst", "latency (ms)", "mem (MB)", "disk (KB/frm)", "replay (ms/frm)")
+	fmt.Fprintf(w, "Table 2 — run-time instrumentation overhead (MobileNet-v2 app)\n")
+	fmt.Fprintf(w, "%-14s %-6s %14s %10s %14s %15s\n", "device", "inst", "latency (ms)", "mem (MB)", "disk (KB/frm)", "replay (ms/frm)")
 	for _, r := range rows {
 		inst := "-"
 		if r.Instrumented {
 			inst = "yes"
 		}
-		fprintf(w, "%-14s %-6s %8.1f±%-5.1f %10.2f %14.2f %15.3f\n",
+		fmt.Fprintf(w, "%-14s %-6s %8.1f±%-5.1f %10.2f %14.2f %15.3f\n",
 			r.Device, inst, r.LatMeanMs, r.LatStdMs, r.MemoryMB, r.DiskKBPerFrm, r.WallMsPerFrm)
 	}
 }
@@ -246,10 +236,10 @@ func offlineOverhead(frames int, quantized bool) ([]Table3Row, error) {
 // replay column is the measured wall-clock of the suite's own batched
 // parallel replay, alongside the modeled on-device latency.
 func RenderTable3(w io.Writer, caption string, rows []Table3Row) {
-	fprintf(w, "%s\n", caption)
-	fprintf(w, "%-18s %7s %9s %9s %9s %8s %8s %10s\n", "model", "layers", "params", "lat (s)", "mem (MB)", "jsonl(MB)", "bin(MB)", "replay (s)")
+	fmt.Fprintf(w, "%s\n", caption)
+	fmt.Fprintf(w, "%-18s %7s %9s %9s %9s %8s %8s %10s\n", "model", "layers", "params", "lat (s)", "mem (MB)", "jsonl(MB)", "bin(MB)", "replay (s)")
 	for _, r := range rows {
-		fprintf(w, "%-18s %7d %9d %9.2f %9.2f %8.2f %8.2f %10.3f\n", r.Model, r.Layers, r.Params, r.LatSec, r.MemoryMB, r.DiskMB, r.DiskMBBin, r.WallSec)
+		fmt.Fprintf(w, "%-18s %7d %9d %9.2f %9.2f %8.2f %8.2f %10.3f\n", r.Model, r.Layers, r.Params, r.LatSec, r.MemoryMB, r.DiskMB, r.DiskMBBin, r.WallSec)
 	}
 }
 
@@ -260,11 +250,6 @@ type Table4Row struct {
 	Class string
 	Count int
 	Ms    map[string]float64 // column -> total ms
-}
-
-// Table4Columns names the four configurations of the paper's Table 4.
-func Table4Columns() []string {
-	return []string{"Mobile", "MobileQuant", "MobileQuantRef", "Emulator"}
 }
 
 // Table4 reproduces the per-layer-type latency breakdown of MobileNet-v2:
@@ -338,16 +323,16 @@ func classOfOpType(opType string) string {
 
 // RenderTable4 prints the layer-type latency table.
 func RenderTable4(w io.Writer, rows []Table4Row) {
-	fprintf(w, "Table 4 — MobileNet-v2 latency by layer type (ms, modeled)\n")
-	fprintf(w, "%-10s %6s %10s %12s %15s %10s\n", "class", "count", "Mobile", "MobileQuant", "MobileQuantRef", "Emulator")
+	fmt.Fprintf(w, "Table 4 — MobileNet-v2 latency by layer type (ms, modeled)\n")
+	fmt.Fprintf(w, "%-10s %6s %10s %12s %15s %10s\n", "class", "count", "Mobile", "MobileQuant", "MobileQuantRef", "Emulator")
 	var totals [4]float64
 	for _, r := range rows {
-		fprintf(w, "%-10s %6d %10.2f %12.2f %15.2f %10.2f\n", r.Class, r.Count,
+		fmt.Fprintf(w, "%-10s %6d %10.2f %12.2f %15.2f %10.2f\n", r.Class, r.Count,
 			r.Ms["Mobile"], r.Ms["MobileQuant"], r.Ms["MobileQuantRef"], r.Ms["Emulator"])
 		totals[0] += r.Ms["Mobile"]
 		totals[1] += r.Ms["MobileQuant"]
 		totals[2] += r.Ms["MobileQuantRef"]
 		totals[3] += r.Ms["Emulator"]
 	}
-	fprintf(w, "%-10s %6s %10.2f %12.2f %15.2f %10.2f\n", "Total", "", totals[0], totals[1], totals[2], totals[3])
+	fmt.Fprintf(w, "%-10s %6s %10.2f %12.2f %15.2f %10.2f\n", "Total", "", totals[0], totals[1], totals[2], totals[3])
 }

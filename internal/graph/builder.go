@@ -80,13 +80,6 @@ func (b *Builder) Node(op OpType, name string, attrs Attrs, inputs ...int) int {
 	return out
 }
 
-// SetQuant attaches quantization parameters to a tensor (used by the
-// converter when producing quantized graphs).
-func (b *Builder) SetQuant(id int, p *quant.Params) {
-	b.checkID(id)
-	b.m.Tensors[id].Quant = p
-}
-
 // RenameTensor overrides a tensor's name, letting model builders expose
 // well-known tensors ("logits", "boxes") for the trainer and validator.
 func (b *Builder) RenameTensor(id int, name string) {

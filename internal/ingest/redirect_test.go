@@ -59,7 +59,7 @@ func TestRemoteSinkFollowsShardRedirect(t *testing.T) {
 	if got := gwHits.Load(); got != 1 {
 		t.Errorf("gateway saw %d POSTs, want exactly 1 (re-route must stick)", got)
 	}
-	if got := sink.Redirects(); got != 1 {
+	if got := sink.Stats().Redirects; got != 1 {
 		t.Errorf("sink followed %d redirects, want 1", got)
 	}
 	if sink.Retries() != 0 {

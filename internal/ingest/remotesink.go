@@ -442,12 +442,6 @@ func parseRetryAfter(h string) time.Duration {
 	return d
 }
 
-// Records returns the records encoded so far.
-func (s *RemoteSink) Records() int { return s.records }
-
-// Frames returns the frames written so far.
-func (s *RemoteSink) Frames() int { return s.frames }
-
 // Bytes returns the wire bytes successfully uploaded (post-compression).
 func (s *RemoteSink) Bytes() int { return s.wireBytes }
 
@@ -456,13 +450,6 @@ func (s *RemoteSink) Chunks() int { return s.chunks }
 
 // Retries returns how many upload attempts were retried.
 func (s *RemoteSink) Retries() int { return s.retries }
-
-// Redirects reports how many shard re-routes (307/308 Location answers) the
-// sink followed.
-func (s *RemoteSink) Redirects() int { return s.redirects }
-
-// Format returns the chunk log encoding.
-func (s *RemoteSink) Format() core.LogFormat { return s.opts.Format }
 
 // SinkStats is one upload session's summary — what edgerun -upload prints
 // on exit.

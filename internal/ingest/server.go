@@ -108,9 +108,6 @@ type ServerOptions struct {
 	// trace ring, the ingest path runs bare. The instrumented-overhead
 	// benchmark's baseline.
 	DisableMetrics bool
-	// TraceCapacity bounds the in-process request-trace ring buffer
-	// (GET /debug/trace); <= 0 means obs.DefaultTraceCapacity.
-	TraceCapacity int
 }
 
 // walConfig folds the durability options into the WAL layer's tuning, with
@@ -244,7 +241,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		if reg = opts.Metrics; reg == nil {
 			reg = obs.NewRegistry()
 		}
-		s.traces = obs.NewTraceRing(opts.TraceCapacity)
+		s.traces = obs.NewTraceRing(obs.DefaultTraceCapacity)
 	}
 	// Registered before recovery: WAL replay runs the same apply path as
 	// live ingest, so a restarted collector's chunk counters equal the

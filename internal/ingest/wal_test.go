@@ -512,7 +512,7 @@ func TestWALDurableRemoteSinkRecovery(t *testing.T) {
 	if !bytes.Equal(wantJSON, gotJSON) {
 		t.Errorf("recovered fleet report differs:\nlive:      %s\nrecovered: %s", wantJSON, gotJSON)
 	}
-	if rs := srv2.Recovery(); rs.Chunks != sink.Chunks() || rs.Records != sink.Records() {
-		t.Errorf("recovery stats %+v, want %d chunks / %d records", rs, sink.Chunks(), sink.Records())
+	if rs, st := srv2.Recovery(), sink.Stats(); rs.Chunks != st.Chunks || rs.Records != st.Records {
+		t.Errorf("recovery stats %+v, want %d chunks / %d records", rs, st.Chunks, st.Records)
 	}
 }

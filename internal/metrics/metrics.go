@@ -1,14 +1,12 @@
 // Package metrics implements the task-quality measures of the evaluation:
 // top-1/top-k accuracy, detection mAP (greedy IoU matching with 11-point
-// interpolated average precision), segmentation mIoU, and latency summary
-// statistics.
+// interpolated average precision) and segmentation mIoU.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // Top1 returns the fraction of predictions matching labels.
@@ -225,37 +223,4 @@ func MeanIoU(pred, gt []int32, numClasses int) (float64, error) {
 		return 0, fmt.Errorf("metrics: no classes in ground truth")
 	}
 	return sum / float64(n), nil
-}
-
-// LatencySummary reports mean and (population) standard deviation.
-type LatencySummary struct {
-	Mean time.Duration
-	Std  time.Duration
-	N    int
-}
-
-// SummarizeLatency computes a LatencySummary.
-func SummarizeLatency(ds []time.Duration) LatencySummary {
-	if len(ds) == 0 {
-		return LatencySummary{}
-	}
-	var sum float64
-	for _, d := range ds {
-		sum += float64(d)
-	}
-	mean := sum / float64(len(ds))
-	var sq float64
-	for _, d := range ds {
-		dv := float64(d) - mean
-		sq += dv * dv
-	}
-	return LatencySummary{
-		Mean: time.Duration(mean),
-		Std:  time.Duration(math.Sqrt(sq / float64(len(ds)))),
-		N:    len(ds),
-	}
-}
-
-func (s LatencySummary) String() string {
-	return fmt.Sprintf("%.1f±%.1f ms", float64(s.Mean)/1e6, float64(s.Std)/1e6)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestTop1(t *testing.T) {
@@ -134,22 +133,6 @@ func TestMeanIoU(t *testing.T) {
 	}
 	if _, err := MeanIoU([]int32{5}, []int32{0}, 2); err == nil {
 		t.Error("accepted out-of-range label")
-	}
-}
-
-func TestSummarizeLatency(t *testing.T) {
-	s := SummarizeLatency([]time.Duration{10 * time.Millisecond, 20 * time.Millisecond})
-	if s.Mean != 15*time.Millisecond || s.N != 2 {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.Std != 5*time.Millisecond {
-		t.Errorf("std = %v", s.Std)
-	}
-	if SummarizeLatency(nil).N != 0 {
-		t.Error("empty summary")
-	}
-	if s.String() == "" {
-		t.Error("String")
 	}
 }
 

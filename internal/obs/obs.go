@@ -32,7 +32,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -552,15 +551,4 @@ func MergeParsed(dst, src map[string]float64) {
 	for k, v := range src {
 		dst[k] += v
 	}
-}
-
-// SortedSeries returns parsed's keys sorted — deterministic iteration for
-// reports.
-func SortedSeries(parsed map[string]float64) []string {
-	keys := make([]string, 0, len(parsed))
-	for k := range parsed {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -172,7 +172,7 @@ func TestFleetPerDeviceSinks(t *testing.T) {
 		if !bytes.Equal(bufs[d].Bytes(), logBytes(t, res.DeviceLogs[d])) {
 			t.Errorf("device %d streamed shard log differs from in-memory shard log", d)
 		}
-		readBack, err := core.ReadJSONL(bytes.NewReader(bufs[d].Bytes()))
+		readBack, err := core.ReadLog(bytes.NewReader(bufs[d].Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -262,7 +262,7 @@ func TestReplayStreamingSink(t *testing.T) {
 	if len(empty.Records) != 0 {
 		t.Errorf("DiscardLog returned %d records", len(empty.Records))
 	}
-	readBack, err := core.ReadJSONL(&buf)
+	readBack, err := core.ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,9 +56,6 @@ type GatewayOptions struct {
 	// way). DisableMetrics turns self-telemetry off entirely.
 	Metrics        *obs.Registry
 	DisableMetrics bool
-	// TraceCapacity bounds the request-trace ring (GET /debug/trace);
-	// <= 0 means obs.DefaultTraceCapacity.
-	TraceCapacity int
 }
 
 // gatewayMetrics holds the gateway's pre-registered instruments: per-shard
@@ -153,7 +150,7 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 		if reg = opts.Metrics; reg == nil {
 			reg = obs.NewRegistry()
 		}
-		g.traces = obs.NewTraceRing(opts.TraceCapacity)
+		g.traces = obs.NewTraceRing(obs.DefaultTraceCapacity)
 	}
 	g.met = newGatewayMetrics(reg, ring.Shards())
 	mux := http.NewServeMux()

@@ -244,7 +244,7 @@ func TestGatewayRedirectUploads(t *testing.T) {
 	if sink.Chunks() < 2 {
 		t.Fatalf("upload shipped %d chunk(s), want several", sink.Chunks())
 	}
-	if got := sink.Redirects(); got != 1 {
+	if got := sink.Stats().Redirects; got != 1 {
 		t.Errorf("sink followed %d redirects, want exactly 1 (sticky re-route)", got)
 	}
 	if got := gwPosts.Load(); got != 1 {

@@ -176,9 +176,6 @@ func SameShape(a, b []int) bool {
 	return true
 }
 
-// ShapeString renders a shape like "[1 32 32 3]".
-func ShapeString(shape []int) string { return fmt.Sprint(shape) }
-
 // Clone returns a deep copy of the tensor.
 func (t *Tensor) Clone() *Tensor {
 	c := &Tensor{DType: t.DType, Shape: append([]int(nil), t.Shape...)}

@@ -120,15 +120,6 @@ func Get(name string) (*Entry, error) {
 	return e, nil
 }
 
-// MustGet is Get for experiment code where a zoo failure is fatal.
-func MustGet(name string) *Entry {
-	e, err := Get(name)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 func cachePath(name string) string {
 	return filepath.Join(os.TempDir(), fmt.Sprintf("mlexray-zoo-%s-%s.mlxm", cacheVersion, name))
 }
