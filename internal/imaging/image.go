@@ -64,13 +64,18 @@ func (c ChannelOrder) String() string {
 // (RGB<->BGR). Single-channel images are returned unchanged (copied).
 func SwapRB(im *Image) *Image {
 	out := im.Clone()
-	if im.C < 3 {
-		return out
-	}
-	for i := 0; i < len(out.Pix); i += out.C {
-		out.Pix[i], out.Pix[i+2] = out.Pix[i+2], out.Pix[i]
-	}
+	SwapRBInPlace(out)
 	return out
+}
+
+// SwapRBInPlace is SwapRB on the image itself.
+func SwapRBInPlace(im *Image) {
+	if im.C < 3 {
+		return
+	}
+	for i := 0; i < len(im.Pix); i += im.C {
+		im.Pix[i], im.Pix[i+2] = im.Pix[i+2], im.Pix[i]
+	}
 }
 
 // ToOrder converts an image known to be in `from` order into `to` order.

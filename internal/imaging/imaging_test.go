@@ -209,7 +209,7 @@ func TestResizeConstantProperty(t *testing.T) {
 func TestAreaResizePreservesMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	im := randomImage(rng, 32, 32, 1)
-	out := resizeArea(im, 8, 8)
+	out := Resize(im, 8, 8, ResizeArea)
 	var inSum, outSum float64
 	for _, p := range im.Pix {
 		inSum += float64(p)

@@ -35,10 +35,24 @@ func (n NormRange) Apply(v uint8) float32 {
 // preprocessing pipeline.
 func ToTensor(im *Image, nr NormRange) *tensor.Tensor {
 	t := tensor.New(tensor.F32, 1, im.H, im.W, im.C)
-	for i, p := range im.Pix {
-		t.F[i] = nr.Apply(p)
-	}
+	FillTensor(t, im, nr)
 	return t
+}
+
+// FillTensor is ToTensor into a caller-owned float32 tensor of im's element
+// count, overwriting all of it. Each element is the value nr.Apply returns
+// for its pixel, looked up in a table of the 256 of them.
+func FillTensor(t *tensor.Tensor, im *Image, nr NormRange) {
+	if t.DType != tensor.F32 || len(t.F) != len(im.Pix) {
+		panic(fmt.Sprintf("imaging: FillTensor of %dx%dx%d image into %v %v", im.W, im.H, im.C, t.DType, t.Shape))
+	}
+	var lut [256]float32
+	for v := range lut {
+		lut[v] = nr.Apply(uint8(v))
+	}
+	for i, p := range im.Pix {
+		t.F[i] = lut[p]
+	}
 }
 
 // ToTensorU8 converts an image into a [1, H, W, C] uint8 tensor (the raw

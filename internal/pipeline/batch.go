@@ -20,13 +20,12 @@ import (
 // pipeline therefore merges byte-identical (modulo wall-clock values) to one
 // through its frame-at-a-time twin.
 type batched struct {
-	model   *graph.Model
-	bip     *interp.Batch
-	preproc ImagePreproc
-	opts    Options
-	// ins retains the per-element preprocessed tensors between the compute
-	// pass and the per-frame telemetry emission pass; its length is the
-	// batch capacity.
+	bip  *interp.Batch
+	pre  preprocessor
+	opts Options
+	// ins holds the per-element preprocessed tensors between the compute
+	// pass and the per-frame telemetry emission pass, one per lane, each
+	// refilled by the next batch; its length is the batch capacity.
 	ins []*tensor.Tensor
 }
 
@@ -45,7 +44,7 @@ func newBatched(m *graph.Model, task string, batch int, opts Options) (batched, 
 	if err != nil {
 		return batched{}, err
 	}
-	return batched{model: m, bip: bip, preproc: pp.WithBug(opts.Bug), opts: opts, ins: make([]*tensor.Tensor, batch)}, nil
+	return batched{bip: bip, pre: newPreprocessor(m.Meta, pp.WithBug(opts.Bug)), opts: opts, ins: make([]*tensor.Tensor, batch)}, nil
 }
 
 // Interpreter exposes the underlying batched interpreter (for memory
@@ -61,7 +60,7 @@ func (b *batched) invoke(ims []*imaging.Image) error {
 		return fmt.Errorf("pipeline: %d frames for batch %d", k, len(b.ins))
 	}
 	for e, im := range ims {
-		b.ins[e] = PreprocessImage(im, b.model.Meta, b.preproc)
+		b.ins[e] = b.pre.run(b.ins[e], im)
 		if err := b.bip.SetInputElem(0, e, b.ins[e]); err != nil {
 			return err
 		}

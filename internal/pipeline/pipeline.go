@@ -146,34 +146,44 @@ func (f *frame) classify(in *tensor.Tensor) (int, *tensor.Tensor, error) {
 }
 
 // Classifier is an instrumented image-classification pipeline.
-type Classifier struct {
-	frame
-	preproc ImagePreproc
-}
+type Classifier struct{ imageFrame }
 
 // NewClassifier builds a classification pipeline for the model. The
 // preprocessing starts from the model's correct conventions with opts.Bug
 // applied.
 func NewClassifier(m *graph.Model, opts Options) (*Classifier, error) {
-	f, pp, err := newImageFrame(m, "classification", opts)
+	f, err := newImageFrame(m, "classification", opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Classifier{frame: f, preproc: pp}, nil
+	return &Classifier{f}, nil
 }
 
-// newImageFrame is newFrame plus the image preprocessing the three image
-// tasks share: the model's correct conventions with opts.Bug applied.
-func newImageFrame(m *graph.Model, task string, opts Options) (frame, ImagePreproc, error) {
+// imageFrame is frame plus what the three image tasks share: the image
+// preprocessing — the model's correct conventions with opts.Bug applied —
+// and the input tensor it fills frame after frame.
+type imageFrame struct {
+	frame
+	pre preprocessor
+	in  *tensor.Tensor
+}
+
+func newImageFrame(m *graph.Model, task string, opts Options) (imageFrame, error) {
 	f, err := newFrame(m, task, opts)
 	if err != nil {
-		return frame{}, ImagePreproc{}, err
+		return imageFrame{}, err
 	}
 	pp, err := CorrectImagePreproc(m.Meta)
 	if err != nil {
-		return frame{}, ImagePreproc{}, err
+		return imageFrame{}, err
 	}
-	return f, pp.WithBug(opts.Bug), nil
+	return imageFrame{frame: f, pre: newPreprocessor(m.Meta, pp.WithBug(opts.Bug))}, nil
+}
+
+// preprocess returns the model input for im; the next frame overwrites it.
+func (f *imageFrame) preprocess(im *imaging.Image) *tensor.Tensor {
+	f.in = f.pre.run(f.in, im)
+	return f.in
 }
 
 // Clone builds an independent replica of the pipeline — same model, bug and
@@ -190,30 +200,27 @@ func (c *Classifier) Clone(mon *core.Monitor) (*Classifier, error) {
 // predicted class and scores.
 func (c *Classifier) Classify(im *imaging.Image) (int, *tensor.Tensor, error) {
 	c.begin()
-	return c.classify(PreprocessImage(im, c.model.Meta, c.preproc))
+	return c.classify(c.preprocess(im))
 }
 
 // Detector is an instrumented object-detection pipeline (SSD-style models
 // with class-score and box-offset outputs).
-type Detector struct {
-	frame
-	preproc ImagePreproc
-}
+type Detector struct{ imageFrame }
 
 // NewDetector builds a detection pipeline.
 func NewDetector(m *graph.Model, opts Options) (*Detector, error) {
-	f, pp, err := newImageFrame(m, "detection", opts)
+	f, err := newImageFrame(m, "detection", opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Detector{frame: f, preproc: pp}, nil
+	return &Detector{f}, nil
 }
 
 // Detect runs one frame and returns raw class scores [A, C] and box offsets
 // [A, 4]; decoding/NMS is the caller's postprocessing (models.DecodeDetections).
 func (d *Detector) Detect(im *imaging.Image) (scores, boxes *tensor.Tensor, err error) {
 	d.begin()
-	if err := d.invoke(PreprocessImage(im, d.model.Meta, d.preproc)); err != nil {
+	if err := d.invoke(d.preprocess(im)); err != nil {
 		return nil, nil, err
 	}
 	if scores, err = d.output(0); err != nil {
@@ -226,24 +233,21 @@ func (d *Detector) Detect(im *imaging.Image) (scores, boxes *tensor.Tensor, err 
 }
 
 // Segmenter is an instrumented segmentation pipeline.
-type Segmenter struct {
-	frame
-	preproc ImagePreproc
-}
+type Segmenter struct{ imageFrame }
 
 // NewSegmenter builds a segmentation pipeline.
 func NewSegmenter(m *graph.Model, opts Options) (*Segmenter, error) {
-	f, pp, err := newImageFrame(m, "segmentation", opts)
+	f, err := newImageFrame(m, "segmentation", opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Segmenter{frame: f, preproc: pp}, nil
+	return &Segmenter{f}, nil
 }
 
 // Segment returns the per-pixel argmax label map.
 func (s *Segmenter) Segment(im *imaging.Image) ([]int32, error) {
 	s.begin()
-	if err := s.invoke(PreprocessImage(im, s.model.Meta, s.preproc)); err != nil {
+	if err := s.invoke(s.preprocess(im)); err != nil {
 		return nil, err
 	}
 	out, err := s.ip.Output(0)

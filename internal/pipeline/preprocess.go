@@ -91,16 +91,52 @@ func (p ImagePreproc) WithBug(bug Bug) ImagePreproc {
 // resize to the model input, channel arrangement, numerical conversion.
 // The input image is RGB as produced by the dataset generators (i.e. the
 // camera stack's extracted RGB); cfg.Order is what the app feeds the model.
+// The returned tensor is freshly allocated and the caller's to keep; the
+// pipelines run the same preprocessor into storage they reuse.
 func PreprocessImage(im *imaging.Image, meta graph.Meta, cfg ImagePreproc) *tensor.Tensor {
-	work := im
-	if cfg.Rotation != imaging.Rotate0 {
-		work = imaging.Rotate(work, cfg.Rotation)
+	p := newPreprocessor(meta, cfg)
+	return p.run(nil, im)
+}
+
+// preprocessor is the image preprocessing of one pipeline replica together
+// with the scratch it runs in: the resize tables (rebuilt when a frame's
+// source size differs from the last one's) and the resized image. In steady
+// state a frame allocates nothing. The scratch is overwritten by the next
+// frame, so nothing downstream may keep a reference to it or to the input
+// tensor past the frame — and nothing does: Monitor.LogTensor copies through
+// Record.EncodeTensor, and interp's SetInput/SetInputElem copy into the
+// arena. Not safe for concurrent use; every replica owns one.
+type preprocessor struct {
+	w, h    int // model input size
+	cfg     ImagePreproc
+	rz      imaging.Resizer
+	resized *imaging.Image
+}
+
+func newPreprocessor(meta graph.Meta, cfg ImagePreproc) preprocessor {
+	return preprocessor{w: meta.InputW, h: meta.InputH, cfg: cfg}
+}
+
+// run preprocesses im into dst and returns it. A dst that is nil or was made
+// for another channel count is replaced by a fresh [1, h, w, C] tensor, C
+// being im's channel count whatever the model's: a mismatch is the
+// interpreter's to report.
+func (p *preprocessor) run(dst *tensor.Tensor, im *imaging.Image) *tensor.Tensor {
+	if p.cfg.Rotation != imaging.Rotate0 {
+		im = imaging.Rotate(im, p.cfg.Rotation)
 	}
-	work = imaging.Resize(work, meta.InputW, meta.InputH, cfg.Resize)
-	if cfg.Order == imaging.BGR {
-		work = imaging.SwapRB(work)
+	if p.resized == nil || p.resized.C != im.C {
+		p.resized = imaging.NewImage(p.w, p.h, im.C)
 	}
-	return imaging.ToTensor(work, cfg.Norm)
+	p.rz.Resize(p.resized, im, p.cfg.Resize)
+	if p.cfg.Order == imaging.BGR {
+		imaging.SwapRBInPlace(p.resized)
+	}
+	if dst == nil || dst.Shape[3] != im.C {
+		dst = tensor.New(tensor.F32, 1, p.h, p.w, im.C)
+	}
+	imaging.FillTensor(dst, p.resized, p.cfg.Norm)
+	return dst
 }
 
 // SpeechPreproc describes the audio feature extraction configuration.
