@@ -106,13 +106,22 @@ func BenchmarkDepthwiseQuant(b *testing.B) {
 	outP := quant.AsymmetricU8Params(-4, 4)
 	attrs := graph.Attrs{StrideH: 1, StrideW: 1, PadT: 1, PadB: 1, PadL: 1, PadR: 1, DepthMultiplier: 1}
 	out := tensor.New(tensor.U8, 1, 28, 28, 32)
-	ctx := ctxFor(graph.OpDepthwiseConv2D, attrs, []*tensor.Tensor{inQ8, wI8},
-		[]*quant.Params{inP, wP}, out, outP)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := depthwiseQuantRef(ctx); err != nil {
-			b.Fatal(err)
-		}
+	// One fixture, the three kernels a resolver can register: the loop nest,
+	// the fixed tiled kernel, and the historical one Historical() runs.
+	for _, k := range []struct {
+		name string
+		kern Kernel
+	}{{"ref", depthwiseQuantRef}, {"tiled", depthwiseQuantOpt}, {"historical", depthwiseQuantOptBuggy}} {
+		b.Run(k.name, func(b *testing.B) {
+			ctx := ctxFor(graph.OpDepthwiseConv2D, attrs, []*tensor.Tensor{inQ8, wI8},
+				[]*quant.Params{inP, wP}, out, outP)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := k.kern(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

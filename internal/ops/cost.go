@@ -85,7 +85,7 @@ func EstimateCostBackend(n *graph.Node, kind ComputeKind, backend Backend, shape
 			c.MACTimeFactor = macFactorTiledQuant
 			// Panel traffic, quantized path only: the zero-corrected int16
 			// activation panel is written once and re-read once per invoke
-			// (the widened weight panels are packed once per node and
+			// (the pair-packed weight panels are built once per node and
 			// amortize to nothing over a replay). The float path uses its
 			// operands in place — or the same im2col the reference backend
 			// pays — so it adds no packing bytes.

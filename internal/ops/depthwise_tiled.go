@@ -25,10 +25,22 @@ import (
 // Both kernels cover the depth_multiplier == 1 layout with kernels up to
 // maxDWTaps taps (every production depthwise layer qualifies); the
 // dispatchers in float_opt.go / quantized.go fall back to the slab and
-// reference loops for other layouts.
+// reference loops for other layouts (dwTiledApplies).
 
 // maxDWTaps bounds the per-pixel tap table (covers kernels up to 5x5).
 const maxDWTaps = 25
+
+// dwTiledApplies reports whether the node runs on the register-tiled
+// depthwise kernels: the tiled backend, the standard depth_multiplier == 1
+// layout, a tap table of at most maxDWTaps. Everything else takes the slab
+// (float) or reference (quantized) loop nest.
+func dwTiledApplies(c *Ctx) bool {
+	if c.Backend != BackendTiled || max1(c.Node.Attrs.DepthMultiplier) != 1 {
+		return false
+	}
+	w, err := c.In(1)
+	return err == nil && w.Shape[1]*w.Shape[2] <= maxDWTaps
+}
 
 // dwTapTable fills tapIn/tapW with the input and weight base offsets of the
 // valid taps of output pixel (oy, ox) and returns the tap count.
@@ -284,7 +296,7 @@ func depthwiseFloatTiled(c *Ctx) error {
 // dwPixelQuant accumulates all oc channels of one output pixel in register
 // blocks of four int32 accumulators, fusing bias and requantization into
 // the store.
-func dwPixelQuant(inU []uint8, wI []int8, bx []int32, outRow []uint8, taps, wofs []int, oc int, muls []quant.Multiplier, inZ, outZ, lo, hi int32) {
+func dwPixelQuant(inU []uint8, wI []int8, bx []int32, outRow []uint8, taps, wofs []int, oc int, muls []quant.Multiplier, requant func(quant.Multiplier, int32) int32, inZ, outZ, lo, hi int32) {
 	co := 0
 	for ; co+4 <= oc; co += 4 {
 		var s0, s1, s2, s3 int32
@@ -300,10 +312,10 @@ func dwPixelQuant(inU []uint8, wI []int8, bx []int32, outRow []uint8, taps, wofs
 			s3 += (int32(inR[3]) - inZ) * int32(wR[3])
 		}
 		o := outRow[co:][:4]
-		o[0] = clampU8(outZ+muls[co].Apply(s0), lo, hi)
-		o[1] = clampU8(outZ+muls[co+1].Apply(s1), lo, hi)
-		o[2] = clampU8(outZ+muls[co+2].Apply(s2), lo, hi)
-		o[3] = clampU8(outZ+muls[co+3].Apply(s3), lo, hi)
+		o[0] = clampU8(outZ+requant(muls[co], s0), lo, hi)
+		o[1] = clampU8(outZ+requant(muls[co+1], s1), lo, hi)
+		o[2] = clampU8(outZ+requant(muls[co+2], s2), lo, hi)
+		o[3] = clampU8(outZ+requant(muls[co+3], s3), lo, hi)
 	}
 	for ; co < oc; co++ {
 		var s int32
@@ -313,15 +325,17 @@ func dwPixelQuant(inU []uint8, wI []int8, bx []int32, outRow []uint8, taps, wofs
 		for t, ib := range taps {
 			s += (int32(inU[ib+co]) - inZ) * int32(wI[wofs[t]+co])
 		}
-		outRow[co] = clampU8(outZ+muls[co].Apply(s), lo, hi)
+		outRow[co] = clampU8(outZ+requant(muls[co], s), lo, hi)
 	}
 }
 
 // depthwiseQuantTiled is the quantized depthwise kernel of the tiled
 // backend: int32 register accumulators per channel block, bias and
 // fixed-point requantization fused into the store. Bit-exact against
-// depthwiseQuantRef (integer accumulation is associative).
-func depthwiseQuantTiled(c *Ctx) error {
+// depthwiseQuantImpl under the same requantizer: integer accumulation is
+// associative, so the accumulator the store requantizes — and with it every
+// byte the historical defect corrupts — is the loop nest's.
+func depthwiseQuantTiled(c *Ctx, logicalShiftBug bool) error {
 	in, err := c.In(0)
 	if err != nil {
 		return err
@@ -348,6 +362,11 @@ func depthwiseQuantTiled(c *Ctx) error {
 	var bx []int32
 	if bias != nil {
 		bx = bias.X
+	}
+	// The requantizer is the one thing the historical kernel changes.
+	requant := quant.Multiplier.Apply
+	if logicalShiftBug {
+		requant = quant.Multiplier.ApplyLogicalShiftBug
 	}
 	inU, wI := in.U, w.I
 	var relInA, relWA, tapInA, tapWA [maxDWTaps]int
@@ -378,7 +397,7 @@ func depthwiseQuantTiled(c *Ctx) error {
 					taps, wofs = (*tapIn)[:nt], (*tapW)[:nt]
 				}
 				outRow := out.U[((b*oh+oy)*ow+ox)*oc:][:oc]
-				dwPixelQuant(inU, wI, bx, outRow, taps, wofs, oc, muls, inZ, outZ, lo, hi)
+				dwPixelQuant(inU, wI, bx, outRow, taps, wofs, oc, muls, requant, inZ, outZ, lo, hi)
 			}
 		}
 	}

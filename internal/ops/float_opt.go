@@ -126,13 +126,9 @@ func convFloatIm2col(c *Ctx) error {
 // checks; same math as the reference kernel, reordered loops. The common
 // depth-multiplier-1 case runs a division-free inner loop.
 func depthwiseFloatOpt(c *Ctx) error {
-	// The tiled backend's register-accumulator kernel covers the standard
-	// depth_multiplier == 1 layout with tap tables up to 5x5; rarer layouts
-	// and the reference backend take the slab loop.
-	if c.Backend == BackendTiled && max1(c.Node.Attrs.DepthMultiplier) == 1 {
-		if w, err := c.In(1); err == nil && w.Shape[1]*w.Shape[2] <= maxDWTaps {
-			return depthwiseFloatTiled(c)
-		}
+	// Rarer layouts and the reference backend take the slab loop.
+	if dwTiledApplies(c) {
+		return depthwiseFloatTiled(c)
 	}
 	in, err := c.In(0)
 	if err != nil {

@@ -238,6 +238,11 @@ func TestGemmBackendQuantBitExact(t *testing.T) {
 		{graph.OpConv2D, convQuantRef, convQuantOpt, 5, 4, 1, 1, 1, graph.ActReLU},
 		{graph.OpDepthwiseConv2D, depthwiseQuantRef, depthwiseQuantOpt, 7, 6, 0, 3, 1, graph.ActReLU6},
 		{graph.OpDepthwiseConv2D, depthwiseQuantRef, depthwiseQuantOpt, 9, 3, 0, 5, 2, graph.ActNone},
+		// The historical kernel against the loop nest with the same defective
+		// requantizer (TestGemmBackendQuantHistoricalDepthwise sweeps the
+		// geometries this fixture cannot express).
+		{graph.OpDepthwiseConv2D, historicalLoopNest, depthwiseQuantOptBuggy, 7, 6, 0, 3, 1, graph.ActReLU6},
+		{graph.OpDepthwiseConv2D, historicalLoopNest, depthwiseQuantOptBuggy, 9, 3, 0, 5, 2, graph.ActNone},
 	} {
 		fx := makeQuantConvFixture(t, rng, cse.op, cse.ih, cse.ic, cse.oc, cse.k, cse.stride, cse.act)
 		ref := fx.run(t, cse.ref, cse.op)
@@ -251,6 +256,177 @@ func TestGemmBackendQuantBitExact(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// historicalLoopNest is the reference loop nest with the historical
+// logical-shift requantizer: what depthwiseQuantOptBuggy was before it
+// dispatched to the register tiles, and the oracle it is held to.
+func historicalLoopNest(c *Ctx) error { return depthwiseQuantImpl(c, true) }
+
+// TestGemmBackendQuantHistoricalDepthwise holds the historical depthwise
+// kernel, on every backend, to the loop nest run with the same defective
+// requantizer: the defect lives in the store, so routing the accumulation
+// through the register tiles must not move a byte of it. Mixed-sign weights
+// against a mid-range zero point drive about half the accumulators negative;
+// each row first proves the defect fired by differing from the correct kernel.
+func TestGemmBackendQuantHistoricalDepthwise(t *testing.T) {
+	backends := backendsUnderTest(t)
+	rng := rand.New(rand.NewSource(707))
+	for _, g := range []struct{ ih, iw, ic, k, stride, dilation, mult int }{
+		{7, 9, 6, 3, 1, 1, 1},
+		{9, 7, 3, 5, 1, 1, 1},
+		{9, 11, 5, 3, 2, 1, 1},
+		{11, 9, 4, 3, 1, 2, 1},
+		{13, 7, 7, 5, 2, 2, 1},
+		{5, 3, 9, 3, 1, 1, 1},
+		{9, 9, 3, 3, 1, 1, 2},   // depth multiplier: the loop nest on every backend
+		{11, 11, 2, 7, 1, 1, 1}, // past maxDWTaps: likewise
+	} {
+		p := diffProblem{op: graph.OpDepthwiseConv2D, batch: 2, ih: g.ih, iw: g.iw, ic: g.ic, oc: g.ic * g.mult, kh: g.k, kw: g.k,
+			attrs: graph.Attrs{StrideH: g.stride, StrideW: g.stride, DilationH: g.dilation, DilationW: g.dilation,
+				DepthMultiplier: g.mult, Activation: graph.Activation((g.ih + g.k) % 3)}}
+		p.attrs.PadT, p.attrs.PadB = graph.SamePadding(g.ih, g.k, g.stride, g.dilation)
+		p.attrs.PadL, p.attrs.PadR = graph.SamePadding(g.iw, g.k, g.stride, g.dilation)
+		p, ok := p.finish()
+		if !ok {
+			t.Fatalf("%v has no output", p)
+		}
+		qins, qps, outP := randQuantOperands(rng, p, 128, 128, true)
+		run := func(kern Kernel, b Backend) *tensor.Tensor {
+			out := tensor.New(tensor.U8, p.shape...)
+			if err := kern(ctxForBackend(b, p.op, p.attrs, qins, qps, out, outP)); err != nil {
+				t.Fatalf("%v backend %s: %v", p, b, err)
+			}
+			return out
+		}
+		want := run(historicalLoopNest, BackendReference)
+		if firstDiffU8(want, run(depthwiseQuantRef, BackendReference)) < 0 {
+			t.Fatalf("%v: the logical-shift defect did not fire", p)
+		}
+		for _, b := range backends {
+			if i := firstDiffU8(want, run(depthwiseQuantOptBuggy, b)); i >= 0 {
+				t.Errorf("%v backend %s: historical kernel differs from the loop nest at %d", p, b, i)
+			}
+		}
+	}
+}
+
+// TestGemmBackendQuantPairDifferential is the seeded differential of the
+// pair-packed int8 GEMM against the reference dot loops: odd row and column
+// counts (the zero pad column, the short row tile), every reduction depth
+// 1..97, zero points 0/128/255, weights and activations at their extremes,
+// per-channel multipliers. Dense drives the GEMM shape directly; the
+// pointwise and 3x3 convolutions reach it through both im2col routes.
+func TestGemmBackendQuantPairDifferential(t *testing.T) {
+	backends := backendsUnderTest(t)
+	rng := rand.New(rand.NewSource(808))
+	zeroPoints := []int32{0, 128, 255}
+	for i := 0; i < 291; i++ {
+		k := 1 + i%97
+		var p diffProblem
+		var ref, opt Kernel
+		switch i / 97 {
+		case 0:
+			p = diffProblem{op: graph.OpDense, batch: 1 + rng.Intn(9), ic: k, oc: 1 + rng.Intn(11)}
+			ref, opt = denseQuantRef, denseQuantOpt
+		case 1:
+			p = diffProblem{op: graph.OpConv2D, batch: 1, ih: 1 + rng.Intn(5), iw: 1 + rng.Intn(5), ic: k, oc: 1 + rng.Intn(9), kh: 1, kw: 1,
+				attrs: graph.Attrs{StrideH: 1, StrideW: 1}}
+			ref, opt = convQuantRef, convQuantOpt
+		default:
+			ic := 1 + k/9
+			p = diffProblem{op: graph.OpConv2D, batch: 1, ih: 3 + rng.Intn(4), iw: 3 + rng.Intn(4), ic: ic, oc: 1 + rng.Intn(7), kh: 3, kw: 3,
+				attrs: graph.Attrs{StrideH: 1 + rng.Intn(2), StrideW: 1, PadT: 1, PadB: 1, PadL: 1, PadR: 1}}
+			ref, opt = convQuantRef, convQuantOpt
+		}
+		p.attrs.Activation = graph.Activation(i % 3)
+		p, ok := p.finish()
+		if !ok {
+			t.Fatalf("%v has no output", p)
+		}
+		qins, qps, outP := randQuantOperands(rng, p, zeroPoints[i%3], zeroPoints[(i/3)%3], true)
+		if p.kh <= 1 {
+			// Dense and pointwise: the first output row's left operand is the
+			// first k input bytes, so its accumulators are known here. Cancel
+			// them with the bias and requantize at a multiplier near 1, and an
+			// accumulator off by one shows in the output byte instead of
+			// vanishing in the rounding.
+			in, w, bias := qins[0], qins[1], qins[2]
+			for c := range bias.X {
+				var acc int32
+				for q := 0; q < k; q++ {
+					acc += (int32(in.U[q]) - qps[0].ZeroPoint(0)) * int32(w.I[c*k+q])
+				}
+				bias.X[c] = int32(rng.Intn(200)-100) - acc
+				qps[1].Scales[c] = 0.5 + 0.45*rng.Float64()
+			}
+		}
+		want := tensor.New(tensor.U8, p.shape...)
+		if err := ref(ctxFor(p.op, p.attrs, qins, qps, want, outP)); err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		for _, b := range backends {
+			got := tensor.New(tensor.U8, p.shape...)
+			if err := opt(ctxForBackend(b, p.op, p.attrs, qins, qps, got, outP)); err != nil {
+				t.Fatalf("%v backend %s: %v", p, b, err)
+			}
+			if j := firstDiffU8(want, got); j >= 0 {
+				t.Errorf("%v inZ=%d backend %s: int8 output differs at %d: %d vs %d",
+					p, qps[0].ZeroPoint(0), b, j, got.U[j], want.U[j])
+			}
+		}
+	}
+}
+
+// TestGemmBackendQuantPairDepthBound stands the pair accumulator at the edge
+// of its exactness bound: at k = maxQuantGemmK, neighbouring columns pinned at
+// opposite extremes (+/-255*128*k, just inside int32) must still split back
+// bit-exactly, and one input deeper the plan must refuse rather than wrap.
+func TestGemmBackendQuantPairDepthBound(t *testing.T) {
+	const outC = 3
+	for _, inZ := range []int32{0, 255} {
+		k := maxQuantGemmK
+		in, w := tensor.New(tensor.U8, 1, k), tensor.New(tensor.I8, outC, k)
+		in.Fill(float64(255 - inZ)) // in - inZ = +/-255 everywhere
+		for j := range w.I {
+			w.I[j] = int8(255*(j/k%2) - 128) // column 0 and 2 at -128, column 1 at 127
+		}
+		// The bias cancels each column's accumulator to within a few counts
+		// and the multiplier is near 1, so one count lost in the split would
+		// move the output byte.
+		bias := tensor.New(tensor.I32, outC)
+		for c := range bias.X {
+			bias.X[c] = int32(10*(c+1)) - (255-2*inZ)*int32(w.I[c*k])*int32(k)
+		}
+		qps := []*quant.Params{quant.PerTensor(0.05, inZ), quant.PerChannel([]float64{0.9, 0.9, 0.9}, make([]int32, outC), 0), nil}
+		outP := quant.PerTensor(0.05, 128)
+		ins := []*tensor.Tensor{in, w, bias}
+		want, got := tensor.New(tensor.U8, 1, outC), tensor.New(tensor.U8, 1, outC)
+		if err := denseQuantRef(ctxFor(graph.OpDense, graph.Attrs{}, ins, qps, want, outP)); err != nil {
+			t.Fatal(err)
+		}
+		if err := denseQuantOpt(ctxForBackend(BackendTiled, graph.OpDense, graph.Attrs{}, ins, qps, got, outP)); err != nil {
+			t.Fatal(err)
+		}
+		if j := firstDiffU8(want, got); j >= 0 {
+			t.Errorf("inZ=%d: k=%d output differs at %d: %d vs %d", inZ, k, j, got.U[j], want.U[j])
+		}
+		if want.U[0] != 128+9 || want.U[1] != 128+18 || want.U[2] != 128+27 {
+			t.Errorf("inZ=%d: reference bytes %v, want the cancelled accumulators 10, 20, 30 at multiplier 0.9", inZ, want.U)
+		}
+	}
+
+	k := maxQuantGemmK + 1
+	in, w, out := tensor.New(tensor.U8, 1, k), tensor.New(tensor.I8, 1, k), tensor.New(tensor.U8, 1, 1)
+	qps := []*quant.Params{quant.PerTensor(0.05, 0), quant.PerTensor(1e-8, 0), nil}
+	err := denseQuantOpt(ctxForBackend(BackendTiled, graph.OpDense, graph.Attrs{}, []*tensor.Tensor{in, w}, qps, out, quant.PerTensor(0.05, 0)))
+	const wantErr = "ops: Dense reduces over 65537 inputs, the tiled int8 kernel is exact up to 65536 (run it on the reference backend)"
+	if err == nil || err.Error() != wantErr {
+		t.Errorf("k=%d: error %v, want %q", k, err, wantErr)
+	}
+	if err := denseQuantOpt(ctxForBackend(BackendReference, graph.OpDense, graph.Attrs{}, []*tensor.Tensor{in, w}, qps, out, quant.PerTensor(0.05, 0))); err != nil {
+		t.Errorf("k=%d on the reference backend: %v", k, err)
 	}
 }
 
@@ -376,6 +552,55 @@ func randDiffProblem(rng *rand.Rand) diffProblem {
 	}
 }
 
+// randQuantOperands draws the int8 operands of a problem: full-range bytes
+// and weights under the given input/output zero points, per-channel
+// multipliers sized so outputs spread over the uint8 range instead of
+// saturating. extremes additionally plants runs of the values that stretch an
+// accumulator furthest — activations 0 and 255, weights -128 and 127.
+func randQuantOperands(rng *rand.Rand, p diffProblem, inZ, outZ int32, extremes bool) ([]*tensor.Tensor, []*quant.Params, *quant.Params) {
+	inQ8, wI8, bI32 := tensor.New(tensor.U8, p.inShape...), tensor.New(tensor.I8, p.wShape...), tensor.New(tensor.I32, p.oc)
+	for j := range inQ8.U {
+		inQ8.U[j] = uint8(rng.Intn(256))
+		if extremes && rng.Intn(3) == 0 {
+			inQ8.U[j] = uint8(255 * rng.Intn(2))
+		}
+	}
+	for j := range wI8.I {
+		wI8.I[j] = int8(rng.Intn(255) - 127)
+		if extremes && rng.Intn(3) == 0 {
+			wI8.I[j] = int8(255*rng.Intn(2) - 128)
+		}
+	}
+	for j := range bI32.X {
+		bI32.X[j] = int32(rng.Intn(1<<13) - 1<<12)
+	}
+	taps := p.kh * p.kw
+	if p.op != graph.OpDepthwiseConv2D {
+		taps = wI8.Len() / p.oc
+	}
+	scales := make([]float64, p.oc)
+	for j := range scales {
+		scales[j] = (0.5 + rng.Float64()) * 40 / (5400 * math.Sqrt(float64(taps)))
+	}
+	axis := 0
+	if p.op == graph.OpDepthwiseConv2D {
+		axis = 3
+	}
+	inP := quant.PerTensor(0.05, inZ)
+	wP := quant.PerChannel(scales, make([]int32, p.oc), axis)
+	return []*tensor.Tensor{inQ8, wI8, bI32}, []*quant.Params{inP, wP, nil}, quant.PerTensor(0.05, outZ)
+}
+
+// firstDiffU8 returns the first index where two uint8 outputs differ, or -1.
+func firstDiffU8(a, b *tensor.Tensor) int {
+	for i := range a.U {
+		if a.U[i] != b.U[i] {
+			return i
+		}
+	}
+	return -1
+}
+
 // TestGemmBackendDefaultDifferential is the seeded differential pin of the
 // default backend — a Ctx that never sets Backend — against the kernels
 // NewReference registers: float within the validator bound, int8 bit-exact.
@@ -430,35 +655,8 @@ func TestGemmBackendDefaultDifferential(t *testing.T) {
 		}
 		checkFloatParity(t, BackendTiled, got, ref, p.String())
 
-		// Full-range bytes and weights under extreme input/output zero
-		// points; per-channel multipliers sized so outputs spread over the
-		// uint8 range instead of saturating.
-		inQ8, wI8, bI32 := tensor.New(tensor.U8, p.inShape...), tensor.New(tensor.I8, p.wShape...), tensor.New(tensor.I32, p.oc)
-		for j := range inQ8.U {
-			inQ8.U[j] = uint8(rng.Intn(256))
-		}
-		for j := range wI8.I {
-			wI8.I[j] = int8(rng.Intn(255) - 127)
-		}
-		for j := range bI32.X {
-			bI32.X[j] = int32(rng.Intn(1<<13) - 1<<12)
-		}
-		taps := p.kh * p.kw
-		if p.op != graph.OpDepthwiseConv2D {
-			taps = wI8.Len() / p.oc
-		}
-		scales := make([]float64, p.oc)
-		for j := range scales {
-			scales[j] = (0.5 + rng.Float64()) * 40 / (5400 * math.Sqrt(float64(taps)))
-		}
-		axis := 0
-		if p.op == graph.OpDepthwiseConv2D {
-			axis = 3
-		}
-		inP := quant.PerTensor(0.05, zeroPoints[i%3])
-		wP := quant.PerChannel(scales, make([]int32, p.oc), axis)
-		outP := quant.PerTensor(0.05, zeroPoints[(i/3)%3])
-		qins, qps := []*tensor.Tensor{inQ8, wI8, bI32}, []*quant.Params{inP, wP, nil}
+		qins, qps, outP := randQuantOperands(rng, p, zeroPoints[i%3], zeroPoints[(i/3)%3], false)
+		inP := qps[0]
 		qref, qgot := tensor.New(tensor.U8, p.shape...), tensor.New(tensor.U8, p.shape...)
 		if err := k.quantRef(ctxFor(p.op, p.attrs, qins, qps, qref, outP)); err != nil {
 			t.Fatalf("%v: %v", p, err)

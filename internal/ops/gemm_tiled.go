@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"math"
 
 	"mlexray/internal/graph"
@@ -16,17 +17,17 @@ import (
 // them in place: the [oc, k] row-major weight tensor already is the right-
 // side row layout, and the left side is either the activation matrix itself
 // (pointwise convolutions, dense) or the arena im2col buffer. The int8 path
-// genuinely packs: weights are widened to int16 row panels padded to the
-// 2-column tile once per node and cached on the Ctx, and activations are
-// zero-corrected into an int16 left panel per invoke. On a scalar target
+// genuinely packs: weights are packed two columns to an int64 row panel once
+// per node and cached on the Ctx (see gemmTiledFusedQuant), and activations
+// are zero-corrected into an int16 left panel per invoke. On a scalar target
 // the interleaved-panel layout classic SIMD kernels use costs more in
 // packing than it returns in locality; row operands keep the inner loops
 // free of bounds checks via equal-length re-slicing.
 //
 // Micro-kernels. Float runs a 1x4 column-quad tile (see gemmTiledFusedF32
 // for why wider row tiles lose on the deployment hosts); int8 runs a 4x2
-// tile whose eight int32 accumulators amortize the int16 widening of the
-// activation side. Each accumulator sums its k terms in ascending order,
+// tile as four int64 pair accumulators, one multiply per two MACs. Each
+// accumulator sums its k terms in ascending order,
 // but the tiled float contract does NOT promise that (see BackendTiled):
 // validators must bound it, not expect equality.
 //
@@ -243,125 +244,86 @@ func gemmTiledFusedF32K8(a, b, bias, out []float32, m, n int, act graph.Activati
 }
 
 // gemmTiledFusedQuant is the int8 fast path: int16 zero-corrected activations
-// against int16-widened weights, int32 accumulation, with the bias add,
-// fixed-point requantization and clamp fused into the tile store. Integer
-// addition is associative, so any accumulation order — including this tiled
-// one — is bit-exact against the reference kernel. a has padUp(m,4) rows of
-// k; wp has padUp(n,2) rows of k. out[outBase:] receives the m x n block.
-func gemmTiledFusedQuant(a []int16, wp []int16, bias *tensor.Tensor, out []uint8, outBase, m, n, k int, muls []quant.Multiplier, outZ, lo, hi int32) {
-	var bx []int32
-	if bias != nil {
-		bx = bias.X
-	}
+// against the pair-packed weight panel, with the bias add, fixed-point
+// requantization and clamp fused into the tile store. One 64-bit multiply
+// feeds two output columns: panel entry p of column pair (j, j+1) is
+// w[j][p] + w[j+1][p]<<32, so an accumulator S = sum_p a[p]*entry[p] is
+// L + H<<32 with L and H the two columns' exact int32 dot products, split
+// back in pairSplit. That holds while |L| < 2^31, i.e. 255*128*k < 2^31 —
+// cachedQuantGemmPlan refuses deeper reductions. Integer addition is
+// associative, so this order is bit-exact against the reference kernel. a has
+// padUp(m,4) rows of k (pad rows zero); wp has padUp(n,2)/2 rows of k; bx and
+// muls are padded to padUp(n,2). out[outBase:] receives the m x n block.
+func gemmTiledFusedQuant(a []int16, wp []int64, bx []int32, out []uint8, outBase, m, n, k int, muls []quant.Multiplier, outZ, lo, hi int32) {
 	for i0 := 0; i0 < m; i0 += 4 {
 		a0s := a[i0*k : i0*k+k]
 		a1s := a[(i0+1)*k:][:len(a0s)]
 		a2s := a[(i0+2)*k:][:len(a0s)]
 		a3s := a[(i0+3)*k:][:len(a0s)]
-		if m-i0 >= 4 {
-			// Full 4-row tile: requantize and store directly from the
-			// accumulator registers.
-			o0 := out[outBase+i0*n:][:n]
-			o1 := out[outBase+(i0+1)*n:][:n]
-			o2 := out[outBase+(i0+2)*n:][:n]
-			o3 := out[outBase+(i0+3)*n:][:n]
-			j0 := 0
-			for ; j0+2 <= n; j0 += 2 {
-				b0s := wp[j0*k:][:len(a0s)]
-				b1s := wp[(j0+1)*k:][:len(a0s)]
-				var c00, c01, c10, c11, c20, c21, c30, c31 int32
-				for p, a0v := range a0s {
-					b0, b1 := int32(b0s[p]), int32(b1s[p])
-					a0 := int32(a0v)
-					a1, a2, a3 := int32(a1s[p]), int32(a2s[p]), int32(a3s[p])
-					c00 += a0 * b0
-					c01 += a0 * b1
-					c10 += a1 * b0
-					c11 += a1 * b1
-					c20 += a2 * b0
-					c21 += a2 * b1
-					c30 += a3 * b0
-					c31 += a3 * b1
-				}
-				var bb0, bb1 int32
-				if bx != nil {
-					bb0, bb1 = bx[j0], bx[j0+1]
-				}
-				m0, m1 := muls[j0], muls[j0+1]
-				o0[j0] = clampU8(outZ+m0.Apply(c00+bb0), lo, hi)
-				o0[j0+1] = clampU8(outZ+m1.Apply(c01+bb1), lo, hi)
-				o1[j0] = clampU8(outZ+m0.Apply(c10+bb0), lo, hi)
-				o1[j0+1] = clampU8(outZ+m1.Apply(c11+bb1), lo, hi)
-				o2[j0] = clampU8(outZ+m0.Apply(c20+bb0), lo, hi)
-				o2[j0+1] = clampU8(outZ+m1.Apply(c21+bb1), lo, hi)
-				o3[j0] = clampU8(outZ+m0.Apply(c30+bb0), lo, hi)
-				o3[j0+1] = clampU8(outZ+m1.Apply(c31+bb1), lo, hi)
-			}
-			if j0 < n {
-				b0s := wp[j0*k:][:len(a0s)]
-				var c0, c1, c2, c3 int32
-				for p, a0v := range a0s {
-					b0 := int32(b0s[p])
-					c0 += int32(a0v) * b0
-					c1 += int32(a1s[p]) * b0
-					c2 += int32(a2s[p]) * b0
-					c3 += int32(a3s[p]) * b0
-				}
-				var bb int32
-				if bx != nil {
-					bb = bx[j0]
-				}
-				m0 := muls[j0]
-				o0[j0] = clampU8(outZ+m0.Apply(c0+bb), lo, hi)
-				o1[j0] = clampU8(outZ+m0.Apply(c1+bb), lo, hi)
-				o2[j0] = clampU8(outZ+m0.Apply(c2+bb), lo, hi)
-				o3[j0] = clampU8(outZ+m0.Apply(c3+bb), lo, hi)
-			}
-			continue
-		}
-		rows := m - i0
+		rows := min(4, m-i0)
 		for j0 := 0; j0 < n; j0 += 2 {
-			b0s := wp[j0*k:][:len(a0s)]
-			b1s := wp[(j0+1)*k:][:len(a0s)]
-			var c00, c01, c10, c11, c20, c21, c30, c31 int32
-			for p, a0v := range a0s {
-				b0, b1 := int32(b0s[p]), int32(b1s[p])
-				a0 := int32(a0v)
-				a1, a2, a3 := int32(a1s[p]), int32(a2s[p]), int32(a3s[p])
-				c00 += a0 * b0
-				c01 += a0 * b1
-				c10 += a1 * b0
-				c11 += a1 * b1
-				c20 += a2 * b0
-				c21 += a2 * b1
-				c30 += a3 * b0
-				c31 += a3 * b1
+			ws := wp[j0/2*k:][:len(a0s)]
+			var s0, s1, s2, s3 int64
+			for p, w := range ws {
+				s0 += int64(a0s[p]) * w
+				s1 += int64(a1s[p]) * w
+				s2 += int64(a2s[p]) * w
+				s3 += int64(a3s[p]) * w
 			}
-			acc := [8]int32{c00, c01, c10, c11, c20, c21, c30, c31}
-			cols := min(2, n-j0)
-			for r := 0; r < rows; r++ {
-				base := outBase + (i0+r)*n + j0
-				for q := 0; q < cols; q++ {
-					v := acc[r*2+q]
-					if bias != nil {
-						v += bias.X[j0+q]
-					}
-					out[base+q] = clampU8(outZ+muls[j0+q].Apply(v), lo, hi)
+			l0, h0 := pairSplit(s0)
+			l1, h1 := pairSplit(s1)
+			l2, h2 := pairSplit(s2)
+			l3, h3 := pairSplit(s3)
+			b0, b1, m0, m1 := bx[j0], bx[j0+1], muls[j0], muls[j0+1]
+			o := outBase + i0*n + j0
+			if rows == 4 && j0+2 <= n {
+				// Full tile: requantize and store straight from the registers.
+				out[o] = clampU8(outZ+m0.Apply(l0+b0), lo, hi)
+				out[o+1] = clampU8(outZ+m1.Apply(h0+b1), lo, hi)
+				out[o+n] = clampU8(outZ+m0.Apply(l1+b0), lo, hi)
+				out[o+n+1] = clampU8(outZ+m1.Apply(h1+b1), lo, hi)
+				out[o+2*n] = clampU8(outZ+m0.Apply(l2+b0), lo, hi)
+				out[o+2*n+1] = clampU8(outZ+m1.Apply(h2+b1), lo, hi)
+				out[o+3*n] = clampU8(outZ+m0.Apply(l3+b0), lo, hi)
+				out[o+3*n+1] = clampU8(outZ+m1.Apply(h3+b1), lo, hi)
+				continue
+			}
+			// Edge tile: rows past m and the pad column of an odd n were
+			// computed on zero operands and are not stored.
+			acc := [4][2]int32{{l0, h0}, {l1, h1}, {l2, h2}, {l3, h3}}
+			for r, v := range acc[:rows] {
+				out[o+r*n] = clampU8(outZ+m0.Apply(v[0]+b0), lo, hi)
+				if j0+1 < n {
+					out[o+r*n+1] = clampU8(outZ+m1.Apply(v[1]+b1), lo, hi)
 				}
 			}
 		}
 	}
 }
 
-// packWidenI8 widens the n x k int8 weight matrix to int16 panels padded to
-// a multiple of 2 rows. Done once per node and cached: the quantized
-// micro-kernel then multiplies int16*int16 without per-element widening of
-// the weight side competing with the activation side for conversion work.
-func packWidenI8(src []int8, n, k int) []int16 {
-	nPad := padUp(n, 2)
-	dst := make([]int16, nPad*k)
-	for i, v := range src[:n*k] {
-		dst[i] = int16(v)
+// pairSplit recovers the two int32 dot products of a pair accumulator
+// S = L + H<<32: L is the low word read as signed, and removing it leaves
+// exactly H<<32.
+func pairSplit(s int64) (l, h int32) {
+	l = int32(s)
+	return l, int32((s - int64(l)) >> 32)
+}
+
+// maxQuantGemmK is the deepest reduction the pair accumulator holds exactly:
+// 255*128*65536 < 2^31.
+const maxQuantGemmK = 65536
+
+// packPairI8 packs the n x k int8 weight matrix into padUp(n,2)/2 pair rows
+// of k int64 entries, row j/2 holding w[j][p] + w[j+1][p]<<32 (a zero column
+// pads an odd n). Done once per node and cached.
+func packPairI8(src []int8, n, k int) []int64 {
+	dst := make([]int64, padUp(n, 2)/2*k)
+	for j := 0; j < n; j++ {
+		row := dst[j/2*k:][:k]
+		shift := uint(j%2) * 32
+		for p, v := range src[j*k:][:k] {
+			row[p] += int64(v) << shift
+		}
 	}
 	return dst
 }
@@ -445,19 +407,33 @@ func denseFloatTiled(c *Ctx) error {
 }
 
 // quantGemmPlan is the per-node cached state of the tiled quantized path:
-// requantization multipliers plus the widened, packed weight panel.
+// the pair-packed weight panel plus requantization multipliers and bias, both
+// padded to the panel's even column count so the tile store never branches on
+// a missing bias or an odd last column.
 type quantGemmPlan struct {
 	muls []quant.Multiplier
-	wp   []int16
+	bias []int32
+	wp   []int64
 }
 
-func cachedQuantGemmPlan(c *Ctx, w *tensor.Tensor, outC, k int) (quantGemmPlan, error) {
+func cachedQuantGemmPlan(c *Ctx, w, bias *tensor.Tensor, outC, k int) (quantGemmPlan, error) {
 	return cachedIn(c, func() (quantGemmPlan, error) {
+		if k > maxQuantGemmK {
+			return quantGemmPlan{}, fmt.Errorf("ops: %v reduces over %d inputs, the tiled int8 kernel is exact up to %d (run it on the reference backend)",
+				c.Node.Op, k, maxQuantGemmK)
+		}
 		muls, err := convMultipliers(c.InQ[0], c.InQ[1], c.OutQ[0], outC)
 		if err != nil {
 			return quantGemmPlan{}, err
 		}
-		return quantGemmPlan{muls: muls, wp: packWidenI8(w.I, outC, k)}, nil
+		if outC%2 == 1 {
+			muls = append(muls, muls[0]) // the pad column's result is never stored
+		}
+		plan := quantGemmPlan{muls: muls, bias: make([]int32, len(muls)), wp: packPairI8(w.I, outC, k)}
+		if bias != nil {
+			copy(plan.bias, bias.X)
+		}
+		return plan, nil
 	})
 }
 
@@ -484,7 +460,7 @@ func convQuantTiled(c *Ctx) error {
 	oh, ow := out.Shape[1], out.Shape[2]
 	m := oh * ow
 	k := kh * kw * ic
-	plan, err := cachedQuantGemmPlan(c, w, oc, k)
+	plan, err := cachedQuantGemmPlan(c, w, bias, oc, k)
 	if err != nil {
 		return err
 	}
@@ -496,7 +472,7 @@ func convQuantTiled(c *Ctx) error {
 	zeroI16(cols[m*k:])
 	for b := 0; b < n; b++ {
 		im2colQuant(in, b, a, inZ, kh, kw, oh, ow, cols[:m*k])
-		gemmTiledFusedQuant(cols, plan.wp, bias, out.U, b*m*oc, m, oc, k, plan.muls, outZ, lo, hi)
+		gemmTiledFusedQuant(cols, plan.wp, plan.bias, out.U, b*m*oc, m, oc, k, plan.muls, outZ, lo, hi)
 	}
 	return nil
 }
@@ -562,7 +538,7 @@ func denseQuantTiled(c *Ctx) error {
 	n := in.Shape[0]
 	inC := in.Len() / n
 	outC := w.Shape[0]
-	plan, err := cachedQuantGemmPlan(c, w, outC, inC)
+	plan, err := cachedQuantGemmPlan(c, w, bias, outC, inC)
 	if err != nil {
 		return err
 	}
@@ -575,6 +551,6 @@ func denseQuantTiled(c *Ctx) error {
 		ap[i] = int16(v) - inZ
 	}
 	zeroI16(ap[n*inC:])
-	gemmTiledFusedQuant(ap, plan.wp, bias, out.U, 0, n, outC, inC, plan.muls, outZ, lo, hi)
+	gemmTiledFusedQuant(ap, plan.wp, plan.bias, out.U, 0, n, outC, inC, plan.muls, outZ, lo, hi)
 	return nil
 }

@@ -4,7 +4,9 @@
 // loop kernels, and an *optimized* resolver with im2col/GEMM kernels that is
 // orders of magnitude faster on the device model but — faithfully to the
 // paper's §4.4 findings — ships with a broken quantized depthwise
-// convolution. A second historical defect, a sign misinterpretation in the
+// convolution: its requantizing store shifts right logically where an
+// arithmetic shift was needed, so every negative accumulator saturates. A
+// second historical defect, a lost division in the long-window path of the
 // quantized average pool, lives in the shared kernel both resolvers use,
 // which is why MobileNet-v3-style models fail even under the reference
 // resolver. Both defects are controlled by Config so the "after the fix"
@@ -141,14 +143,20 @@ func KindOf(n *graph.Node, tensors []graph.TensorInfo) ComputeKind {
 // debugged.
 type Config struct {
 	// DepthwiseOverflowBug: the optimized quantized DepthwiseConv2D
-	// accumulates in int16 and silently wraps — the §4.4 defect that zeroes
-	// MobileNet-v2 accuracy under the optimized resolver and shows up as an
-	// rMSE spike at the first depthwise layer (Figure 6, left).
+	// requantizes with a logical right shift where an arithmetic one was
+	// needed (quant.Multiplier.ApplyLogicalShiftBug), so every negative
+	// accumulator comes out as a huge positive and saturates — the §4.4
+	// defect that zeroes MobileNet-v2 accuracy under the optimized resolver
+	// and shows up as an rMSE spike at the first depthwise layer (Figure 6,
+	// left). The accumulation itself is the correct int32 one; the name is
+	// the paper's "different overflow behavior" class, kept for its users.
 	DepthwiseOverflowBug bool
-	// AvgPoolSignBug: the quantized AveragePool2D kernel misreads uint8
-	// activations as int8. Both resolvers share this kernel, which is why
-	// MobileNet-v3 (average pooling inside every squeeze-excite block) gets
-	// 0% accuracy even with the reference resolver (Figure 6, right).
+	// AvgPoolSignBug: the quantized AveragePool2D kernel loses the division
+	// by the window size in its long-window path and emits the clamped
+	// window sum (avgPoolQuantBuggy). Both resolvers share this kernel,
+	// which is why MobileNet-v3 (average pooling inside every squeeze-excite
+	// block) gets 0% accuracy even with the reference resolver (Figure 6,
+	// right).
 	AvgPoolSignBug bool
 }
 

@@ -43,6 +43,16 @@ func clampU8(v, lo, hi int32) uint8 {
 	return uint8(v)
 }
 
+// checkElems rejects a node whose input is shorter than the output the kernel
+// is about to fill element for element — a malformed graph, reported instead
+// of indexing past the input.
+func checkElems(c *Ctx, in, out int) error {
+	if in < out {
+		return fmt.Errorf("ops: %v input has %d elements, output %d", c.Node.Op, in, out)
+	}
+	return nil
+}
+
 // convMultipliers builds the per-output-channel requantization multipliers
 // M_c = inScale * wScale(c) / outScale.
 func convMultipliers(inQ, wQ, outQ *quant.Params, outC int) ([]quant.Multiplier, error) {
@@ -199,17 +209,18 @@ func depthwiseQuantRef(c *Ctx) error {
 }
 
 // depthwiseQuantOpt is the fixed optimized resolver's quantized
-// DepthwiseConv2D. The tiled backend's register-accumulator kernel covers
-// the standard depth_multiplier == 1 layout with tap tables up to 5x5;
-// rarer layouts and the reference backend run the reference loop — bit-exact
-// either way.
+// DepthwiseConv2D: the tiled backend's register-accumulator kernel where it
+// applies (dwTiledApplies), the reference loop nest on rarer layouts and the
+// reference backend — bit-exact either way.
 func depthwiseQuantOpt(c *Ctx) error {
-	if c.Backend == BackendTiled && max1(c.Node.Attrs.DepthMultiplier) == 1 {
-		if w, err := c.In(1); err == nil && w.Shape[1]*w.Shape[2] <= maxDWTaps {
-			return depthwiseQuantTiled(c)
-		}
+	return depthwiseQuantDispatch(c, false)
+}
+
+func depthwiseQuantDispatch(c *Ctx, logicalShiftBug bool) error {
+	if dwTiledApplies(c) {
+		return depthwiseQuantTiled(c, logicalShiftBug)
 	}
-	return depthwiseQuantRef(c)
+	return depthwiseQuantImpl(c, logicalShiftBug)
 }
 
 // depthwiseQuantOptBuggy is the historical optimized kernel the paper's
@@ -221,9 +232,10 @@ func depthwiseQuantOpt(c *Ctx) error {
 // accuracy), with a normalized-rMSE spike at the first DepthwiseConv2D
 // layer. The reference kernel computes the same convolution with the correct
 // arithmetic shift, which is exactly how the paper's resolver-diff
-// methodology isolates the defect.
+// methodology isolates the defect. It dispatches exactly like the fixed
+// kernel: the defect sits in the requantizing store, not in the accumulation.
 func depthwiseQuantOptBuggy(c *Ctx) error {
-	return depthwiseQuantImpl(c, true)
+	return depthwiseQuantDispatch(c, true)
 }
 
 func depthwiseQuantImpl(c *Ctx, logicalShiftBug bool) error {
@@ -554,6 +566,18 @@ func padQuant(c *Ctx) error {
 
 // ---- quantized elementwise ----
 
+// addQuantPlan is addQuant's per-node cached state. Each operand's rescale
+// into the output domain depends on one byte only, so it is tabulated:
+// out = clamp(t1[a] + t2[b]) with t1[q] = zo + m1.Apply(q-z1) and
+// t2[q] = m2.Apply(q-z2) — the per-element expression, regrouped (int32
+// addition is associative). combine is the broadcast path's view of the same
+// tables, built once so a steady-state invoke allocates nothing.
+type addQuantPlan struct {
+	t1, t2  [256]int32
+	lo, hi  int32
+	combine func(a, b uint8) uint8
+}
+
 func addQuant(c *Ctx) error {
 	x, err := c.In(0)
 	if err != nil {
@@ -564,7 +588,7 @@ func addQuant(c *Ctx) error {
 		return err
 	}
 	out := c.Outputs[0]
-	combine, err := cachedIn(c, func() (func(a, b uint8) uint8, error) {
+	plan, err := cachedIn(c, func() (*addQuantPlan, error) {
 		q1, q2, qo := c.InQ[0], c.InQ[1], c.OutQ[0]
 		if q1 == nil || q2 == nil || qo == nil {
 			return nil, fmt.Errorf("ops: quantized add missing params")
@@ -578,16 +602,29 @@ func addQuant(c *Ctx) error {
 			return nil, err
 		}
 		z1, z2, zo := q1.ZeroPoint(0), q2.ZeroPoint(0), qo.ZeroPoint(0)
-		lo, hi := quantActRange(c.Node.Attrs.Activation, qo)
-		return func(a, b uint8) uint8 {
-			v := zo + m1.Apply(int32(a)-z1) + m2.Apply(int32(b)-z2)
-			return clampU8(v, lo, hi)
-		}, nil
+		p := &addQuantPlan{}
+		p.lo, p.hi = quantActRange(c.Node.Attrs.Activation, qo)
+		for q := int32(0); q < 256; q++ {
+			p.t1[q] = zo + m1.Apply(q-z1)
+			p.t2[q] = m2.Apply(q - z2)
+		}
+		p.combine = func(a, b uint8) uint8 { return clampU8(p.t1[a]+p.t2[b], p.lo, p.hi) }
+		return p, nil
 	})
 	if err != nil {
 		return err
 	}
-	return quantBroadcast(c, x, y, out, combine)
+	if x.Len() != y.Len() {
+		return quantBroadcast(c, x, y, out, plan.combine)
+	}
+	if err := checkElems(c, x.Len(), len(out.U)); err != nil {
+		return err
+	}
+	xs, ys := x.U[:len(out.U)], y.U[:len(out.U)]
+	for i := range out.U {
+		out.U[i] = clampU8(plan.t1[xs[i]]+plan.t2[ys[i]], plan.lo, plan.hi)
+	}
+	return nil
 }
 
 func mulQuant(c *Ctx) error {
@@ -624,6 +661,9 @@ func mulQuant(c *Ctx) error {
 
 func quantBroadcast(c *Ctx, x, y, out *tensor.Tensor, combine func(a, b uint8) uint8) error {
 	if x.Len() == y.Len() {
+		if err := checkElems(c, x.Len(), len(out.U)); err != nil {
+			return err
+		}
 		for i := range out.U {
 			out.U[i] = combine(x.U[i], y.U[i])
 		}
@@ -817,8 +857,20 @@ func quantizeKernel(c *Ctx) error {
 	if in.DType != tensor.F32 {
 		return fmt.Errorf("ops: Quantize input must be f32, got %v", in.DType)
 	}
-	for i := range out.U {
-		out.U[i] = q.QuantizeU8(float64(in.F[i]), 0)
+	if err := checkElems(c, len(in.F), len(out.U)); err != nil {
+		return err
+	}
+	// Params.QuantizeU8 with the per-tensor scale and zero point read once.
+	zp, scale := float64(q.ZeroPoint(0)), q.Scale(0)
+	for i, v := range in.F[:len(out.U)] {
+		r := math.Round(zp + float64(v)/scale)
+		if r < 0 {
+			r = 0
+		}
+		if r > 255 {
+			r = 255
+		}
+		out.U[i] = uint8(r)
 	}
 	return nil
 }
@@ -835,6 +887,9 @@ func dequantizeKernel(c *Ctx) error {
 	}
 	if in.DType != tensor.U8 {
 		return fmt.Errorf("ops: Dequantize input must be u8, got %v", in.DType)
+	}
+	if err := checkElems(c, len(in.U), len(out.F)); err != nil {
+		return err
 	}
 	for i := range out.F {
 		out.F[i] = float32(q.DequantizeU8(in.U[i], 0))

@@ -180,9 +180,9 @@ func TestQuantDepthwiseOverflowBug(t *testing.T) {
 		}
 	}
 	if diff == 0 {
-		t.Fatal("int16-overflow bug produced identical output; the defect is not being exercised")
+		t.Fatal("the logical-shift defect produced identical output; it is not being exercised")
 	}
-	// The wrapped accumulator must produce a large normalized drift — the
+	// The saturated negatives must produce a large normalized drift — the
 	// Figure 6 rMSE spike.
 	nrmse, err := tensor.NormalizedRMSE(bad, good)
 	if err != nil {
@@ -395,6 +395,65 @@ func TestAddQuantApproximatesFloat(t *testing.T) {
 	}
 }
 
+// addQuantPerElement is the expression addQuant evaluated per element before
+// it was tabulated, kept as the oracle.
+func addQuantPerElement(a, b uint8, q1, q2, qo *quant.Params, act graph.Activation) uint8 {
+	m1, _ := quant.NewMultiplier(q1.Scale(0) / qo.Scale(0))
+	m2, _ := quant.NewMultiplier(q2.Scale(0) / qo.Scale(0))
+	lo, hi := quantActRange(act, qo)
+	v := qo.ZeroPoint(0) + m1.Apply(int32(a)-q1.ZeroPoint(0)) + m2.Apply(int32(b)-q2.ZeroPoint(0))
+	return clampU8(v, lo, hi)
+}
+
+// TestAddQuantAllPairs holds the table-driven Add to the per-element
+// expression on all 65,536 (a, b) byte pairs, on the same-shape loop and on
+// the channel-broadcast path, across zero points, scale ratios on both sides
+// of 1 and every fused activation.
+func TestAddQuantAllPairs(t *testing.T) {
+	for i, ps := range [][3]*quant.Params{
+		{quant.AsymmetricU8Params(-1, 1), quant.AsymmetricU8Params(-2, 2), quant.AsymmetricU8Params(-3, 3)},
+		{quant.PerTensor(0.05, 0), quant.PerTensor(0.003, 255), quant.PerTensor(0.02, 128)},
+		{quant.PerTensor(0.01, 255), quant.PerTensor(0.09, 0), quant.PerTensor(0.011, 3)},
+	} {
+		q1, q2, qo := ps[0], ps[1], ps[2]
+		act := graph.Activation(i % 3)
+		// Same shape: x walks a fastest, y walks b.
+		x, y := tensor.New(tensor.U8, 1, 256, 1, 256), tensor.New(tensor.U8, 1, 256, 1, 256)
+		for j := range x.U {
+			x.U[j], y.U[j] = uint8(j), uint8(j>>8)
+		}
+		out := tensor.New(tensor.U8, 1, 256, 1, 256)
+		ctx := ctxFor(graph.OpAdd, graph.Attrs{Activation: act}, []*tensor.Tensor{x, y}, []*quant.Params{q1, q2}, out, qo)
+		for pass := 0; pass < 2; pass++ { // the second pass runs on the cached tables
+			if err := addQuant(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for j, got := range out.U {
+				if want := addQuantPerElement(x.U[j], y.U[j], q1, q2, qo, act); got != want {
+					t.Fatalf("params %d pass %d: add(%d, %d) = %d, per-element expression %d", i, pass, x.U[j], y.U[j], got, want)
+				}
+			}
+		}
+		// Broadcast: y holds one byte per channel.
+		yc := tensor.New(tensor.U8, 1, 1, 1, 256)
+		for j := range yc.U {
+			yc.U[j] = uint8(j)
+		}
+		for j := range x.U {
+			x.U[j] = uint8(j >> 8)
+		}
+		ctx = ctxFor(graph.OpAdd, graph.Attrs{Activation: act}, []*tensor.Tensor{x, yc}, []*quant.Params{q1, q2}, out, qo)
+		if err := addQuant(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for j, got := range out.U {
+			if want := addQuantPerElement(x.U[j], yc.U[j&255], q1, q2, qo, act); got != want {
+				t.Fatalf("params %d broadcast: add(%d, %d) = %d, per-element expression %d", i, x.U[j], yc.U[j&255], got, want)
+			}
+		}
+	}
+}
+
 func TestMulQuantApproximatesFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n := 32
@@ -498,6 +557,62 @@ func TestQuantizeDequantizeKernels(t *testing.T) {
 	}
 	if err := quantizeKernel(ctxFor(graph.OpQuantize, graph.Attrs{}, []*tensor.Tensor{q}, nil, q, p)); err == nil {
 		t.Error("Quantize accepted non-float input")
+	}
+}
+
+// TestQuantizeKernelMatchesPerElement holds the hoisted Quantize loop to
+// Params.QuantizeU8 per element — the old kernel body — on values that stress
+// the rounding and the clamp: half-way points on both sides of zero, the
+// range ends, far out-of-range values, infinities and NaN.
+func TestQuantizeKernelMatchesPerElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, p := range []*quant.Params{quant.AsymmetricU8Params(-1, 1), quant.PerTensor(0.25, 0), quant.PerTensor(0.1, 255), quant.PerTensor(3e-5, 77)} {
+		scale, zp := float32(p.Scale(0)), float32(p.ZeroPoint(0))
+		vals := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+			math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32}
+		for q := float32(-2); q <= 257; q++ {
+			// q-zp real steps from zero: an exact code, and the half-way points around it.
+			vals = append(vals, (q-zp)*scale, (q-zp+0.5)*scale, (q-zp-0.5)*scale)
+		}
+		for i := 0; i < 500; i++ {
+			vals = append(vals, (rng.Float32()*300-20-zp)*scale)
+		}
+		in := tensor.FromFloats(vals, 1, len(vals))
+		out := tensor.New(tensor.U8, 1, len(vals))
+		if err := quantizeKernel(ctxFor(graph.OpQuantize, graph.Attrs{}, []*tensor.Tensor{in}, nil, out, p)); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vals {
+			if want := p.QuantizeU8(float64(v), 0); out.U[i] != want {
+				t.Errorf("scale %v zp %v: Quantize(%v) = %d, QuantizeU8 gives %d", p.Scale(0), p.ZeroPoint(0), v, out.U[i], want)
+			}
+		}
+	}
+}
+
+// TestElementwiseShortInputErrors: a hand-built Ctx whose input is shorter
+// than its output is a malformed graph and must come back as an error naming
+// the op and both lengths, not as an index-out-of-range panic.
+func TestElementwiseShortInputErrors(t *testing.T) {
+	p := quant.AsymmetricU8Params(-1, 1)
+	f32, u8 := tensor.New(tensor.F32, 1, 3), tensor.New(tensor.U8, 1, 3)
+	for _, cse := range []struct {
+		kern Kernel
+		ctx  *Ctx
+		want string
+	}{
+		{quantizeKernel, ctxFor(graph.OpQuantize, graph.Attrs{}, []*tensor.Tensor{f32}, nil, tensor.New(tensor.U8, 1, 4), p),
+			"ops: Quantize input has 3 elements, output 4"},
+		{dequantizeKernel, ctxFor(graph.OpDequantize, graph.Attrs{}, []*tensor.Tensor{u8}, []*quant.Params{p}, tensor.New(tensor.F32, 1, 4), nil),
+			"ops: Dequantize input has 3 elements, output 4"},
+		{addQuant, ctxFor(graph.OpAdd, graph.Attrs{}, []*tensor.Tensor{u8, u8}, []*quant.Params{p, p}, tensor.New(tensor.U8, 1, 4), p),
+			"ops: Add input has 3 elements, output 4"},
+		{mulQuant, ctxFor(graph.OpMul, graph.Attrs{}, []*tensor.Tensor{u8, u8}, []*quant.Params{p, p}, tensor.New(tensor.U8, 1, 5), p),
+			"ops: Mul input has 3 elements, output 5"},
+	} {
+		if err := cse.kern(cse.ctx); err == nil || err.Error() != cse.want {
+			t.Errorf("%v: error %v, want %q", cse.ctx.Node.Op, err, cse.want)
+		}
 	}
 }
 

@@ -65,10 +65,14 @@ func (mul Multiplier) ApplyLogicalShiftBug(acc int32) int32 {
 		return mul.Apply(acc)
 	}
 	v := saturatingRoundingDoublingHighMul(acc, mul.M)
-	if v >= 0 {
-		return roundingRightShift(v, mul.Shift)
+	// Both shifts are computed and one selected, so the sign of v — a coin
+	// flip on pre-activation data — costs a conditional move rather than a
+	// mispredicted branch in the depthwise store.
+	out := roundingRightShift(v, mul.Shift)
+	if v < 0 {
+		out = int32(uint32(v) >> uint(mul.Shift))
 	}
-	return int32(uint32(v) >> uint(mul.Shift))
+	return out
 }
 
 func saturatingRoundingDoublingHighMul(a, b int32) int32 {

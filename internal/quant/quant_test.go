@@ -158,6 +158,38 @@ func TestMultiplierGEOne(t *testing.T) {
 	}
 }
 
+// TestLogicalShiftBugDefinition pins the historical defect to its definition,
+// written out here with its branch: a multiplier >= 1 has no right shift to
+// get wrong, a non-negative high-multiply rounds correctly, and a negative
+// one is shifted right logically, its sign bit coming down as value. The
+// kernel-side function selects between the two shifts instead of branching.
+func TestLogicalShiftBugDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	accs := []int32{0, 1, -1, 2, -2, math.MaxInt32, math.MinInt32, math.MinInt32 + 1, 1 << 20, -(1 << 20)}
+	for i := 0; i < 2000; i++ {
+		accs = append(accs, int32(rng.Uint32())>>uint(rng.Intn(32)))
+	}
+	for _, real := range []float64{1e-12, 3e-5, 0.0123, 0.25, 0.4999, 0.5, 0.75, 0.99999, 1, 2.5, 1000} {
+		mul, err := NewMultiplier(real)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, acc := range accs {
+			want := mul.Apply(acc)
+			if mul.Shift > 0 {
+				if v := saturatingRoundingDoublingHighMul(acc, mul.M); v >= 0 {
+					want = roundingRightShift(v, mul.Shift)
+				} else {
+					want = int32(uint32(v) >> uint(mul.Shift))
+				}
+			}
+			if got := mul.ApplyLogicalShiftBug(acc); got != want {
+				t.Fatalf("multiplier %v (M=%d shift=%d), acc %d: %d, definition gives %d", real, mul.M, mul.Shift, acc, got, want)
+			}
+		}
+	}
+}
+
 func TestMultiplierRejectsBad(t *testing.T) {
 	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		if _, err := NewMultiplier(v); err == nil {

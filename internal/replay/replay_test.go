@@ -3,7 +3,9 @@ package replay
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mlexray/internal/core"
@@ -11,10 +13,12 @@ import (
 	"mlexray/internal/device"
 	"mlexray/internal/graph"
 	"mlexray/internal/imaging"
+	"mlexray/internal/interp"
 	"mlexray/internal/metrics"
 	"mlexray/internal/ops"
 	"mlexray/internal/pipeline"
 	"mlexray/internal/runner"
+	"mlexray/internal/tensor"
 	"mlexray/internal/zoo"
 )
 
@@ -459,6 +463,44 @@ func TestClassificationUninstrumented(t *testing.T) {
 		}
 		if acc, err := metrics.Top1(preds, labels); err != nil || acc < 0 {
 			t.Errorf("batch=%d: Top1 = %v, %v", batch, acc, err)
+		}
+	}
+}
+
+// TestInt8LayersBackendInvariant is the whole-model leg of the int8 bit-exact
+// contract: every layer output of the quantized mobilenetv2-mini, under the
+// historical and under the fixed optimized resolver, is byte-identical
+// between the tiled backend's register kernels and the reference backend's
+// loop nests — including the bytes the historical depthwise defect corrupts.
+func TestInt8LayersBackendInvariant(t *testing.T) {
+	m := testModel(t, true)
+	for name, cfg := range map[string]ops.Config{"historical": ops.Historical(), "fixed": ops.Fixed()} {
+		var ips [2]*interp.Interpreter
+		for i, b := range []ops.Backend{ops.BackendTiled, ops.BackendReference} {
+			ip, err := interp.New(m, ops.NewOptimized(cfg), interp.WithBackend(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ips[i] = ip
+		}
+		rng := rand.New(rand.NewSource(2020))
+		in := tensor.New(tensor.F32, 1, m.Meta.InputH, m.Meta.InputW, m.Meta.InputC)
+		for frame := 0; frame < 20; frame++ {
+			tensor.RandUniform(rng, in, -1, 1)
+			for _, ip := range ips {
+				if _, err := ip.Run(in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, n := range m.Nodes {
+				for _, id := range n.Outputs {
+					tiled, _ := ips[0].Tensor(id)
+					ref, _ := ips[1].Tensor(id)
+					if !bytes.Equal(tiled.U, ref.U) || !slices.Equal(tiled.F, ref.F) {
+						t.Fatalf("%s kernels, input %d: %s (%v) differs between the tiled and the reference backend", name, frame, n.Name, n.Op)
+					}
+				}
+			}
 		}
 	}
 }

@@ -17,16 +17,44 @@ type Stats struct {
 }
 
 // ComputeStats scans the tensor once and returns its Stats. Quantized
-// tensors report raw integer values.
+// tensors report raw integer values. The scan dispatches on the dtype once:
+// F32 and I32 widen element by element in index order (the float64 sums are
+// order-sensitive), U8 and I8 sum in integers — every partial sum the
+// float64 chain would hold is an integer below 2^53, so converting the
+// totals once gives the same Mean and RMS bits.
 func ComputeStats(t *Tensor) Stats {
 	n := t.Len()
 	if n == 0 {
 		return Stats{}
 	}
-	mn, mx := math.Inf(1), math.Inf(-1)
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := t.flat(i)
+	var mn, mx, sum, sumSq float64
+	switch t.DType {
+	case F32:
+		mn, mx, sum, sumSq = scanWide(t.F[:n])
+	case I32:
+		mn, mx, sum, sumSq = scanWide(t.X[:n])
+	case U8:
+		mn, mx, sum, sumSq = scanBytes(t.U[:n])
+	case I8:
+		mn, mx, sum, sumSq = scanBytes(t.I[:n])
+	default:
+		panic("tensor: bad dtype")
+	}
+	return Stats{
+		Min:  mn,
+		Max:  mx,
+		Mean: sum / float64(n),
+		RMS:  math.Sqrt(sumSq / float64(n)),
+		N:    n,
+	}
+}
+
+// scanWide is the order-preserving float64 scan of a 32-bit element slice.
+// NaN fails both compares, so it never becomes Min or Max.
+func scanWide[T float32 | int32](xs []T) (mn, mx, sum, sumSq float64) {
+	mn, mx = math.Inf(1), math.Inf(-1)
+	for _, x := range xs {
+		v := float64(x)
 		if v < mn {
 			mn = v
 		}
@@ -36,13 +64,25 @@ func ComputeStats(t *Tensor) Stats {
 		sum += v
 		sumSq += v * v
 	}
-	return Stats{
-		Min:  mn,
-		Max:  mx,
-		Mean: sum / float64(n),
-		RMS:  math.Sqrt(sumSq / float64(n)),
-		N:    n,
+	return mn, mx, sum, sumSq
+}
+
+// scanBytes is the integer scan of a non-empty 8-bit element slice.
+func scanBytes[T uint8 | int8](xs []T) (mn, mx, sum, sumSq float64) {
+	lo, hi := xs[0], xs[0]
+	var s, sq int64
+	for _, x := range xs {
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+		v := int64(x)
+		s += v
+		sq += v * v
 	}
+	return float64(lo), float64(hi), float64(s), float64(sq)
 }
 
 // Range returns max-min, the "layer output scale" used by the paper to

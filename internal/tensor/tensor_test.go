@@ -191,6 +191,70 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
+// statsPerElement is the per-element loop ComputeStats ran before its scan was
+// typed, kept as the oracle: one flat() widening per element, two float64
+// chains in index order.
+func statsPerElement(t *Tensor) Stats {
+	n := t.Len()
+	if n == 0 {
+		return Stats{}
+	}
+	mn, mx := math.Inf(1), math.Inf(-1)
+	var sum, sumSq float64
+	for i := 0; i < n; i++ {
+		v := t.flat(i)
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+		sum += v
+		sumSq += v * v
+	}
+	return Stats{Min: mn, Max: mx, Mean: sum / float64(n), RMS: math.Sqrt(sumSq / float64(n)), N: n}
+}
+
+// TestComputeStatsMatchesFlat holds the typed scans to the per-element loop
+// bit for bit — including the F32 non-finite cases, where NaN must stay out of
+// Min/Max and poison Mean/RMS exactly as before.
+func TestComputeStatsMatchesFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var cases []*Tensor
+	for _, n := range []int{0, 1, 7, 1568, 6272} {
+		f := New(F32, n)
+		RandUniform(rng, f, -3, 5)
+		u, i8, x := New(U8, n), New(I8, n), New(I32, n)
+		for i := 0; i < n; i++ {
+			u.U[i] = uint8(rng.Intn(256))
+			i8.I[i] = int8(rng.Intn(256) - 128)
+			x.X[i] = int32(rng.Uint32())
+		}
+		cases = append(cases, f, u, i8, x)
+	}
+	for _, special := range [][]float32{
+		{1, float32(math.NaN()), -2},
+		{float32(math.NaN())},
+		{float32(math.Inf(1)), 0, float32(math.Inf(-1))},
+		{float32(math.Inf(-1)), 3},
+		{math.MaxFloat32, math.MaxFloat32, -math.MaxFloat32},
+	} {
+		cases = append(cases, FromFloats(special, len(special)))
+	}
+	all255, allMin := New(U8, 6272), New(I8, 6272)
+	all255.Fill(255)
+	allMin.Fill(-128)
+	cases = append(cases, all255, allMin)
+	bits := math.Float64bits
+	for _, tt := range cases {
+		got, want := ComputeStats(tt), statsPerElement(tt)
+		if bits(got.Min) != bits(want.Min) || bits(got.Max) != bits(want.Max) ||
+			bits(got.Mean) != bits(want.Mean) || bits(got.RMS) != bits(want.RMS) || got.N != want.N {
+			t.Errorf("%v: typed scan %+v, per-element loop %+v", tt, got, want)
+		}
+	}
+}
+
 func TestRMSEAndNormalized(t *testing.T) {
 	a := FromFloats([]float32{0, 0, 0, 0}, 4)
 	b := FromFloats([]float32{1, 1, 1, 1}, 4)
