@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/base64"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -71,7 +73,7 @@ func appendRecordTail(dst []byte, r *Record) ([]byte, error) {
 	if len(r.Payload) > 0 {
 		// The base64 alphabet never needs escaping, so the payload goes
 		// into the line in one pass.
-		dst = base64.StdEncoding.AppendEncode(append(dst, `,"data":"`...), r.Payload)
+		dst = appendBase64(append(dst, `,"data":"`...), r.Payload)
 		dst = append(dst, '"')
 	}
 	if s := r.Stats; s != nil {
@@ -97,6 +99,37 @@ func appendRecordTail(dst []byte, r *Record) ([]byte, error) {
 		dst = appendJSONString(append(dst, `,"unit":`...), r.Unit)
 	}
 	return append(dst, '}', '\n'), nil
+}
+
+// base64Pairs maps a 12-bit value to its two base64 characters, the first in
+// the low byte: half the lookups of a per-character table, and 8 KiB stays in
+// L1 next to the payload streaming through.
+var base64Pairs = func() (t [4096]uint16) {
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	for v := range t {
+		t[v] = uint16(alphabet[v>>6]) | uint16(alphabet[v&63])<<8
+	}
+	return t
+}()
+
+// appendBase64 appends the standard padded base64 of src — the bytes
+// base64.StdEncoding.AppendEncode appends — eight characters at a time: one
+// big-endian 64-bit load covers six input bytes, four pair lookups build one
+// 64-bit store. The stdlib encodes the tail the load cannot cover.
+func appendBase64(dst, src []byte) []byte {
+	n := base64.StdEncoding.EncodedLen(len(src))
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	for len(src) >= 8 {
+		v := binary.BigEndian.Uint64(src)
+		binary.LittleEndian.PutUint64(out, uint64(base64Pairs[v>>52])|
+			uint64(base64Pairs[v>>40&0xFFF])<<16|
+			uint64(base64Pairs[v>>28&0xFFF])<<32|
+			uint64(base64Pairs[v>>16&0xFFF])<<48)
+		src, out = src[6:], out[8:]
+	}
+	base64.StdEncoding.Encode(out, src)
+	return dst[:len(dst)+n]
 }
 
 // checkFinite reports the first float field, in line order, holding a value

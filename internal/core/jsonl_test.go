@@ -201,6 +201,18 @@ func FuzzRecordJSONL(f *testing.F) {
 		f.Add(s, "tensor", s, "ns", i-3, 1<<i, -i, fl, -fl, fl*0.5, int32(i-2), []byte(s), uint8(i))
 	}
 	f.Add("layer/x/output", "stats", "x", "", 4095, 7, 1<<40, math.NaN(), 1.0, math.Inf(-1), int32(0), []byte{0, 1, 2, 3}, uint8(7))
+	// Payload lengths around appendBase64's 8-byte load and 6-byte step, and
+	// one long enough to stay in its main loop.
+	for n := 0; n <= 4<<10; n++ {
+		if n == 18 {
+			n = 4 << 10
+		}
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*131 + n)
+		}
+		f.Add("layer/x/output", "tensor", "x", "", n, 1, n, 0.0, 0.5, 0.0, int32(3), payload, uint8(3))
+	}
 	f.Fuzz(func(t *testing.T, key, kind, name, unit string, seq, frame, dim int, a, b, c float64, qzero int32, payload []byte, flags uint8) {
 		r := Record{Seq: seq, Frame: frame, Key: key, Kind: RecordKind(kind), LayerIndex: dim % 5, LayerName: name,
 			OpType: kind, DType: unit, Payload: payload, QScale: b, QZero: qzero, Value: c, Unit: unit}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"mlexray/internal/graph"
 	"mlexray/internal/interp"
 	"mlexray/internal/quant"
 	"mlexray/internal/tensor"
@@ -59,8 +61,12 @@ func WithPerLayer(enabled bool) MonitorOption {
 // sink. Spill-mode monitors are for sequential instrumentation loops; the
 // parallel replay engine streams through its own collector sink instead
 // (runner.Options.Sink), so do not combine the two.
+//
+// A spilled frame is lent to the sink, not given to it (see Sink): the
+// monitor captures every frame into the same record buffer and payload slab
+// and overwrites them as soon as WriteFrame returns.
 func WithSink(s Sink) MonitorOption {
-	return func(mon *Monitor) { mon.sink = s }
+	return func(mon *Monitor) { mon.sink, mon.lendFrames = s, 1 }
 }
 
 // Monitor is the EdgeML Monitor (§3.2, Fig. 7): the instrumentation object
@@ -76,7 +82,56 @@ type Monitor struct {
 	sink     Sink
 	sinkErr  error
 
+	// Lending (lendFrames > 0: spill mode, or between Lend and DrainLent):
+	// nothing keeps the records past the sink's WriteFrame, so full-capture
+	// payloads are capacity-clipped sub-slices of one slab per range and
+	// slab and record buffer come back through Capture.Recycle instead of being
+	// allocated per tensor and per drain. lendFrames is the range length a
+	// fresh slab is sized for, frameBytes the payload bytes of the largest
+	// frame captured so far, curBytes the running count of the open frame,
+	// rangeRecs the record count of the last range drained.
+	lendFrames int
+	slab       []byte
+	free       []Capture
+	frameBytes int
+	curBytes   int
+	rangeRecs  int
+
 	infStart time.Time
+}
+
+// Capture is one range of records drained from a lending monitor (Lend,
+// DrainLent). The records and every payload in them are on loan: they are
+// valid until Recycle hands the capture back, and whatever outlives that must
+// have been copied. The zero Capture, and one whose Records were set by hand,
+// is on loan from nobody: Recycle does nothing.
+type Capture struct {
+	Records []Record
+	slab    []byte
+	from    *Monitor
+}
+
+// scribbleRecycled makes every recycle overwrite what it takes back, so a
+// reader that kept an alias past its loan sees 0xA5 bytes and zero records
+// instead of plausible stale telemetry. Tests only.
+var scribbleRecycled atomic.Bool
+
+// ScribbleRecycledCaptures is the test hook enforcing the Sink no-retention
+// rule: while on, a recycled capture's slab is filled with 0xA5 and its
+// record buffer zeroed before either is reused, so the byte-identity pins
+// fail on any alias held past WriteFrame. It returns the previous setting.
+func ScribbleRecycledCaptures(on bool) (was bool) { return scribbleRecycled.Swap(on) }
+
+// reclaim prepares a capture's buffers for reuse.
+func (c Capture) reclaim() Capture {
+	recs, slab := c.Records[:cap(c.Records)], c.slab[:cap(c.slab)]
+	if scribbleRecycled.Load() {
+		for i := range slab {
+			slab[i] = 0xA5
+		}
+		clear(recs)
+	}
+	return Capture{Records: recs[:0], slab: slab[:0], from: c.from}
 }
 
 // NewMonitor constructs a Monitor. The default captures stats-only records
@@ -95,25 +150,30 @@ func NewMonitor(opts ...MonitorOption) *Monitor {
 func (m *Monitor) NextFrame() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.spillLocked()
+	m.endFrameLocked()
 	m.frame++
 	return m.frame
 }
 
-// spillLocked streams the buffered records of the current frame to the
-// attached sink, if any. The first sink error is retained and reported by
-// Flush; later frames are dropped rather than written out of order.
-func (m *Monitor) spillLocked() {
+// endFrameLocked closes the current frame: its payload byte count becomes
+// the slab sizing estimate if it is the largest so far, and in spill mode
+// its buffered records stream to the attached sink, after which their
+// buffers are reused for the next frame. The first sink error is retained and
+// reported by Flush; later frames are dropped rather than written out of
+// order.
+func (m *Monitor) endFrameLocked() {
+	if m.curBytes > m.frameBytes {
+		m.frameBytes = m.curBytes
+	}
+	m.curBytes = 0
 	if m.sink == nil || len(m.log.Records) == 0 {
 		return
 	}
-	recs := m.takeLocked()
-	if m.sinkErr != nil {
-		return
+	if m.sinkErr == nil {
+		m.sinkErr = m.sink.WriteFrame(m.frame, m.log.Records)
 	}
-	if err := m.sink.WriteFrame(m.frame, recs); err != nil {
-		m.sinkErr = err
-	}
+	c := Capture{Records: m.log.Records, slab: m.slab}.reclaim()
+	m.log.Records, m.slab = c.Records, c.slab
 }
 
 // Flush spills any buffered records of the current (final) frame and flushes
@@ -123,12 +183,12 @@ func (m *Monitor) spillLocked() {
 func (m *Monitor) Flush() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.spillLocked()
+	m.endFrameLocked()
 	if m.sinkErr != nil {
 		return m.sinkErr
 	}
 	// Flush under the lock: the sink is not thread-safe and every other
-	// touch (spillLocked's WriteFrame) happens while m.mu is held.
+	// touch (endFrameLocked's WriteFrame) happens while m.mu is held.
 	if m.sink != nil {
 		return m.sink.Flush()
 	}
@@ -143,7 +203,7 @@ func (m *Monitor) Flush() error {
 func (m *Monitor) SetNextFrame(idx int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.spillLocked()
+	m.endFrameLocked()
 	m.frame = idx - 1
 }
 
@@ -159,28 +219,114 @@ func (m *Monitor) Drain() []Record {
 
 // takeLocked hands the buffered records away and starts the next buffer at
 // their count: frames of one model log the same number of records, so the
-// slice is sized once per frame instead of regrown by doubling.
+// slice is sized once per frame instead of regrown by doubling. Payloads of
+// a lending monitor go with the records — the slab is never reused behind a
+// caller that was given ownership.
 func (m *Monitor) takeLocked() []Record {
 	recs := m.log.Records
 	m.log.Records = make([]Record, 0, len(recs))
+	m.slab = nil
 	return recs
+}
+
+// Lend opens a lent range of the given number of frames: until DrainLent the
+// monitor captures into a record buffer and a payload slab taken from its
+// free list (allocated, the slab sized for the whole range, only while the
+// list is empty — so a monitor owns as many buffers as ranges were ever on
+// loan at once, and no more). The parallel replay engine lends when it
+// already knows nothing keeps the records: a sink is attached and the merged
+// log is discarded.
+func (m *Monitor) Lend(frames int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.lendFrames = frames
+	if len(m.log.Records) > 0 {
+		return // records logged outside any range: the buffer holding them is in use
+	}
+	if n := len(m.free); n > 0 {
+		m.log.Records, m.slab = m.free[n-1].Records, m.free[n-1].slab
+		m.free = m.free[:n-1]
+	} else {
+		m.log.Records = make([]Record, 0, m.rangeRecs)
+	}
+}
+
+// DrainLent closes the range opened by Lend and returns its records, on loan
+// until the capture's Recycle.
+func (m *Monitor) DrainLent() Capture {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.endFrameLocked()
+	c := Capture{Records: m.log.Records, slab: m.slab, from: m}
+	m.log.Records, m.slab, m.lendFrames, m.rangeRecs = nil, nil, 0, len(c.Records)
+	return c
+}
+
+// Recycle ends the capture's loan: its buffers go back on its monitor's free
+// list for a later range. Safe to call from another goroutine than the one
+// capturing.
+func (c Capture) Recycle() {
+	m := c.from
+	if m == nil {
+		return
+	}
+	c = c.reclaim()
+	m.mu.Lock()
+	m.free = append(m.free, c)
+	m.mu.Unlock()
 }
 
 func (m *Monitor) append(r Record) {
 	m.mu.Lock()
+	m.appendLocked(r)
+	m.mu.Unlock()
+}
+
+func (m *Monitor) appendLocked(r Record) {
 	r.Seq = m.seq
 	r.Frame = m.frame
 	m.seq++
 	m.log.Records = append(m.log.Records, r)
+}
+
+// appendTensor appends a record describeTensor has filled, capturing t's
+// payload when the record is a full capture: into a buffer of its own, or,
+// while lending, into the range's slab.
+func (m *Monitor) appendTensor(r Record, t *tensor.Tensor) {
+	m.mu.Lock()
+	if r.Kind == KindTensor {
+		r.Payload = appendTensorLE(m.payloadBufLocked(t.Bytes()), t)
+	}
+	m.appendLocked(r)
 	m.mu.Unlock()
+}
+
+// payloadBufLocked returns an empty buffer with room for exactly n bytes. A
+// lending monitor cuts it from the slab, clipped so that no append through
+// one payload can reach the next. A slab without room is left to the records
+// already pointing into it and replaced by one sized for the whole range at
+// the largest frame seen — which, until a first frame has completed, is
+// nothing, so that frame's tensors each get a buffer of their own size and
+// no slab is ever grown by doubling.
+func (m *Monitor) payloadBufLocked(n int) []byte {
+	if m.lendFrames == 0 {
+		return make([]byte, 0, n)
+	}
+	m.curBytes += n
+	if cap(m.slab)-len(m.slab) < n {
+		m.slab = make([]byte, 0, max(n, m.frameBytes*m.lendFrames))
+	}
+	off := len(m.slab)
+	m.slab = m.slab[:off+n]
+	return m.slab[off : off : off+n]
 }
 
 // LogTensor records a tensor under the given key (honouring the capture
 // mode).
 func (m *Monitor) LogTensor(key string, t *tensor.Tensor) {
 	r := Record{Key: key}
-	r.EncodeTensor(t, m.mode == CaptureFull)
-	m.append(r)
+	r.describeTensor(t, m.mode == CaptureFull)
+	m.appendTensor(r, t)
 }
 
 // LogTensorFull records a tensor with its full payload regardless of the
@@ -188,8 +334,8 @@ func (m *Monitor) LogTensor(key string, t *tensor.Tensor) {
 // verbatim).
 func (m *Monitor) LogTensorFull(key string, t *tensor.Tensor) {
 	r := Record{Key: key}
-	r.EncodeTensor(t, true)
-	m.append(r)
+	r.describeTensor(t, true)
+	m.appendTensor(r, t)
 }
 
 // LogMetric records a scalar performance metric.
@@ -227,9 +373,7 @@ func (m *Monitor) OnInferenceStop(ip *interp.Interpreter) {
 		m.LogMetric(KeyInferenceModeled, float64(st.Modeled.Nanoseconds()), "ns")
 	}
 	if out, err := ip.Output(0); err == nil {
-		r := Record{Key: KeyModelOutput}
-		r.EncodeTensor(out, true) // outputs are small; always keep them whole
-		m.append(r)
+		m.LogTensorFull(KeyModelOutput, out) // outputs are small; always keep them whole
 	}
 }
 
@@ -245,9 +389,7 @@ func (m *Monitor) OnBatchFrame(stats interp.InvokeStats, out *tensor.Tensor) {
 		m.LogMetric(KeyInferenceModeled, float64(stats.Modeled.Nanoseconds()), "ns")
 	}
 	if out != nil {
-		r := Record{Key: KeyModelOutput}
-		r.EncodeTensor(out, true) // outputs are small; always keep them whole
-		m.append(r)
+		m.LogTensorFull(KeyModelOutput, out) // outputs are small; always keep them whole
 	}
 }
 
@@ -255,15 +397,41 @@ func (m *Monitor) OnBatchFrame(stats interp.InvokeStats, out *tensor.Tensor) {
 // latency when per-layer capture is enabled, and always aggregates latency
 // by layer for the Table 4 style breakdowns.
 func (m *Monitor) LayerHook() interp.NodeHook {
+	// The strings a node's records carry are built once per node index, not
+	// per record: the hook sees the same nodes every frame.
+	type nodeStrings struct {
+		node         *graph.Node
+		out, lat, op string
+	}
+	var memo []nodeStrings
 	return func(ev interp.NodeEvent) {
 		if !m.perLayer {
 			return
 		}
-		r := Record{
-			Key:        LayerOutputKey(ev.Node.Name),
+		if ev.Index >= len(memo) {
+			memo = append(memo, make([]nodeStrings, ev.Index+1-len(memo))...)
+		}
+		ns := &memo[ev.Index]
+		if ns.node != ev.Node {
+			*ns = nodeStrings{ev.Node, LayerOutputKey(ev.Node.Name), LayerLatencyKey(ev.Node.Name), ev.Node.Op.String()}
+		}
+		lat := Record{
+			Key:        ns.lat,
+			Kind:       KindMetric,
 			LayerIndex: ev.Index,
 			LayerName:  ev.Node.Name,
-			OpType:     ev.Node.Op.String(),
+			OpType:     ns.op,
+			Value:      float64(ev.Measured.Nanoseconds()),
+			Unit:       "ns",
+		}
+		if ev.Modeled > 0 {
+			lat.Value, lat.Unit = float64(ev.Modeled.Nanoseconds()), "ns-modeled"
+		}
+		r := Record{
+			Key:        ns.out,
+			LayerIndex: ev.Index,
+			LayerName:  ev.Node.Name,
+			OpType:     ns.op,
 		}
 		// Quantized captures are stored raw (1 byte/element) with their
 		// scale/zero-point; decode dequantizes, so per-layer logs compare in
@@ -276,43 +444,24 @@ func (m *Monitor) LayerHook() interp.NodeHook {
 			// Stats must reflect real units for range-normalized drift.
 			if m.mode != CaptureFull {
 				deq := quant.DequantizeTensorU8(out, ev.OutQuant[0])
-				r.EncodeTensor(deq, false)
+				r.describeTensor(deq, false)
 				m.append(r)
-				m.appendLayerLatency(ev)
+				m.append(lat)
 				return
 			}
 		}
-		r.EncodeTensor(out, m.mode == CaptureFull)
-		if r.QScale != 0 && r.Stats != nil {
+		r.describeTensor(out, m.mode == CaptureFull)
+		if r.QScale != 0 {
 			// Rewrite stats in dequantized units.
-			s := *r.Stats
+			s := r.Stats
 			s.Min = r.QScale * (s.Min - float64(r.QZero))
 			s.Max = r.QScale * (s.Max - float64(r.QZero))
 			s.Mean = r.QScale * (s.Mean - float64(r.QZero))
 			s.RMS = 0 // raw RMS does not transform linearly; recompute on decode when needed
-			r.Stats = &s
 		}
-		m.append(r)
-		m.appendLayerLatency(ev)
+		m.appendTensor(r, out)
+		m.append(lat)
 	}
-}
-
-func (m *Monitor) appendLayerLatency(ev interp.NodeEvent) {
-	lat := ev.Measured
-	unit := "ns"
-	if ev.Modeled > 0 {
-		lat = ev.Modeled
-		unit = "ns-modeled"
-	}
-	m.append(Record{
-		Key:        LayerLatencyKey(ev.Node.Name),
-		Kind:       KindMetric,
-		LayerIndex: ev.Index,
-		LayerName:  ev.Node.Name,
-		OpType:     ev.Node.Op.String(),
-		Value:      float64(lat.Nanoseconds()),
-		Unit:       unit,
-	})
 }
 
 // Log returns the accumulated log. The returned value shares storage with
@@ -339,6 +488,7 @@ func (m *Monitor) Reset() {
 	m.frame = 0
 	m.sink = nil
 	m.sinkErr = nil
+	m.lendFrames, m.slab, m.free = 0, nil, nil
 }
 
 // MemoryFootprintBytes estimates the monitor's buffer memory: the sum of

@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"unsafe"
 
 	"mlexray/internal/tensor"
 )
@@ -123,23 +124,66 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 }
 
 // EncodeTensor fills the record's tensor payload fields. Full capture stores
-// the raw little-endian bytes; the textual (base64) expansion is deferred to
-// JSONL serialization, and never happens on the binary path.
+// the raw little-endian bytes in a payload the record owns; the textual
+// (base64) expansion is deferred to JSONL serialization, and never happens on
+// the binary path.
 func (r *Record) EncodeTensor(t *tensor.Tensor, full bool) {
+	r.describeTensor(t, full)
+	if full {
+		r.Payload = appendTensorLE(make([]byte, 0, t.Bytes()), t)
+	}
+}
+
+// describeTensor fills everything of a tensor record but its payload: shape,
+// dtype, summary statistics and the kind the capture depth implies.
+func (r *Record) describeTensor(t *tensor.Tensor, full bool) {
 	r.Shape = append([]int(nil), t.Shape...)
 	r.DType = t.DType.String()
 	s := tensor.ComputeStats(t)
 	r.Stats = &s
-	if !full {
-		r.Kind = KindStats
-		return
+	r.Kind = KindStats
+	if full {
+		r.Kind = KindTensor
 	}
-	r.Kind = KindTensor
-	r.Payload = appendTensorLE(make([]byte, 0, t.Bytes()), t)
 }
 
-// appendTensorLE appends t's element data in little-endian order.
+// hostLittleEndian reports whether this host lays multi-byte elements out in
+// the payload's byte order, so a tensor's backing array is already its
+// payload.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// appendTensorLE appends t's element data in little-endian order: on a
+// little-endian host one bulk copy of the backing array, elsewhere the
+// per-element loop (appendTensorPortable — also the oracle the bulk path is
+// tested against).
 func appendTensorLE(buf []byte, t *tensor.Tensor) []byte {
+	if !hostLittleEndian {
+		return appendTensorPortable(buf, t)
+	}
+	switch t.DType {
+	case tensor.F32:
+		buf = append(buf, elemBytes(t.F)...)
+	case tensor.U8:
+		buf = append(buf, t.U...)
+	case tensor.I8:
+		buf = append(buf, elemBytes(t.I)...)
+	case tensor.I32:
+		buf = append(buf, elemBytes(t.X)...)
+	}
+	return buf
+}
+
+// elemBytes views a numeric slice's backing array as bytes, in host order.
+func elemBytes[E float32 | int32 | int8](s []E) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// appendTensorPortable is appendTensorLE for any byte order, one element at
+// a time.
+func appendTensorPortable(buf []byte, t *tensor.Tensor) []byte {
 	switch t.DType {
 	case tensor.F32:
 		for _, v := range t.F {

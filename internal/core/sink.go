@@ -12,6 +12,14 @@ import (
 // already assigned; Flush is called once after the last frame (closing any
 // underlying file is the caller's job).
 //
+// A frame is lent to the sink, not given to it: nothing of recs — the slice,
+// a record, a Payload, a Shape, a Stats — may be held past the return of
+// WriteFrame. Where nothing else keeps the records (a replay with DiscardLog,
+// a Monitor built WithSink) they and their payloads live in recycled buffers
+// that are overwritten as soon as the frame's range is flushed; a sink that
+// needs something later copies it (StreamValidator clones the payloads it
+// retains). ScribbleRecycledCaptures makes tests fail on a violation.
+//
 // Sinks are not safe for concurrent use; the parallel replay engine
 // serializes frames through its in-order collector before writing, which is
 // also what guarantees the on-disk record order matches a sequential run.

@@ -240,7 +240,11 @@ func TestBinarySinkMatchesWriteBinary(t *testing.T) {
 // TestMonitorSpillMode checks WithSink: the spill-mode stream is
 // byte-identical to an accumulate-then-write run of the same capture, the
 // monitor's buffer stays one frame deep, and Flush delivers the final frame.
+// The recycle scribble is on: every frame is captured into the buffers the
+// previous one was spilled from, so a sink holding on to anything would
+// write 0xA5 bytes.
 func TestMonitorSpillMode(t *testing.T) {
+	defer ScribbleRecycledCaptures(ScribbleRecycledCaptures(true))
 	capture := func(m *Monitor) {
 		tt := tensor.New(tensor.F32, 64)
 		for i := range tt.F {
@@ -278,7 +282,7 @@ func TestMonitorSpillMode(t *testing.T) {
 		if n := len(m.Log().Records); n != 0 {
 			t.Errorf("%v: %d records left after Flush", format, n)
 		}
-		back, err := ReadLog(&got)
+		back, err := ReadLog(bytes.NewReader(got.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,6 +292,13 @@ func TestMonitorSpillMode(t *testing.T) {
 		}
 		if !bytes.Equal(backJSONL.Bytes(), want.Bytes()) {
 			t.Errorf("%v: spill-mode log differs from accumulated log", format)
+		}
+		var direct bytes.Buffer
+		if err := ref.Log().Write(&direct, format); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), direct.Bytes()) {
+			t.Errorf("%v: spill-mode stream is not Log.Write of the accumulated log, byte for byte", format)
 		}
 	}
 }

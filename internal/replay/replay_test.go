@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -23,6 +24,14 @@ import (
 )
 
 const testFrames = 6
+
+// TestMain turns the recycle scribble on for the whole package (the race leg
+// included): a replay that lends its captures overwrites them once flushed,
+// so an alias kept past Sink.WriteFrame breaks the byte-identity pins.
+func TestMain(m *testing.M) {
+	core.ScribbleRecycledCaptures(true)
+	os.Exit(m.Run())
+}
 
 var monOpts = []core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(true)}
 
@@ -85,6 +94,64 @@ func normalizeWallClock(l *core.Log) {
 			l.Records[i].Value = 0
 		}
 	}
+}
+
+// teeSink streams every frame to a JSONL and an MLXB sink.
+type teeSink struct {
+	sinks [2]core.LogSink
+	bufs  *[2]bytes.Buffer
+}
+
+func newTeeSink(t testing.TB) teeSink {
+	t.Helper()
+	ts := teeSink{bufs: new([2]bytes.Buffer)}
+	for i, format := range []core.LogFormat{core.FormatJSONL, core.FormatBinary} {
+		var err error
+		if ts.sinks[i], err = core.NewLogSink(&ts.bufs[i], format); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ts
+}
+
+func (ts teeSink) WriteFrame(frame int, recs []core.Record) error {
+	for _, s := range ts.sinks {
+		if err := s.WriteFrame(frame, recs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (ts teeSink) Flush() error { return nil }
+
+// checkStreams flushes both streams and holds each, wall-clock values
+// masked, to Log.Write of want.
+func (ts teeSink) checkStreams(t testing.TB, what string, want *core.Log) {
+	t.Helper()
+	for i, s := range ts.sinks {
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := core.ReadLog(bytes.NewReader(ts.bufs[i].Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encoded(t, back, s.Format()), encoded(t, want, s.Format())) {
+			t.Errorf("%s: %v stream differs from the in-memory log", what, s.Format())
+		}
+	}
+}
+
+// encoded is Log.Write of l, wall-clock values masked.
+func encoded(t testing.TB, l *core.Log, format core.LogFormat) []byte {
+	t.Helper()
+	normalizeWallClock(l)
+	var buf bytes.Buffer
+	if err := l.Write(&buf, format); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func logBytes(t testing.TB, l *core.Log) []byte {
@@ -229,7 +296,12 @@ func firstDiff(got, want *core.Log) string {
 // returned. Every replay also streams through JSONL sinks, which must
 // receive exactly the in-memory shard logs: with one worker the collector
 // encodes, with three the workers pre-encode, and `go test -cpu 1,4` runs
-// both on one core and on several.
+// both on one core and on several. And every replay runs twice more with the
+// in-memory log discarded — the shards then lend their captures and recycle
+// them, scribbled, behind the sink — streaming JSONL and MLXB, which must be
+// Log.Write of the in-memory shard logs. (One replay feeds both formats, so
+// the collector encodes whatever the worker count; the runner's
+// TestReplayStreamingSink has the lent pre-encoding replay.)
 func TestReplayDeterminism(t *testing.T) {
 	profiles := []*device.Profile{device.Pixel4(), device.Pixel3(), device.EmulatorX86()}
 	for _, tc := range taskCases() {
@@ -289,6 +361,26 @@ func TestReplayDeterminism(t *testing.T) {
 							if !bytes.Equal(streamed[d].Bytes(), logBytes(t, shards[d])) {
 								t.Errorf("device %d: streamed JSONL differs from its in-memory shard log", d)
 							}
+						}
+						lent := make([]teeSink, len(devs))
+						for d := range lent {
+							lent[d] = newTeeSink(t)
+						}
+						if fleet {
+							f := &runner.Fleet{Policy: runner.RoundRobin{}, MonitorOptions: monOpts, DiscardLogs: true}
+							for d, p := range devs {
+								f.Devices = append(f.Devices, runner.DeviceSpec{Profile: p, Workers: workers, BatchFrames: batch, Sink: lent[d]})
+							}
+							_, err = tc.fleet(entry.Mobile, popts, f)
+						} else {
+							_, err = tc.single(entry.Mobile, popts, runner.Options{Workers: workers, BatchFrames: batch,
+								MonitorOptions: monOpts, Sink: lent[0], DiscardLog: true}, make([]string, tableFrames))
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						for d := range lent {
+							lent[d].checkStreams(t, fmt.Sprintf("device %d lent", d), shards[d])
 						}
 
 						mon := core.NewMonitor(monOpts...)

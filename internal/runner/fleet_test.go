@@ -180,6 +180,30 @@ func TestFleetPerDeviceSinks(t *testing.T) {
 			t.Errorf("device %d sink log reads back %d records, want %d", d, len(readBack.Records), len(res.DeviceLogs[d].Records))
 		}
 	}
+
+	// With DiscardLogs every device's shard lends its captures: the streams,
+	// JSONL and MLXB, are still Log.Write of the in-memory shard logs.
+	for _, format := range []core.LogFormat{core.FormatJSONL, core.FormatBinary} {
+		devs := fleetDevices()
+		bufs := make([]bytes.Buffer, len(devs))
+		sinks := make([]core.LogSink, len(devs))
+		for d := range devs {
+			var err error
+			if sinks[d], err = core.NewLogSink(&bufs[d], format); err != nil {
+				t.Fatal(err)
+			}
+			devs[d].Sink = sinks[d]
+		}
+		fleetLog(t, &Fleet{Devices: devs, Policy: RoundRobin{}, MonitorOptions: monOpts, DiscardLogs: true}, frames)
+		for d := range devs {
+			if err := sinks[d].Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(reencoded(t, bufs[d].Bytes(), format), encoded(t, res.DeviceLogs[d], format)) {
+				t.Errorf("%v device %d: lent shard streamed a different log than the in-memory shard log", format, d)
+			}
+		}
+	}
 }
 
 // TestShardPolicies pins the assignment shapes: full disjoint cover for

@@ -25,15 +25,26 @@
 // per-frame groups, so the merged log does not depend on the range length.
 //
 // Workers drain their monitor shard after every range, so shard buffers stay
-// one range deep; with a sink attached (and DiscardLog set) the collector
-// streams frames out as soon as they are in order. When the sink supports
-// pre-encoding (core.FramePreEncoder — the JSONL sink does) and there is more
-// than one worker, workers also pre-marshal their frames' record lines, so
-// the serial collector only patches sequence numbers and concatenates. The
-// reorder window is bounded: at most 4 × workers × batch frames may be
-// dispatched and not yet flushed, so a single slow frame throttles dispatch
-// instead of growing the window without limit — streaming million-frame
-// replays hold flat memory.
+// one range deep; with a sink attached the collector streams frames out as
+// soon as they are in order. When the sink supports pre-encoding
+// (core.FramePreEncoder — the JSONL sink does) and there is more than one
+// worker, workers also pre-marshal their frames' record lines, so the serial
+// collector only patches sequence numbers and concatenates. The reorder
+// window is bounded: at most 4 × workers × batch frames may be dispatched and
+// not yet flushed, so a single slow frame throttles dispatch instead of
+// growing the window without limit — streaming million-frame replays hold
+// flat memory. That credit throttle is the only back-pressure: the results
+// channel and the collector's reorder ring each hold a whole window, so a
+// worker holding credits never waits for the collector, and inference and
+// capture on the worker overlap with encoding and the sink on the collector.
+//
+// With DiscardLog set nothing keeps the records past the sink (core.Sink
+// forbids it), so the shards lend instead of give: a range is captured into
+// one record buffer and one payload slab from the shard monitor's free list
+// (core.Monitor.Lend/DrainLent), and both return to it (Capture.Recycle) when the collector
+// has flushed the range's last frame — or, with pre-encoding, as soon as the
+// worker has marshaled it. Without DiscardLog the merged log owns its
+// records, each payload an allocation of its own, as before.
 //
 // The fleet scheduler (fleet.go) is the same contract one tier up: one
 // factory type (FleetBatchWorkerFactory, the worker contract plus the device
@@ -94,13 +105,18 @@ type Options struct {
 	MonitorOptions []core.MonitorOption
 	// Sink, when set, receives frames in order as soon as they are
 	// contiguous — the streaming path for replays too large to hold in
-	// memory. Sinks implementing core.FramePreEncoder (the JSONL sink)
-	// additionally move record marshaling onto the worker goroutines. The
-	// engine never calls Flush — the sink's lifecycle stays with the caller.
+	// memory — on the collector goroutine, while the workers run up to a
+	// reorder window ahead. It must not hold anything of a frame past
+	// WriteFrame (core.Sink): with DiscardLog the records are on loan from
+	// recycled buffers. Sinks implementing core.FramePreEncoder (the JSONL
+	// sink) additionally move record marshaling onto the worker goroutines
+	// when there is more than one. The engine never calls Flush — the sink's
+	// lifecycle stays with the caller.
 	Sink core.Sink
 	// DiscardLog suppresses the in-memory merged log (ReplayBatched returns
-	// an empty log). Only meaningful with a Sink; without one the records
-	// would be lost.
+	// an empty log) and, since nothing then keeps the records, captures each
+	// range into recycled buffers instead of fresh allocations. Only
+	// meaningful with a Sink; without one the records would be lost.
 	DiscardLog bool
 }
 
@@ -134,6 +150,12 @@ type frameResult struct {
 	// pre-encoding; the collector then only patches sequence numbers.
 	pre    core.PreEncodedFrame
 	hasPre bool
+	// held marks an occupied slot of the collector's reorder ring.
+	held bool
+	// lent is set on the last frame of a lent range: flushing it ends the
+	// loan of the whole range's records (of which recs, here and in the
+	// range's earlier frames, are sub-slices).
+	lent core.Capture
 }
 
 // PerFrame adapts a per-frame body to the range contract: each frame is
@@ -216,6 +238,10 @@ func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.L
 	if nw > 1 {
 		preEnc, _ = opts.Sink.(core.FramePreEncoder)
 	}
+	// With the merged log discarded nothing outlives the sink's WriteFrame
+	// (core.Sink forbids retaining), so the shards lend their captures and
+	// get the buffers back once the range is flushed or pre-encoded.
+	lend := opts.Sink != nil && opts.DiscardLog
 
 	// Build all workers up front: factory errors surface before any
 	// goroutine starts, and sequential construction lets factories share
@@ -237,7 +263,11 @@ func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.L
 	// shard).
 	type job struct{ start, end, pos int }
 	jobs := make(chan job)
-	results := make(chan frameResult, nw)
+	// results holds the whole reorder window: every dispatched frame took a
+	// credit, so a worker never parks on delivery while the collector is
+	// inside the sink — the credit throttle is the only back-pressure, and
+	// capture and encode overlap with inference instead of alternating.
+	results := make(chan frameResult, maxPending)
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	cancel := func() { stopOnce.Do(func() { close(stop) }) }
@@ -285,11 +315,15 @@ func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.L
 		go func(i int) {
 			defer wg.Done()
 			mon, process := mons[i], procs[i]
+			var groups [][]core.Record // the range split, reused: frames leave it by value
 			for j := range jobs {
 				// Position the shard so the pipeline's NextFrame calls tag
 				// records with global frame numbers (sequential runs number
 				// frames 1..N).
 				mon.SetNextFrame(j.start + 1)
+				if lend {
+					mon.Lend(j.end - j.start)
+				}
 				if err := process(j.start, j.end); err != nil {
 					if j.end-j.start == 1 {
 						workerErrs[i] = fmt.Errorf("runner: frame %d: %w", j.start, err)
@@ -299,8 +333,14 @@ func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.L
 					cancel()
 					return
 				}
-				groups, err := splitByFrame(j.start, j.end, mon.Drain())
-				if err != nil {
+				var lent core.Capture
+				if lend {
+					lent = mon.DrainLent()
+				} else {
+					lent.Records = mon.Drain()
+				}
+				var err error
+				if groups, err = splitByFrame(groups, j.start, j.end, lent.Records); err != nil {
 					workerErrs[i] = err
 					cancel()
 					return
@@ -324,6 +364,13 @@ func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.L
 							fr.recs = nil
 						}
 					}
+					if lend && g == j.end-1 {
+						if preEnc != nil {
+							lent.Recycle() // every frame of the range is encoded
+						} else {
+							fr.lent = lent
+						}
+					}
 					select {
 					case results <- fr:
 					case <-stop:
@@ -337,19 +384,22 @@ func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.L
 
 	// In-order collector: a reorder window buffers frames that finished
 	// ahead of a slower predecessor and releases them as soon as the
-	// sequence is contiguous.
+	// sequence is contiguous. Every frame in flight holds a credit, so the
+	// positions in flight span less than maxPending and pos % maxPending is a
+	// slot of its own.
 	merged := &core.Log{}
-	pending := make(map[int]frameResult)
+	pending := make([]frameResult, maxPending)
 	next, seq := 0, 0
 	var sinkErr error
 	for fr := range results {
-		pending[fr.pos] = fr
+		fr.held = true
+		pending[fr.pos%maxPending] = fr
 		for {
-			cur, ok := pending[next]
-			if !ok {
+			cur := pending[next%maxPending]
+			if !cur.held {
 				break
 			}
-			delete(pending, next)
+			pending[next%maxPending] = frameResult{}
 			// Pre-encoded frames may have dropped their raw records
 			// (DiscardLog), so the encoded line count is the seq authority.
 			n := len(cur.recs)
@@ -373,6 +423,7 @@ func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.L
 			if !opts.DiscardLog {
 				merged.Records = append(merged.Records, cur.recs...)
 			}
+			cur.lent.Recycle()
 			next++
 			select {
 			case credits <- struct{}{}:
@@ -394,14 +445,19 @@ func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.L
 }
 
 // splitByFrame groups a drained record range back into per-frame groups,
-// each a sub-slice of recs: a shard logs its range in frame order, so every
-// frame's records are one contiguous run. Monitors tag records with 1-based
-// frame numbers; the range [start,end) is 0-based, so frame tag start+1
-// lands in group 0. A record tagged outside the range, or a tag lower than
+// each a sub-slice of recs, reusing groups' backing array when it is long
+// enough (a worker's ranges are all one length but the last): a shard logs
+// its range in frame order, so every frame's records are one contiguous run.
+// Monitors tag records with 1-based frame numbers; the range [start,end) is
+// 0-based, so frame tag start+1 lands in group 0. A record tagged outside the range, or a tag lower than
 // its predecessor's, means the worker body advanced the frame counter out of
 // contract, which would silently corrupt the merge — fail loudly instead.
-func splitByFrame(start, end int, recs []core.Record) ([][]core.Record, error) {
-	groups := make([][]core.Record, end-start)
+func splitByFrame(groups [][]core.Record, start, end int, recs []core.Record) ([][]core.Record, error) {
+	if cap(groups) < end-start {
+		groups = make([][]core.Record, end-start)
+	}
+	groups = groups[:end-start]
+	clear(groups)
 	for lo := 0; lo < len(recs); {
 		tag := recs[lo].Frame
 		hi := lo + 1

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,6 +20,16 @@ import (
 )
 
 const testFrames = 6
+
+// TestMain turns the recycle scribble on for the whole package (the race leg
+// included): every replay that lends its captures — a sink with DiscardLog —
+// overwrites them the moment the range is flushed, so any alias kept past
+// Sink.WriteFrame shows up in the byte-identity pins as 0xA5 payloads and
+// zeroed records.
+func TestMain(m *testing.M) {
+	core.ScribbleRecycledCaptures(true)
+	os.Exit(m.Run())
+}
 
 var monOpts = []core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(true)}
 
@@ -46,6 +57,12 @@ func sequentialLog(t testing.TB, bug pipeline.Bug, resolver *ops.Resolver) *core
 // parallelLog replays the same samples through the worker pool.
 func parallelLog(t testing.TB, bug pipeline.Bug, resolver *ops.Resolver, workers int, sink core.Sink, discard bool) *core.Log {
 	t.Helper()
+	return replayLog(t, bug, resolver, Options{Workers: workers, MonitorOptions: monOpts, Sink: sink, DiscardLog: discard})
+}
+
+// replayLog is parallelLog with every engine option the caller's.
+func replayLog(t testing.TB, bug pipeline.Bug, resolver *ops.Resolver, opts Options) *core.Log {
+	t.Helper()
 	entry, err := zoo.Get("mobilenetv2-mini")
 	if err != nil {
 		t.Fatal(err)
@@ -64,11 +81,33 @@ func parallelLog(t testing.TB, bug pipeline.Bug, resolver *ops.Resolver, workers
 			_, _, err := cl.Classify(samples[i].Image)
 			return err
 		}), nil
-	}, Options{Workers: workers, MonitorOptions: monOpts, Sink: sink, DiscardLog: discard})
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// encoded is Log.Write of l, wall-clock values masked.
+func encoded(t testing.TB, l *core.Log, format core.LogFormat) []byte {
+	t.Helper()
+	normalizeWallClock(l)
+	var buf bytes.Buffer
+	if err := l.Write(&buf, format); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reencoded reads a streamed log back and returns encoded of it: what the
+// stream's bytes are once the wall-clock values no two runs share are masked.
+func reencoded(t testing.TB, streamed []byte, format core.LogFormat) []byte {
+	t.Helper()
+	l, err := core.ReadLog(bytes.NewReader(streamed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encoded(t, l, format)
 }
 
 // normalizeWallClock zeroes wall-clock latency values ("ns" unit), the only
@@ -269,6 +308,136 @@ func TestReplayStreamingSink(t *testing.T) {
 	if len(readBack.Records) != len(merged.Records) {
 		t.Errorf("discarded replay streamed %d records, want %d", len(readBack.Records), len(merged.Records))
 	}
+
+	// The discard path lends its captures: whatever the range length, worker
+	// count (one: the collector encodes; three: JSONL pre-encodes on the
+	// workers) and format, the stream is Log.Write of the in-memory replay.
+	for _, format := range []core.LogFormat{core.FormatJSONL, core.FormatBinary} {
+		want := encoded(t, merged, format)
+		for _, workers := range []int{1, 3} {
+			for _, batch := range []int{1, 8} {
+				var buf bytes.Buffer
+				sink, err := core.NewLogSink(&buf, format)
+				if err != nil {
+					t.Fatal(err)
+				}
+				replayLog(t, pipeline.BugNone, ops.NewReference(ops.Fixed()),
+					Options{Workers: workers, BatchFrames: batch, MonitorOptions: monOpts, Sink: sink, DiscardLog: true})
+				if err := sink.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(reencoded(t, buf.Bytes(), format), want) {
+					t.Errorf("%v workers=%d batch=%d: lent replay streamed a different log than the in-memory replay writes", format, workers, batch)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayRetainingSinkIsCaught is the proof that the scribble hook bites:
+// a sink that keeps what WriteFrame was handed — against core.Sink's rule —
+// reads 0xA5 payloads and zeroed records after the replay, while one that
+// copies what it keeps reads the capture.
+func TestReplayRetainingSinkIsCaught(t *testing.T) {
+	want := parallelLog(t, pipeline.BugNone, ops.NewReference(ops.Fixed()), 1, nil, false)
+	var kept, copied []core.Record
+	var keptPayloads [][]byte
+	sink := sinkFunc(func(frame int, recs []core.Record) error {
+		kept = append(kept, recs...)
+		for i := range recs {
+			keptPayloads = append(keptPayloads, recs[i].Payload)
+			c := recs[i]
+			c.Payload = bytes.Clone(c.Payload)
+			copied = append(copied, c)
+		}
+		return nil
+	})
+	replayLog(t, pipeline.BugNone, ops.NewReference(ops.Fixed()),
+		Options{Workers: 1, BatchFrames: 2, MonitorOptions: monOpts, Sink: sink, DiscardLog: true})
+	if got := encoded(t, &core.Log{Records: copied}, core.FormatBinary); !bytes.Equal(got, encoded(t, want, core.FormatBinary)) {
+		t.Error("a sink copying what it keeps did not read the capture")
+	}
+	if got := encoded(t, &core.Log{Records: kept}, core.FormatBinary); bytes.Equal(got, encoded(t, want, core.FormatBinary)) {
+		t.Fatal("a sink retaining its frames' records went unnoticed: the recycle scribble is not biting")
+	}
+	// The retained payload slices themselves: all of the last range's (the
+	// slab was sized by then) and most of the others' read as scribble.
+	scribbled := 0
+	for _, p := range keptPayloads {
+		if len(p) > 0 && bytes.Count(p, []byte{0xA5}) == len(p) {
+			scribbled++
+		}
+	}
+	if scribbled == 0 {
+		t.Error("no retained payload was scribbled")
+	}
+}
+
+// TestReplayWorkerRunsAheadOfStalledSink pins the overlap: the sink stalls
+// inside the first frame's WriteFrame until the worker body has completed a
+// whole reorder window of frames. A worker that had to park on delivery (a
+// results channel shorter than the window) would never get there.
+func TestReplayWorkerRunsAheadOfStalledSink(t *testing.T) {
+	const maxPending = 4 * 1 * 1
+	var completed atomic.Int64
+	windowDone := make(chan struct{})
+	sink := sinkFunc(func(frame int, recs []core.Record) error {
+		if frame == 1 {
+			select {
+			case <-windowDone:
+			case <-time.After(5 * time.Second):
+				return fmt.Errorf("worker completed %d frames while the sink held frame 1, want %d", completed.Load(), maxPending)
+			}
+		}
+		return nil
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := ReplayBatched(3*maxPending, perFrame(func(mon *core.Monitor, i int) error {
+			mon.NextFrame()
+			mon.LogMetric("frame/value", float64(i), "count")
+			if completed.Add(1) == maxPending {
+				close(windowDone)
+			}
+			return nil
+		}), Options{Workers: 1, Sink: sink})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("replay deadlocked behind a stalled sink")
+	}
+}
+
+// TestReplayUninstrumentedAllocsPerFrame pins what the engine itself
+// allocates per frame when nothing is captured (the edge_eval path):
+// nothing. The range split is reused and the reorder window is a ring
+// allocated once, so a field added to frameResult cannot turn into a boxed
+// map value per frame.
+func TestReplayUninstrumentedAllocsPerFrame(t *testing.T) {
+	const frames = 512
+	noop := perFrame(func(*core.Monitor, int) error { return nil })
+	replay := func() {
+		if _, err := ReplayBatched(frames, noop, Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay()
+	var before, after runtime.MemStats
+	const runs = 10
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		replay()
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / (runs * frames)
+	if perFrame > 8 {
+		t.Errorf("uninstrumented replay allocates %.1f bytes per frame, want only a 512th of the per-replay set-up (<= 8)", perFrame)
+	}
 }
 
 func TestReplayErrorStopsPool(t *testing.T) {
@@ -331,7 +500,7 @@ func TestSplitByFrame(t *testing.T) {
 		return recs
 	}
 	recs := tagged(5, 5, 7, 7, 7)
-	groups, err := splitByFrame(4, 8, recs) // frame tags 5..8
+	groups, err := splitByFrame(nil, 4, 8, recs) // frame tags 5..8
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,10 +513,10 @@ func TestSplitByFrame(t *testing.T) {
 	if cap(groups[0]) != 2 {
 		t.Errorf("group 0 has cap %d: an append would scribble on the next frame's records", cap(groups[0]))
 	}
-	if _, err := splitByFrame(4, 8, tagged(5, 9)); err == nil || !strings.Contains(err.Error(), "outside dispatched range") {
+	if _, err := splitByFrame(nil, 4, 8, tagged(5, 9)); err == nil || !strings.Contains(err.Error(), "outside dispatched range") {
 		t.Errorf("out-of-range tag: %v", err)
 	}
-	if _, err := splitByFrame(4, 8, tagged(6, 6, 5)); err == nil || !strings.Contains(err.Error(), "out of frame order") {
+	if _, err := splitByFrame(nil, 4, 8, tagged(6, 6, 5)); err == nil || !strings.Contains(err.Error(), "out of frame order") {
 		t.Errorf("non-monotone tag: %v", err)
 	}
 }
