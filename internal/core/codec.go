@@ -281,24 +281,84 @@ func appendBinString(buf []byte, s string) []byte {
 }
 
 // BinaryDecoder reads the length-prefixed binary log format, from a stream
-// (NewBinaryDecoder) or in place from a buffer that already holds the whole
-// log (OpenLogBytes).
+// (NewBinaryDecoder) or from a buffer that already holds the whole log
+// (OpenLogBytes). Either way a record's body is sliced out of the bytes it
+// arrived in, never copied: a decoded Payload aliases the decoder's source.
 type BinaryDecoder struct {
-	src interface {
-		io.Reader
-		io.ByteReader
-	}
-	// mem and buf are the in-place source: mem reads buf, and each record's
-	// body is sliced out of buf instead of copied through body.
-	mem     *bytes.Reader
-	buf     []byte
+	src     slabReader
 	started bool
-	body    []byte
 }
 
-// NewBinaryDecoder wraps r in a binary log decoder.
+// NewBinaryDecoder wraps r in a binary log decoder. The stream is read into
+// slabs that are never reused, and each record's Payload is a sub-slice of
+// the slab it arrived in: it stays valid for as long as it is referenced,
+// whatever the decoder reads next — and keeping one small record keeps its
+// whole slab alive, so copy a payload that must outlive its log by much.
 func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
-	return &BinaryDecoder{src: bufio.NewReaderSize(r, 1<<16)}
+	return &BinaryDecoder{src: slabReader{r: r, slab: binarySlab}}
+}
+
+// binarySlab is how much of a stream one slab holds. A record longer than
+// that gets a buffer of its own (slabReader.grow).
+const binarySlab = 1 << 20
+
+// slabReader is the decoder's byte source: the unread window buf[pos:end] of
+// the current slab — or of the buffer holding the whole log, whose err is
+// io.EOF from the start.
+type slabReader struct {
+	r        io.Reader
+	slab     int // binarySlab; tests shrink it to put boundaries everywhere
+	buf      []byte
+	pos, end int
+	err      error // what r returned last; delivered once the window runs dry
+}
+
+// ReadByte implements io.ByteReader for binary.ReadUvarint.
+func (s *slabReader) ReadByte() (byte, error) {
+	b, err := s.take(1)
+	if err != nil {
+		return 0, err
+	}
+	return b[0], nil
+}
+
+// take is io.ReadFull without the copy: the next n bytes, in place, failing
+// as ReadFull does when the source ends first.
+func (s *slabReader) take(n int) ([]byte, error) {
+	for idle := 0; s.end-s.pos < n; {
+		if s.err != nil {
+			if s.err == io.EOF && s.end > s.pos {
+				return nil, io.ErrUnexpectedEOF
+			}
+			return nil, s.err
+		}
+		if s.end == len(s.buf) {
+			s.grow(n)
+		}
+		var k int
+		k, s.err = s.r.Read(s.buf[s.end:])
+		s.end += k
+		if k == 0 && s.err == nil {
+			if idle++; idle == 100 {
+				s.err = io.ErrNoProgress
+			}
+		}
+	}
+	b := s.buf[s.pos : s.pos+n : s.pos+n]
+	s.pos += n
+	return b, nil
+}
+
+// grow moves the window to the front of a fresh buffer — never the old one
+// again, decoded records alias it. The buffer is a slab, or for a record
+// longer than a slab twice what has arrived of it so far: a length prefix
+// reserves nothing the stream does not go on to fill, so a lying one costs
+// at most twice the bytes received plus one slab.
+func (s *slabReader) grow(n int) {
+	have := s.end - s.pos
+	fresh := make([]byte, max(s.slab, min(n, 2*have)))
+	copy(fresh, s.buf[s.pos:s.end])
+	s.buf, s.pos, s.end = fresh, 0, have
 }
 
 func (d *BinaryDecoder) checkHeader() error {
@@ -306,8 +366,8 @@ func (d *BinaryDecoder) checkHeader() error {
 		return nil
 	}
 	d.started = true
-	head := make([]byte, len(binaryMagic)+1)
-	if _, err := io.ReadFull(d.src, head); err != nil {
+	head, err := d.src.take(len(binaryMagic) + 1)
+	if err != nil {
 		return fmt.Errorf("core: binary log header: %w", err)
 	}
 	if !bytes.Equal(head[:len(binaryMagic)], binaryMagic) {
@@ -324,7 +384,7 @@ func (d *BinaryDecoder) Next() (Record, error) {
 	if err := d.checkHeader(); err != nil {
 		return Record{}, err
 	}
-	n, err := binary.ReadUvarint(d.src)
+	n, err := binary.ReadUvarint(&d.src)
 	if err == io.EOF {
 		return Record{}, io.EOF
 	}
@@ -334,38 +394,11 @@ func (d *BinaryDecoder) Next() (Record, error) {
 	if n > maxBinaryRecord {
 		return Record{}, fmt.Errorf("core: binary log record of %d bytes exceeds the %d limit", n, maxBinaryRecord)
 	}
-	if d.mem != nil {
-		body, err := d.sliceBody(int(n))
-		if err != nil {
-			return Record{}, fmt.Errorf("core: binary log record body: %w", err)
-		}
-		return readRecordBinary(body, true)
-	}
-	if uint64(cap(d.body)) < n {
-		d.body = make([]byte, n)
-	}
-	d.body = d.body[:n]
-	if _, err := io.ReadFull(d.src, d.body); err != nil {
+	body, err := d.src.take(int(n))
+	if err != nil {
 		return Record{}, fmt.Errorf("core: binary log record body: %w", err)
 	}
-	return readRecordBinary(d.body, false)
-}
-
-// sliceBody is io.ReadFull for the in-place source: the next n bytes of buf
-// without a copy, failing as ReadFull does when the buffer ends first.
-func (d *BinaryDecoder) sliceBody(n int) ([]byte, error) {
-	rem := d.mem.Len()
-	if rem < n {
-		if rem == 0 {
-			return nil, io.EOF
-		}
-		return nil, io.ErrUnexpectedEOF
-	}
-	off := len(d.buf) - rem
-	if _, err := d.mem.Seek(int64(n), io.SeekCurrent); err != nil {
-		return nil, err
-	}
-	return d.buf[off : off+n : off+n], nil
+	return readRecordBinary(body)
 }
 
 // binCursor walks a record body with bounds checking.
@@ -421,11 +454,9 @@ func (c *binCursor) f64() (float64, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 }
 
-// readRecordBinary mirrors appendRecordBinary. With alias set the record's
-// Payload is a sub-slice of body (the in-place decoder, whose body outlives
-// the call); otherwise it is copied out, because body is the streaming
-// decoder's reused scratch. Every other field is always a copy.
-func readRecordBinary(body []byte, alias bool) (Record, error) {
+// readRecordBinary mirrors appendRecordBinary. The record's Payload is a
+// sub-slice of body; every other field is a copy.
+func readRecordBinary(body []byte) (Record, error) {
 	c := &binCursor{buf: body}
 	var r Record
 	var err error
@@ -486,9 +517,6 @@ func readRecordBinary(body []byte, alias bool) (Record, error) {
 		if err != nil {
 			return fail("payload", err)
 		}
-		if !alias {
-			b = append([]byte(nil), b...)
-		}
 		r.Payload = b
 	}
 	flag, err := c.bytes(1)
@@ -544,7 +572,9 @@ var gzipMagic = []byte{0x1f, 0x8b}
 // OpenLog wraps r in the decoder matching its format, auto-detected from the
 // leading bytes: the MLXB magic selects the binary codec, the gzip magic
 // transparently decompresses and re-detects, anything else is read as JSONL.
-// The reported format is the format of the (decompressed) log itself.
+// The reported format is the format of the (decompressed) log itself. A
+// binary log's payloads alias the decoder's slabs (see NewBinaryDecoder);
+// JSONL payloads are allocations of their own.
 func OpenLog(r io.Reader) (LogDecoder, LogFormat, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if head, err := br.Peek(len(gzipMagic)); err == nil && bytes.Equal(head, gzipMagic) {
@@ -567,16 +597,18 @@ func OpenLog(r io.Reader) (LogDecoder, LogFormat, error) {
 // OpenLogBytes is OpenLog over a log already in memory. A plain binary log
 // decodes in place: each record's Payload aliases buf, so it is valid only
 // while buf is — a caller that reuses buf must copy what it keeps. Gzip and
-// JSONL logs go through OpenLog's copying readers and alias nothing.
+// JSONL logs go through OpenLog and alias nothing of buf.
 func OpenLogBytes(buf []byte) (LogDecoder, LogFormat, error) {
 	if bytes.HasPrefix(buf, binaryMagic) {
-		mem := bytes.NewReader(buf)
-		return &BinaryDecoder{src: mem, mem: mem, buf: buf}, FormatBinary, nil
+		return &BinaryDecoder{src: slabReader{buf: buf, end: len(buf), err: io.EOF}}, FormatBinary, nil
 	}
 	return OpenLog(bytes.NewReader(buf))
 }
 
-// ReadLog reads a whole telemetry log in either format, auto-detected.
+// ReadLog reads a whole telemetry log in either format, auto-detected. The
+// payloads of a binary log are slices of the slabs it was read into — about
+// one copy of the log in memory, shared by its records: keeping a single
+// record of a log otherwise dropped keeps that record's whole slab.
 func ReadLog(r io.Reader) (*Log, error) {
 	l, _, err := ReadLogWithFormat(r)
 	return l, err

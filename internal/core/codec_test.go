@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -643,6 +644,170 @@ func TestLogEncoderReset(t *testing.T) {
 			if !bytes.Equal(out.Bytes(), want.Bytes()) {
 				t.Errorf("%v: stream after Reset differs from a fresh encoder's", format)
 			}
+		}
+	}
+}
+
+// chunkReader hands its bytes out in reads of at most step, so a decoder over
+// it sees a window that ends at arbitrary offsets.
+type chunkReader struct {
+	data []byte
+	step int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), c.step)], c.data)
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// streamDecoder is NewBinaryDecoder with the slab shrunk, so a few dozen
+// bytes of log cross as many slab boundaries as a production log of
+// gigabytes.
+func streamDecoder(data []byte, slab, step int) *BinaryDecoder {
+	return &BinaryDecoder{src: slabReader{r: &chunkReader{data, step}, slab: slab}}
+}
+
+// FuzzBinaryDecodersAgree is the differential of the binary decoder's two
+// sources (ROADMAP 7c): on arbitrary bytes the in-place decoder, the
+// streaming decoder at its production slab and the streaming decoder with
+// slab boundaries and short reads all over the input give the same records,
+// then the same error text. A bare input gets the MLXB header spliced on, so
+// the fuzzer spends its time past the magic check.
+func FuzzBinaryDecodersAgree(f *testing.F) {
+	golden, err := os.ReadFile("testdata/golden.mlxb")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden, uint8(0), uint8(0))
+	f.Add(golden, uint8(7), uint8(3))
+	f.Add(golden[:len(golden)*2/3], uint8(40), uint8(1))
+	f.Add([]byte("MLXB\x01"), uint8(1), uint8(1))
+	f.Add([]byte("MLXB\x01\x80\x80\x80\x80\x04abc"), uint8(2), uint8(9)) // a 2³⁰-byte record, 3 bytes of it
+	f.Add([]byte{0x03, 0, 0, 0}, uint8(3), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, slab, step uint8) {
+		if !bytes.HasPrefix(data, binaryMagic) {
+			data = append([]byte("MLXB\x01"), data...)
+		}
+		inPlace, _, err := OpenLogBytes(data)
+		want, wantErr := decodeAll(inPlace, err)
+		for name, dec := range map[string]*BinaryDecoder{
+			"production slab": NewBinaryDecoder(bytes.NewReader(data)),
+			"tiny slab":       streamDecoder(data, 1+int(slab), 1+int(step)),
+		} {
+			got, gotErr := decodeAll(dec, nil)
+			if gotErr != wantErr {
+				t.Fatalf("%s: error %q, in place %q", name, gotErr, wantErr)
+			}
+			if !sameRecordBytes(got, want) {
+				t.Fatalf("%s: %d records that differ from the in-place decoder's %d", name, len(got), len(want))
+			}
+		}
+	})
+}
+
+// sameRecordBytes compares records by their binary encoding, which unlike
+// reflect.DeepEqual holds a NaN equal to itself.
+func sameRecordBytes(a, b []Record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(appendRecordBinary(nil, &a[i]), appendRecordBinary(nil, &b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStreamedRecordsOutliveTheDecoder pins the streaming decoder's aliasing
+// rule: a payload is a slice of the slab it arrived in and no slab is ever
+// written twice, so after the decoder has read the whole stream — and the
+// stream's own buffer has been overwritten — every record still equals the
+// in-place decode of a pristine copy. Once with slab boundaries inside
+// almost every record, once at the production slab over a log several slabs
+// long with a record longer than a slab in the middle.
+func TestStreamedRecordsOutliveTheDecoder(t *testing.T) {
+	small := goldenTelemetryLog()
+	for seed := int64(0); seed < 6; seed++ {
+		small.Records = append(small.Records, randomLog(seed).Records...)
+	}
+	large := &Log{}
+	for i, elems := range []int{40_000, 90_000, 400_000, 1, 70_000, 130_000, 0, 260_000} {
+		tt := tensor.New(tensor.F32, elems)
+		for j := range tt.F {
+			tt.F[j] = float32(i*elems + j)
+		}
+		var r Record
+		r.Seq, r.Frame, r.Key = i, i/3, LayerOutputKey(fmt.Sprintf("l%d", i))
+		r.EncodeTensor(tt, true)
+		large.Records = append(large.Records, r)
+	}
+	for _, c := range []struct {
+		name string
+		log  *Log
+		open func(data []byte) LogDecoder
+	}{
+		{"slab of 48 bytes, reads of 5", small, func(data []byte) LogDecoder { return streamDecoder(data, 48, 5) }},
+		{"production slab", large, func(data []byte) LogDecoder { return NewBinaryDecoder(bytes.NewReader(data)) }},
+	} {
+		var buf bytes.Buffer
+		if err := c.log.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		pristine := bytes.Clone(buf.Bytes())
+		got, errText := decodeAll(c.open(buf.Bytes()), nil)
+		if errText != "" {
+			t.Fatalf("%s: %s", c.name, errText)
+		}
+		for i := range buf.Bytes() {
+			buf.Bytes()[i] = 0xAA
+		}
+		mdec, _, err := OpenLogBytes(pristine)
+		want, errText := decodeAll(mdec, err)
+		if errText != "" || len(want) != len(c.log.Records) {
+			t.Fatalf("%s: in-place decode: %d records, error %q", c.name, len(want), errText)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: streamed records changed after the decoder read on", c.name)
+		}
+	}
+}
+
+// allocatedBytes is what run allocated, live or not (MemStats.TotalAlloc).
+func allocatedBytes(run func()) int {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return int(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestBinaryDecoderLyingLengthIsBounded: a length prefix reserves nothing.
+// The stream announces a 2³⁰-byte record and ends after `received` bytes of
+// it (at 3, this is the 13-byte stream that used to cost 1 GiB); the decoder
+// fails as a truncated stream does, the buffer it was filling is no larger
+// than twice what arrived plus one slab, and the doubling that got it there
+// allocated at most twice that in total.
+func TestBinaryDecoderLyingLengthIsBounded(t *testing.T) {
+	for _, received := range []int{3, binarySlab - 11, 2*binarySlab + 1, 5 * binarySlab} {
+		stream := append([]byte("MLXB\x01\x80\x80\x80\x80\x04"), make([]byte, received)...)
+		dec := NewBinaryDecoder(bytes.NewReader(stream))
+		var recs []Record
+		var errText string
+		allocated := allocatedBytes(func() { recs, errText = decodeAll(dec, nil) })
+		if len(recs) != 0 || errText != "core: binary log record body: unexpected EOF" {
+			t.Fatalf("%d bytes received: %d records, error %q", received, len(recs), errText)
+		}
+		bound := 2*received + binarySlab
+		if got := cap(dec.src.buf); got > bound {
+			t.Errorf("%d bytes received: the record buffer grew to %d bytes, want <= %d", received, got, bound)
+		}
+		if allocated > 2*bound+64<<10 {
+			t.Errorf("%d bytes received: decoding allocated %d bytes, want <= %d", received, allocated, 2*bound)
 		}
 	}
 }

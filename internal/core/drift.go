@@ -25,8 +25,8 @@ import (
 // The dtype pair is dispatched here, outside the element loops: the pairs
 // the collector sees — float edge or quantised edge against a float
 // reference — run straight over the wire bytes; anything else widens into
-// the state's two scratch slices first.
-func (s *layerDiffState) drift(er *Record, edt tensor.DType, rl refLayer) (sumSq, maxAbs float64) {
+// the two scratch slices first.
+func (w *driftScratch) drift(er *Record, edt tensor.DType, rl refLayer) (sumSq, maxAbs float64) {
 	if rl.dt == tensor.F32 {
 		switch {
 		case edt == tensor.F32:
@@ -37,9 +37,9 @@ func (s *layerDiffState) drift(er *Record, edt tensor.DType, rl refLayer) (sumSq
 			return driftQuant[int8](er.Payload, er.QScale, er.QZero, rl.rec.Payload)
 		}
 	}
-	s.edgeVals = widenPayload(s.edgeVals[:0], er, edt, rl.elems)
-	s.refVals = widenPayload(s.refVals[:0], rl.rec, rl.dt, rl.elems)
-	return driftFloats(s.edgeVals, s.refVals)
+	w.edgeVals = widenPayload(w.edgeVals[:0], er, edt, rl.elems)
+	w.refVals = widenPayload(w.refVals[:0], rl.rec, rl.dt, rl.elems)
+	return driftFloats(w.edgeVals, w.refVals)
 }
 
 // driftF32 is the float×float pair: both payloads are little-endian float32.
@@ -143,4 +143,45 @@ func valueRange(vals []float32) float64 {
 		}
 	}
 	return float64(mx) - float64(mn)
+}
+
+// rangeF32 is valueRange over a little-endian float32 payload, read where
+// it lies instead of widened into a scratch slice and walked again. Four
+// independent min/max pairs break the compare chain; min and max do not
+// depend on the order values are seen in, and NaNs still compare false, so
+// the result is valueRange's bit for bit (the lanes are combined first lane
+// first, which is what keeps a payload of mixed ±0 at range +0).
+func rangeF32(p []byte) float64 {
+	if len(p) < 4 {
+		return 0
+	}
+	inf := float32(math.Inf(1))
+	mn, mx := [4]float32{inf, inf, inf, inf}, [4]float32{-inf, -inf, -inf, -inf}
+	lane := func(i int, p []byte) {
+		v := math.Float32frombits(binary.LittleEndian.Uint32(p))
+		if v < mn[i] {
+			mn[i] = v
+		}
+		if v > mx[i] {
+			mx[i] = v
+		}
+	}
+	for ; len(p) >= 16; p = p[16:] {
+		lane(0, p)
+		lane(1, p[4:])
+		lane(2, p[8:])
+		lane(3, p[12:])
+	}
+	for i := 0; len(p) >= 4; i, p = i+1, p[4:] {
+		lane(i, p)
+	}
+	for i := 1; i < 4; i++ {
+		if mn[i] < mn[0] {
+			mn[0] = mn[i]
+		}
+		if mx[i] > mx[0] {
+			mx[0] = mx[i]
+		}
+	}
+	return float64(mx[0]) - float64(mn[0])
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mlexray/internal/tensor"
@@ -307,5 +308,57 @@ func TestLayerDriftSteadyStateAllocs(t *testing.T) {
 	}
 	if s.err != nil || s.accs[edges[0].Key].n < 50 {
 		t.Fatalf("steady-state records were not folded (err %v)", s.err)
+	}
+}
+
+// TestRefRangeBytesMatchesValueRange holds the reference range scan over
+// wire bytes to valueRange over the widened values, bit for bit: every
+// length around the four-lane stride, the specials in every lane, all-NaN,
+// mixed zeros, and a constant payload.
+func TestRefRangeBytesMatchesValueRange(t *testing.T) {
+	check := func(what string, vals []float32) {
+		t.Helper()
+		var payload []byte
+		for _, v := range vals {
+			payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(v))
+		}
+		got, want := rangeF32(payload), valueRange(vals)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s %v: rangeF32 = %v (%#x), valueRange = %v (%#x)", what, vals,
+				got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	nan, inf, negZero := float32(math.NaN()), float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 257} {
+		vals := make([]float32, n)
+		for i := range vals {
+			vals[i] = float32(rng.NormFloat64() * 10)
+		}
+		check("random", vals)
+		for _, special := range []float32{nan, inf, -inf, negZero, 0, math.MaxFloat32, -math.MaxFloat32} {
+			for at := 0; at < min(n, 9); at++ { // every lane, and the tail
+				mixed := slices.Clone(vals)
+				mixed[at] = special
+				check("one special", mixed)
+			}
+		}
+		for i := range vals {
+			vals[i] = nan
+		}
+		check("all NaN", vals)
+		for at := 0; at < min(n, 9); at++ {
+			lone := slices.Clone(vals)
+			lone[at] = -3.5
+			check("one number among NaNs", lone)
+		}
+		for i := range vals {
+			vals[i] = []float32{0, negZero}[rng.Intn(2)]
+		}
+		check("mixed zeros", vals)
+		for i := range vals {
+			vals[i] = 2.75
+		}
+		check("constant", vals)
 	}
 }

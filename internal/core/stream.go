@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"mlexray/internal/tensor"
 )
@@ -96,25 +98,68 @@ func newRefIndex(ref *Log) *refIndex {
 }
 
 // layers returns the per-(frame, key) reference layer records, indexing and
-// range-scanning them on the first call.
+// range-scanning them on the first call: scanned on every core, inserted
+// serially in log order, so a key the log repeats keeps its last record
+// whatever the schedule.
 func (ri *refIndex) layers() map[refKey]refLayer {
 	ri.layersOnce.Do(func() {
-		ri.layer = make(map[refKey]refLayer)
-		var vals []float32
-		for i := range ri.ref.Records {
-			r := &ri.ref.Records[i]
-			if r.Kind != KindTensor || !strings.HasPrefix(r.Key, keyLayerPrefix) {
-				continue
-			}
+		recs, scanned := measureLayers(ri.ref, func(r *Record, w *driftScratch) refLayer {
 			rl := refLayer{rec: r}
-			if rl.dt, rl.elems, rl.err = r.tensorLayout(); rl.err == nil {
-				vals = widenPayload(vals[:0], r, rl.dt, rl.elems)
-				rl.rng = valueRange(vals)
+			if rl.dt, rl.elems, rl.err = r.tensorLayout(); rl.err != nil {
+				return rl
 			}
-			ri.layer[refKey{r.Frame, r.Key}] = rl
+			if rl.dt == tensor.F32 {
+				rl.rng = rangeF32(r.Payload)
+			} else {
+				w.refVals = widenPayload(w.refVals[:0], r, rl.dt, rl.elems)
+				rl.rng = valueRange(w.refVals)
+			}
+			return rl
+		})
+		ri.layer = make(map[refKey]refLayer, len(recs))
+		for i, r := range recs {
+			ri.layer[refKey{r.Frame, r.Key}] = scanned[i]
 		}
 	})
 	return ri.layer
+}
+
+// measureLayers applies f to every per-layer tensor record of a log and
+// returns the records and f's results, both in log order. The records are
+// measured on GOMAXPROCS goroutines (the caller's among them) that each take
+// the next block until none is left; f is pure but for the scratch it is
+// handed, and callers fold the results in order afterwards, so nothing they
+// compute depends on the schedule. On one core, or for a single block, it is
+// a plain loop.
+func measureLayers[T any](l *Log, f func(*Record, *driftScratch) T) ([]*Record, []T) {
+	var recs []*Record
+	for i := range l.Records {
+		if r := &l.Records[i]; r.Kind == KindTensor && strings.HasPrefix(r.Key, keyLayerPrefix) {
+			recs = append(recs, r)
+		}
+	}
+	out := make([]T, len(recs))
+	const block = 16 // records: a few hundred µs of drift, far above the hand-off
+	var next atomic.Int64
+	work := func() {
+		var w driftScratch
+		for lo := int(next.Add(block)) - block; lo < len(recs); lo = int(next.Add(block)) - block {
+			for i := lo; i < min(lo+block, len(recs)); i++ {
+				out[i] = f(recs[i], &w)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for extra := min(runtime.GOMAXPROCS(0), (len(recs)+block-1)/block) - 1; extra > 0; extra-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return recs, out
 }
 
 // layerAcc accumulates one layer's drift across frames.
@@ -127,42 +172,49 @@ type layerAcc struct {
 }
 
 // layerDiffState is the per-layer drift analysis (CompareLayers feeds a whole
-// log through it): each consumed edge layer record is matched against the
+// log through it): each consumed edge layer record is measured against the
 // reference index and folded into its layer's accumulator. A record that
 // fails to validate poisons the whole analysis (sticky error).
 type layerDiffState struct {
-	accs  map[string]*layerAcc
-	order []string
-	err   error
-	// edgeVals/refVals are the widening scratch of the uncommon dtype pairs
-	// (see drift); kept so a steady stream allocates nothing per record.
-	edgeVals, refVals []float32
+	accs    map[string]*layerAcc
+	order   []string
+	err     error
+	scratch driftScratch // the streaming path's; measureLayers hands out its own
 }
 
-// consume folds one edge layer record: normalized rMSE, rMSE and max|d|
-// against the reference record of the same frame and key, all from one walk
-// over the two payloads (drift.go). A layer the reference lacks, or whose
-// element count differs, is skipped.
-func (s *layerDiffState) consume(er *Record, ri *refIndex) error {
-	if s.err != nil {
-		return nil
-	}
-	rl, ok := ri.layers()[refKey{er.Frame, er.Key}]
+// driftScratch is the widening scratch of the uncommon dtype pairs (see
+// drift); kept so a steady stream allocates nothing per record.
+type driftScratch struct{ edgeVals, refVals []float32 }
+
+// layerDrift is one edge layer record measured against the reference record
+// of the same frame and key. A layer the reference lacks, or holds with
+// another element count, is not matched: fold skips it.
+type layerDrift struct {
+	nrmse, rmse, maxAbs float64
+	matched             bool
+	err                 error
+}
+
+// measure computes one record's normalized rMSE, rMSE and max|d|, all from
+// one walk over the two payloads (drift.go). It reads only its arguments and
+// writes only the scratch, so records can be measured in any order, on any
+// goroutine, to the same bits.
+func (w *driftScratch) measure(er *Record, layers map[refKey]refLayer) layerDrift {
+	rl, ok := layers[refKey{er.Frame, er.Key}]
 	if !ok {
-		return nil
+		return layerDrift{}
 	}
 	edt, n, err := er.tensorLayout()
 	if err == nil {
 		err = rl.err
 	}
 	if err != nil {
-		s.err = err
-		return err
+		return layerDrift{err: err}
 	}
 	if n != rl.elems {
-		return nil
+		return layerDrift{}
 	}
-	sumSq, maxA := s.drift(er, edt, rl)
+	sumSq, maxA := w.drift(er, edt, rl)
 	rmse := 0.0
 	if n > 0 {
 		rmse = math.Sqrt(sumSq / float64(n))
@@ -173,6 +225,19 @@ func (s *layerDiffState) consume(er *Record, ri *refIndex) error {
 	if rl.rng > 0 {
 		nrmse = rmse / rl.rng
 	}
+	return layerDrift{nrmse: nrmse, rmse: rmse, maxAbs: maxA, matched: true}
+}
+
+// fold adds one measured record to its layer's accumulator. The sums are
+// order-sensitive floats: every path folds in log order.
+func (s *layerDiffState) fold(er *Record, m layerDrift) error {
+	if m.err != nil {
+		s.err = m.err
+		return m.err
+	}
+	if !m.matched {
+		return nil
+	}
 	a, ok := s.accs[er.Key]
 	if !ok {
 		if s.accs == nil {
@@ -182,21 +247,35 @@ func (s *layerDiffState) consume(er *Record, ri *refIndex) error {
 		s.accs[er.Key] = a
 		s.order = append(s.order, er.Key)
 	}
-	a.sumN += nrmse
-	a.sumR += rmse
-	if maxA > a.maxA {
-		a.maxA = maxA
+	a.sumN += m.nrmse
+	a.sumR += m.rmse
+	if m.maxAbs > a.maxA {
+		a.maxA = m.maxAbs
 	}
 	a.n++
 	return nil
 }
 
-// consumeLog folds every per-layer tensor record of a log, in log order.
+// consume measures and folds one edge layer record — the streaming path.
+func (s *layerDiffState) consume(er *Record, ri *refIndex) error {
+	if s.err != nil {
+		return nil
+	}
+	return s.fold(er, s.scratch.measure(er, ri.layers()))
+}
+
+// consumeLog folds every per-layer tensor record of a log: measured on every
+// core, folded here in log order up to the first malformed record — consume
+// over the same records, number for number and error for error.
 func (s *layerDiffState) consumeLog(l *Log, ri *refIndex) {
-	for i := range l.Records {
-		r := &l.Records[i]
-		if r.Kind == KindTensor && strings.HasPrefix(r.Key, keyLayerPrefix) {
-			_ = s.consume(r, ri) // sticky: finalize reports it
+	if s.err != nil {
+		return
+	}
+	layers := ri.layers()
+	recs, drifts := measureLayers(l, func(r *Record, w *driftScratch) layerDrift { return w.measure(r, layers) })
+	for i, r := range recs {
+		if s.fold(r, drifts[i]) != nil {
+			return // sticky: finalize reports it
 		}
 	}
 }
@@ -453,12 +532,12 @@ type StreamValidator struct {
 	retain  Log
 	records int
 	bytes   int
-	// deferLayers (offline Validate only) skips per-layer drift during
-	// consumption; reportLocked replays the layer records from the full log
-	// if — and only if — agreement drops below threshold. A live stream
-	// cannot defer (the records are gone once consumed), so streaming
-	// validators always fold drift as frames arrive.
-	deferLayers bool
+	// offline (Validate only): the whole edge log is at hand and goes to
+	// reportLocked, so consumption neither retains evidence nor folds
+	// per-layer drift — reportLocked replays the layer records from the log
+	// if, and only if, agreement drops below threshold. A live stream can do
+	// neither (the records are gone once consumed).
+	offline bool
 }
 
 // NewStreamValidator builds an incremental validator that checks a telemetry
@@ -514,7 +593,7 @@ func (v *StreamValidator) consumeLocked(r *Record) error {
 		// stream whose retention would grow without bound.
 		switch {
 		case r.Kind == KindTensor:
-			if v.deferLayers {
+			if v.offline {
 				break
 			}
 			if lerr := v.layers.consume(r, v.ri); lerr != nil && err == nil {
@@ -532,7 +611,7 @@ func (v *StreamValidator) consumeLocked(r *Record) error {
 	// Boundary records are the assertion evidence: scalars are retained
 	// throughout (they are what Metric/Sensor queries read), tensors only in
 	// the leading window the built-in assertions sample.
-	if r.Kind == KindMetric || r.Kind == KindSensor || r.Frame <= DefaultRetainBoundaryFrames {
+	if !v.offline && (r.Kind == KindMetric || r.Kind == KindSensor || r.Frame <= DefaultRetainBoundaryFrames) {
 		// The caller keeps ownership of the payload bytes — the collector
 		// decodes chunks in place out of a pooled body — so what outlives
 		// this call is a copy.
@@ -618,11 +697,11 @@ func (v *StreamValidator) reportLocked(edge *Log) (*Report, error) {
 	rep := &Report{OutputAgreement: agreement}
 
 	if rep.OutputAgreement < v.opts.AgreementThreshold {
-		if v.deferLayers {
+		if v.offline {
 			// Deferred offline drift: agreement dropped, so the expensive
 			// per-layer analysis is warranted — replay the layer records from
-			// the full log, in log order, exactly as streaming would have.
-			v.deferLayers = false
+			// the full log, folded in log order exactly as streaming would
+			// have. Validate reports once, so this runs once.
 			v.layers.consumeLog(edge, v.ri)
 		}
 		diffs, err := v.layers.finalize()

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -44,7 +46,13 @@ func driftedLogs(frames int) (edge, ref *Log) {
 		}
 		return v
 	})
-	// Flip every edge output so agreement drops to 0.
+	flipOutputs(edge)
+	return edge, ref
+}
+
+// flipOutputs moves every model output's argmax, so agreement with the
+// unflipped log drops to 0.
+func flipOutputs(edge *Log) {
 	for i := range edge.Records {
 		if edge.Records[i].Key == KeyModelOutput {
 			out := tensor.New(tensor.F32, 4)
@@ -52,7 +60,6 @@ func driftedLogs(frames int) (edge, ref *Log) {
 			edge.Records[i].EncodeTensor(out, true)
 		}
 	}
-	return edge, ref
 }
 
 // TestStreamValidatorMatchesOffline pins the tentpole contract: a report
@@ -607,5 +614,144 @@ func TestStreamValidatorOwnsRetainedPayloads(t *testing.T) {
 	}
 	if retained == 0 {
 		t.Fatal("no boundary tensor was retained; the test exercises nothing")
+	}
+}
+
+// TestValidateIdenticalAcrossGOMAXPROCS pins what lets offline Validate
+// measure records on every core: the report — and for a log with malformed
+// layer records, which of them poisons the drift analysis and what the error
+// says — is the same at 1, 2 and 8 cores, and is the streaming validator's,
+// which measures and folds one record at a time. The fixture's per-frame
+// nRMSE differs from frame to frame in the low bits, so a fold in any other
+// order than the log's moves the means; one layer is a quantised capture on
+// the edge and one an i32 capture on the reference, so the dequantising loop
+// and the widening fallback (per-block scratch) run too.
+func TestValidateIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	build := func() (edge, ref *Log) {
+		layers := []string{"conv1", "dw1", "conv2", "fc"}
+		opTypes := []string{"Conv2D", "DepthwiseConv2D", "Conv2D", "FullyConnected"}
+		ref = buildLayerLog(40, layers, opTypes, func(f, l, i int) float32 {
+			return float32(1+l) * float32(math.Sin(float64(131*f+17*l+i)))
+		})
+		edge = buildLayerLog(40, layers, opTypes, func(f, l, i int) float32 {
+			return float32(1+l)*float32(math.Sin(float64(131*f+17*l+i))) + 0.3*float32(math.Cos(float64(7*f+3*i+l)))
+		})
+		flipOutputs(edge)
+		for i := range edge.Records {
+			if r := &edge.Records[i]; r.Kind == KindTensor && r.LayerName == "conv2" {
+				r.DType, r.QScale, r.QZero = "u8", 0.02, 128
+				r.Payload = r.Payload[:8]
+			}
+		}
+		for i := range ref.Records {
+			if r := &ref.Records[i]; r.Kind == KindTensor && r.LayerName == "fc" {
+				r.DType = "i32"
+			}
+		}
+		return edge, ref
+	}
+	layerRecord := func(l *Log, frame int, name string) *Record {
+		for i := range l.Records {
+			if r := &l.Records[i]; r.Kind == KindTensor && r.Frame == frame && r.LayerName == name {
+				return r
+			}
+		}
+		t.Fatalf("no %s record in frame %d", name, frame)
+		return nil
+	}
+	cases := []struct {
+		name    string
+		corrupt func(edge, ref *Log)
+		wantErr string // CompareLayers' error; empty for a clean log
+	}{
+		{"clean, one reference key twice", func(edge, ref *Log) {
+			again := *layerRecord(ref, 3, "conv1") // the index keeps the later one
+			again.Payload = bytes.Clone(layerRecord(ref, 4, "conv1").Payload)
+			ref.Records = append(ref.Records, again)
+		}, ""},
+		{"malformed edge records", func(edge, ref *Log) {
+			r := layerRecord(edge, 21, "dw1")
+			r.Payload = r.Payload[:len(r.Payload)-1]
+			layerRecord(edge, 30, "conv1").DType = "f64"
+		}, `core: record "layer/dw1/output" has 31 payload bytes for f32[8]`},
+		{"malformed reference record", func(edge, ref *Log) {
+			layerRecord(ref, 25, "conv1").Shape = []int{2, -4}
+			layerRecord(edge, 33, "fc").Kind = KindStats
+		}, `core: record "layer/conv1/output" has negative dim in shape [2 -4]`},
+	}
+	opts := DefaultValidateOptions()
+	for _, c := range cases {
+		edge, ref := build()
+		c.corrupt(edge, ref)
+
+		runtime.GOMAXPROCS(1)
+		sv := NewStreamValidator(ref, opts)
+		for i := range edge.Records {
+			_ = sv.Consume(edge.Records[i]) // a malformed record's error; the report carries the poison
+		}
+		streamed, err := sv.Report()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, _ := json.Marshal(streamed)
+		if clean := c.wantErr == ""; clean != (len(streamed.LayerDiffs) == 4) {
+			t.Fatalf("%s: streamed report has %d layer diffs", c.name, len(streamed.LayerDiffs))
+		}
+
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			rep, err := Validate(edge, ref, opts)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", c.name, procs, err)
+			}
+			if got, _ := json.Marshal(rep); !bytes.Equal(got, want) {
+				t.Errorf("%s at GOMAXPROCS %d: offline report differs from the streamed one:\noffline %s\nstream  %s", c.name, procs, got, want)
+			}
+			diffs, err := CompareLayers(edge, ref)
+			if c.wantErr == "" {
+				if err != nil || !reflect.DeepEqual(diffs, rep.LayerDiffs) {
+					t.Errorf("%s at GOMAXPROCS %d: CompareLayers = %v, %v; the report has %v", c.name, procs, diffs, err, rep.LayerDiffs)
+				}
+			} else if err == nil || err.Error() != c.wantErr {
+				t.Errorf("%s at GOMAXPROCS %d: CompareLayers error %v, want the first malformed record's: %s", c.name, procs, err, c.wantErr)
+			}
+		}
+	}
+}
+
+// TestValidateOfflineRetainsNothing: the offline validator hands the whole
+// edge log to the report, so it must not clone the boundary records a live
+// stream retains as assertion evidence (ROADMAP 4c). A log whose boundary
+// tensors outweigh everything else by far validates in a fraction of their
+// bytes; the same records through a streaming validator cost all of them.
+func TestValidateOfflineRetainsNothing(t *testing.T) {
+	edge, ref := driftedLogs(DefaultRetainBoundaryFrames)
+	boundary := 0
+	for f := 0; f < DefaultRetainBoundaryFrames; f++ {
+		var r Record
+		r.Frame, r.Key = f, KeyModelInput
+		r.EncodeTensor(tensor.New(tensor.F32, 1<<16), true)
+		boundary += len(r.Payload)
+		edge.Records = append(edge.Records, r)
+	}
+	opts := DefaultValidateOptions()
+	opts.Assertions = []Assertion{}
+	offline := allocatedBytes(func() {
+		if _, err := Validate(edge, ref, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	streamed := allocatedBytes(func() {
+		sv := NewStreamValidator(ref, opts)
+		if err := sv.ConsumeFrame(0, edge.Records); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if offline > boundary/8 {
+		t.Errorf("offline Validate allocated %d bytes over a log with %d bytes of boundary tensors: it is retaining them", offline, boundary)
+	}
+	if streamed < boundary {
+		t.Fatalf("the streaming validator allocated %d bytes, less than the %d it must retain: the fixture measures nothing", streamed, boundary)
 	}
 }

@@ -209,11 +209,11 @@ func (o ValidateOptions) WithDefaults() ValidateOptions {
 // through StreamValidator.Consume is therefore identical by construction.
 func Validate(edge, ref *Log, opts ValidateOptions) (*Report, error) {
 	sv := NewStreamValidator(ref, opts)
-	// Offline, the log is at hand: skip the expensive per-layer drift fold
-	// unless agreement turns out to need it (reportLocked replays the layer
-	// records then) — healthy runs never pay for CompareLayers, exactly as
-	// before the streaming decomposition.
-	sv.deferLayers = true
+	// Offline, the log is at hand: nothing of it is retained, and the
+	// expensive per-layer drift fold is skipped unless agreement turns out to
+	// need it (reportLocked replays the layer records then) — healthy runs
+	// never pay for CompareLayers.
+	sv.offline = true
 	// Malformed records poison exactly the analyses the offline flow drops
 	// (per-layer drift, the frame's agreement sample); the errors they carry
 	// are re-surfaced by reportLocked where fatal.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -652,6 +653,37 @@ func TestIngestDecompressionBomb(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("decompression bomb: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestIngestLyingRecordLength pins the other way a small gzip body could
+// balloon: a 13-byte MLXB stream whose one record announces 2³⁰ bytes and
+// delivers three. The decoder reserves nothing a stream does not go on to
+// fill, so the upload is a truncated log — 400 — at the cost of a slab, where
+// it used to allocate the announced gibibyte before noticing.
+func TestIngestLyingRecordLength(t *testing.T) {
+	_, ts := newTestServer(t, synthLog(2, nil, false))
+	var body bytes.Buffer
+	zw := gzip.NewWriter(&body)
+	zw.Write([]byte("MLXB\x01\x80\x80\x80\x80\x04abc"))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wire := body.Len()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(ts.URL+"/ingest?device=liar", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unexpected EOF") {
+		t.Errorf("lying record length: status %d %q, want 400 naming the truncated record", resp.StatusCode, msg)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("a %d-byte upload made the collector allocate %d bytes", wire, got)
 	}
 }
 

@@ -233,10 +233,13 @@ func (s *Server) read(w http.ResponseWriter, r *http.Request, c *chunk) *refusal
 // decode turns the wire bytes (either encoding, plain or gzip — sniffed by
 // core.OpenLogBytes) into records. A plain binary body decodes in place:
 // its records' payloads are slices of c.body, not copies (see chunk.recs
-// for who may hold them); gzip and JSONL bodies decode through copying
-// readers. MaxBodyBytes caps the decoded footprint too, so a small gzip body
-// cannot balloon into unbounded memory (a decompression bomb gets 413, not
-// 400).
+// for who may hold them); a gzip binary body's are slices of the decoder's
+// own slabs, and JSONL payloads are copies. MaxBodyBytes caps the decoded
+// footprint too, checked record by record, so a small gzip body cannot
+// balloon into unbounded memory (a decompression bomb gets 413, not 400) —
+// and within one record the decoder buffers no more than twice what the
+// body has actually inflated to, so a record length that lies is a truncated
+// log (400), not an allocation.
 func (s *Server) decode(c *chunk) *refusal {
 	dec, _, err := core.OpenLogBytes(c.body)
 	if err != nil {

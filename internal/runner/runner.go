@@ -421,6 +421,11 @@ func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.L
 			}
 			seq += n
 			if !opts.DiscardLog {
+				if merged.Records == nil && len(cur.recs) > 0 {
+					// Every frame runs the same graph under the same capture
+					// mode, so the first frame's record count sizes the log.
+					merged.Records = make([]core.Record, 0, frames*len(cur.recs))
+				}
 				merged.Records = append(merged.Records, cur.recs...)
 			}
 			cur.lent.Recycle()

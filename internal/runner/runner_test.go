@@ -590,3 +590,28 @@ func TestReplayCustomProcessFunc(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayMergedLogSizedOnce: every frame logs what the first did, so the
+// merged log is allocated once at its final size instead of grown by
+// doubling — and a replay that captures nothing still returns a log with no
+// backing array at all.
+func TestReplayMergedLogSizedOnce(t *testing.T) {
+	const frames, perFrameRecords = 50, 3
+	l, err := ReplayBatched(frames, perFrame(func(mon *core.Monitor, i int) error {
+		mon.NextFrame()
+		for k := 0; k < perFrameRecords; k++ {
+			mon.LogMetric("test/metric", float64(i), "count")
+		}
+		return nil
+	}), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Records) != frames*perFrameRecords || cap(l.Records) != len(l.Records) {
+		t.Errorf("merged log: len %d cap %d, want both %d", len(l.Records), cap(l.Records), frames*perFrameRecords)
+	}
+	l, err = ReplayBatched(frames, perFrame(func(*core.Monitor, int) error { return nil }), Options{Workers: 2})
+	if err != nil || l.Records != nil {
+		t.Errorf("uninstrumented replay: records %v (cap %d), err %v; want none", l.Records, cap(l.Records), err)
+	}
+}
