@@ -373,22 +373,18 @@ func (s *outputState) agreement(ri *refIndex) (float64, error) {
 	return float64(agree) / float64(total), nil
 }
 
-// latAcc accumulates one layer's latency records.
-type latAcc struct {
-	sum float64
-	n   int
-}
-
 // isLayerLatency reports whether r is a per-layer latency metric.
 func isLayerLatency(r *Record) bool {
 	return r.Kind == KindMetric && strings.HasPrefix(r.Key, keyLayerPrefix) && strings.HasSuffix(r.Key, "/latency_ns")
 }
 
 // stragglerState is the per-layer latency analysis (Stragglers and
-// StragglersVsReference feed whole logs through it): per-layer latency sums
-// in first-seen order.
+// StragglersVsReference feed whole logs through it): per-layer latencies in
+// first-seen order.
 type stragglerState struct {
-	byLayer map[string]*latAcc
+	// fastest is each layer's fastest latency record: the one reading that
+	// one-sided timing noise cannot inflate (see finalize).
+	fastest map[string]float64
 	order   []string
 	// modeledSum/modeledN accumulate the "ns-modeled" records alone for the
 	// vs-reference comparison (only those are comparable across runs).
@@ -397,19 +393,18 @@ type stragglerState struct {
 }
 
 func (s *stragglerState) consume(r *Record) {
-	ll, ok := s.byLayer[r.LayerName]
+	best, ok := s.fastest[r.LayerName]
 	if !ok {
-		if s.byLayer == nil {
-			s.byLayer = make(map[string]*latAcc)
+		if s.fastest == nil {
+			s.fastest = make(map[string]float64)
 			s.modeledSum = make(map[string]float64)
 			s.modeledN = make(map[string]int)
 		}
-		ll = &latAcc{}
-		s.byLayer[r.LayerName] = ll
 		s.order = append(s.order, r.LayerName)
 	}
-	ll.sum += r.Value
-	ll.n++
+	if !ok || r.Value < best {
+		s.fastest[r.LayerName] = r.Value
+	}
 	if r.Unit == "ns-modeled" {
 		s.modeledSum[r.LayerName] += r.Value
 		s.modeledN[r.LayerName]++
@@ -434,22 +429,26 @@ func (s *stragglerState) modeledMeans() map[string]float64 {
 	return out
 }
 
-// finalize returns the layers whose mean latency exceeds factor times the
-// median.
+// finalize returns the layers whose latency exceeds factor times the median
+// layer's. A layer's latency is its fastest record: measured latencies carry
+// one-sided noise (a preemption or a GC assist inside one frame's timing
+// window), and once layers take a microsecond or two — the float kernels on
+// AVX2 — a single such frame would lift a five-frame mean past any factor.
+// The fastest run is what the kernel costs; a straggler is slow every time.
+// Modeled latencies barely move between frames, so they read the same.
 func (s *stragglerState) finalize(factor float64) []string {
-	if len(s.byLayer) == 0 {
+	if len(s.fastest) == 0 {
 		return nil
 	}
-	means := make([]float64, 0, len(s.byLayer))
-	for _, ll := range s.byLayer {
-		means = append(means, ll.sum/float64(ll.n))
+	best := make([]float64, 0, len(s.fastest))
+	for _, v := range s.fastest {
+		best = append(best, v)
 	}
-	sort.Float64s(means)
-	median := means[len(means)/2]
+	sort.Float64s(best)
+	median := best[len(best)/2]
 	var out []string
 	for _, name := range s.order {
-		ll := s.byLayer[name]
-		if median > 0 && ll.sum/float64(ll.n) >= factor*median {
+		if median > 0 && s.fastest[name] >= factor*median {
 			out = append(out, name)
 		}
 	}

@@ -133,8 +133,9 @@ func meanLayerLatencyModeled(l *Log) map[string]float64 {
 	return s.modeledMeans()
 }
 
-// Stragglers returns the layers whose mean latency exceeds factor times the
-// median layer latency — the per-layer latency validation of §4.5.
+// Stragglers returns the layers whose latency (their fastest record, which
+// timing noise cannot inflate) exceeds factor times the median layer's — the
+// per-layer latency validation of §4.5.
 func Stragglers(l *Log, factor float64) []string {
 	var s stragglerState
 	s.consumeLog(l)

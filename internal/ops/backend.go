@@ -14,12 +14,17 @@ import "fmt"
 type Backend int
 
 const (
-	// BackendTiled is the register-tiled kernel family: the float column-quad
-	// (1x4) kernel runs over in-place row operands, the int8 path packs
-	// int16-widened panels for its 4x2 tile, and the bias/activation
-	// (float) or requantization (int8) epilogue is fused into the tile store.
-	// The quantized path accumulates in int32 — integer addition is
-	// associative, so it is bit-exact against the reference kernel. The float
+	// BackendTiled is the register-tiled kernel family. The float kernels run
+	// bias-seeded accumulator tiles with the activation clamp fused into the
+	// store: in Go a column-quad (1x4) GEMM tile over in-place row operands,
+	// on an amd64 host with AVX2 a 4x8 assembly tile whose eight lanes are
+	// eight output channels, over a [k][oc] weight panel packed once per node
+	// (simd_amd64.s; the two are bit-identical, see DESIGN §10). The int8
+	// path packs weights two columns to an int64 panel entry, once per node,
+	// and runs a 4x2 tile of int64 pair accumulators — one 64-bit multiply
+	// per two MACs, split back into the two exact int32 dot products before
+	// the requantizing store. Integer addition is associative, so the
+	// quantized path is bit-exact against the reference kernel. The float
 	// path is contractually only validator-bounded against reference: the
 	// kernel is free to reassociate the accumulation (the benign
 	// float-discrepancy class the paper documents), so validators bound it

@@ -146,7 +146,8 @@ func BenchmarkGEMM(b *testing.B) {
 
 // BenchmarkGemmBackend races the kernel backends on a MobileNet-ish 3x3
 // conv layer, float and quantized — the per-op view of the whole-model
-// invoke_gemm_* entries in BENCH_replay.json.
+// invoke_gemm_* entries in BENCH_replay.json — and then, per layer shape of
+// mobilenetv2-mini, the tiled backend's Go kernels against its AVX2 tiles.
 func BenchmarkGemmBackend(b *testing.B) {
 	for _, backend := range Backends() {
 		backend := backend
@@ -195,6 +196,9 @@ func BenchmarkGemmBackend(b *testing.B) {
 			}
 		})
 	}
+	// The model's seven conv shapes (the RGB stem and six pointwise GEMMs)
+	// and fc, Go kernels against AVX2 tiles.
+	benchModelLayers(b, func(op graph.OpType) bool { return op != graph.OpDepthwiseConv2D })
 }
 
 func BenchmarkSoftmaxFloat(b *testing.B) {
@@ -209,4 +213,45 @@ func BenchmarkSoftmaxFloat(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchModelLayers runs every mobilenetv2-mini layer shape of one op class
+// through its tiled kernel, once on the Go kernels and once on the AVX2 tiles
+// — the per-layer race behind the whole-frame numbers.
+func benchModelLayers(b *testing.B, want func(graph.OpType) bool) {
+	rng := rand.New(rand.NewSource(9))
+	for _, s := range modelLayerShapes() {
+		if !want(s.p.op) {
+			continue
+		}
+		ins := simdOperands(rng, s.p, 0, true) // plain noise: no denormal stalls
+		for _, simd := range []bool{false, true} {
+			name := s.name + "/go"
+			if simd {
+				name = s.name + "/avx2"
+			}
+			b.Run(name, func(b *testing.B) {
+				if simd {
+					needAVX2(b)
+				}
+				out := tensor.New(tensor.F32, s.p.shape...)
+				ctx := ctxForBackend(BackendTiled, s.p.op, s.p.attrs, ins, nil, out, nil)
+				kern := simdKernelFor(s.p.op)
+				withSIMD(simd, func() {
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := kern(ctx); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkDepthwiseFloat races the Go and AVX2 depthwise kernels on the
+// model's three depthwise shapes.
+func BenchmarkDepthwiseFloat(b *testing.B) {
+	benchModelLayers(b, func(op graph.OpType) bool { return op == graph.OpDepthwiseConv2D })
 }

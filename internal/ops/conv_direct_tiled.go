@@ -14,7 +14,10 @@ import "mlexray/internal/graph"
 // per-element k order (ky, kx, ci ascending) is exactly the GEMM's p order,
 // so the results are bitwise identical to the packed float path. Bias and
 // activation clamp are fused into the store, as everywhere on the tiled
-// backend.
+// backend. Where the AVX2 tile is available (useAVX2) the eight channel
+// accumulators are one YMM register and the x-interior pixels of a row, which
+// share a run table, go to the assembly in one call (convLanesF32); the Go
+// pixel kernel below is the other path and the oracle.
 
 // maxConvRuns bounds the per-pixel run table (one run per kernel row).
 const maxConvRuns = 8
@@ -112,6 +115,27 @@ func convPixelF32(inF, wT, bf, outRow []float32, runIn, runW, runLen *[maxConvRu
 	}
 }
 
+// convPixelTailF32 is convPixelF32's single-chain loop over channels
+// [co0, oc) only: the oc%8 tail the assembly tile leaves. (Kept apart from
+// convPixelF32's own tail on purpose: with the call in it that kernel read
+// ~10% slower on the stem, and it is the fallback hosts' whole conv1.)
+func convPixelTailF32(inF, wT, bf, outRow []float32, runIn, runW, runLen *[maxConvRuns]int, nRuns, co0, oc int, lo, hi float32) {
+	for co := co0; co < oc; co++ {
+		var s float32
+		if bf != nil {
+			s = bf[co]
+		}
+		for u := 0; u < nRuns; u++ {
+			wOff := runW[u]*oc + co
+			for _, v := range inF[runIn[u]:][:runLen[u]] {
+				s += v * wT[wOff]
+				wOff += oc
+			}
+		}
+		outRow[co] = clampF32(s, lo, hi)
+	}
+}
+
 // maxConvDirectIC bounds the input channels the direct kernel accepts.
 // Direct conv only beats im2col + packed GEMM when the patch copy is large
 // relative to the arithmetic — narrow-input stems (RGB and other thin
@@ -161,10 +185,17 @@ func convFloatTiledDirect(c *Ctx) error {
 	}
 	inF := in.F
 	var runIn, runW, runLen [maxConvRuns]int
+	// With the assembly tile, the x-interior pixels of a row share pixel
+	// oxLo's run table (full kernel width, the same clipped kernel rows) and
+	// go down in one call; everything else is the per-pixel walk below.
+	oc8 := oc &^ 7
+	simd := useAVX2 && oc8 > 0
+	oxLo, oxHi := dwInteriorX(a, iw, kw, 1, ow)
+	d := a.StrideW * ic // input offset between x-adjacent output pixels
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*a.StrideH - a.PadT
-			for ox := 0; ox < ow; ox++ {
+			for ox, npix := 0, 1; ox < ow; ox += npix {
 				ix0 := ox*a.StrideW - a.PadL
 				// Clip the kernel window to the input: kxLo/kxHi are shared
 				// by every kernel row (width clipping is y-independent).
@@ -188,8 +219,18 @@ func convFloatTiledDirect(c *Ctx) error {
 						nRuns++
 					}
 				}
-				outRow := out.F[((b*oh+oy)*ow+ox)*oc:][:oc]
-				convPixelF32(inF, wT, bf, outRow, &runIn, &runW, &runLen, nRuns, oc, lo, hi)
+				outPix := out.F[((b*oh+oy)*ow+ox)*oc:]
+				if !simd {
+					convPixelF32(inF, wT, bf, outPix[:oc], &runIn, &runW, &runLen, nRuns, oc, lo, hi)
+					continue
+				}
+				npix = interiorRun(ox, oxLo, oxHi)
+				if err := convLanesF32(c.Node.Op, inF, wT, bf, outPix, runIn[:nRuns], runW[:nRuns], runLen[:nRuns], npix, d, oc8, oc, oc, lo, hi); err != nil {
+					return err
+				}
+				for q := 0; q < npix && oc8 < oc; q++ {
+					convPixelTailF32(inF[q*d:], wT, bf, outPix[q*oc:][:oc], &runIn, &runW, &runLen, nRuns, oc8, oc, lo, hi)
+				}
 			}
 		}
 	}

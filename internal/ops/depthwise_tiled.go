@@ -22,6 +22,11 @@ import (
 // bitwise identical; the quantized results are bit-exact by integer
 // associativity.
 //
+// Where the AVX2 tile is available (useAVX2) the float kernel's channel
+// block is one YMM register — eight channels a lane each, same bias seed,
+// same tap order, so still the same bits — and a row's x-interior pixels go
+// to the assembly in one call (dwLanesF32).
+//
 // Both kernels cover the depth_multiplier == 1 layout with kernels up to
 // maxDWTaps taps (every production depthwise layer qualifies); the
 // dispatchers in float_opt.go / quantized.go fall back to the slab and
@@ -190,21 +195,30 @@ func dwPixelPairF32(inF, wF, bf, o0, o1 []float32, taps, wofs []int, d, oc int, 
 }
 
 // dwInteriorX returns the [lo, hi) range of output-x positions whose kernel
-// window is fully inside the input width.
+// window is fully inside the input width; lo <= hi <= ow always, and the
+// range is empty when the input is narrower than the dilated kernel or the
+// left padding alone covers the row.
 func dwInteriorX(a graph.Attrs, iw, kw, dw, ow int) (lo, hi int) {
 	s := a.StrideW
 	if a.PadL > 0 {
-		lo = (a.PadL + s - 1) / s
+		lo = min((a.PadL+s-1)/s, ow)
 	}
-	// ox*s - PadL + (kw-1)*dw <= iw-1
-	hi = (iw-1-(kw-1)*dw+a.PadL)/s + 1
-	if hi > ow {
-		hi = ow
+	// ox*s - PadL + (kw-1)*dw <= iw-1. A negative bound means no position
+	// fits (and Go's division would round it up to zero).
+	if last := iw - 1 - (kw-1)*dw + a.PadL; last >= 0 {
+		hi = min(last/s+1, ow)
 	}
-	if hi < lo {
-		hi = lo
+	return lo, max(hi, lo)
+}
+
+// interiorRun is how many output pixels starting at ox one assembly call
+// covers: the whole x-interior [oxLo, oxHi) when ox opens it (those pixels
+// share a tap or run table), otherwise the one border pixel.
+func interiorRun(ox, oxLo, oxHi int) int {
+	if ox == oxLo && oxHi > oxLo {
+		return oxHi - oxLo
 	}
-	return lo, hi
+	return 1
 }
 
 // depthwiseFloatTiled is the float depthwise kernel of the tiled backend.
@@ -245,6 +259,35 @@ func depthwiseFloatTiled(c *Ctx) error {
 	tapIn, tapW := &tapInA, &tapWA
 	oxLo, oxHi := dwInteriorX(a, iw, kw, dw, ow)
 	pairD := a.StrideW * ic
+	if oc8 := oc &^ 7; useAVX2 && oc8 > 0 {
+		// Assembly tile: eight channels a register. The x-interior pixels of
+		// a row share one tap table (whichever kernel rows the row clips are
+		// clipped for all of them), so they go down in one call, four pixels
+		// to a weight load; the x-border pixels go one at a time, and the
+		// oc%8 channel tail runs the Go pixel kernel on the same tables.
+		var bfTail []float32
+		if bf != nil {
+			bfTail = bf[oc8:]
+		}
+		for b := 0; b < n; b++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; {
+					npix := interiorRun(ox, oxLo, oxHi)
+					nt := dwTapTable(a, oy, ox, ih, iw, ic, kh, kw, oc, dh, dw, b*ih, tapIn, tapW)
+					taps, wofs := (*tapIn)[:nt], (*tapW)[:nt]
+					outPix := out.F[((b*oh+oy)*ow+ox)*oc:]
+					if err := dwLanesF32(c.Node.Op, inF, wF, bf, outPix, taps, wofs, npix, pairD, oc8, oc, lo, hi); err != nil {
+						return err
+					}
+					for q := 0; q < npix && oc8 < oc; q++ {
+						dwPixelF32(inF[q*pairD+oc8:], wF[oc8:], bfTail, outPix[q*oc+oc8:], taps, wofs, oc-oc8, lo, hi)
+					}
+					ox += npix
+				}
+			}
+		}
+		return nil
+	}
 	border := func(b, oy, ox int) {
 		nt := dwTapTable(a, oy, ox, ih, iw, ic, kh, kw, oc, dh, dw, b*ih, tapIn, tapW)
 		outRow := out.F[((b*oh+oy)*ow+ox)*oc:][:oc]

@@ -13,23 +13,29 @@ import (
 // over contiguous row operands, mirroring how TFLite's production path
 // actually earns its speed.
 //
-// Layout. Both operands are contiguous k-length rows. The float path uses
-// them in place: the [oc, k] row-major weight tensor already is the right-
-// side row layout, and the left side is either the activation matrix itself
-// (pointwise convolutions, dense) or the arena im2col buffer. The int8 path
-// genuinely packs: weights are packed two columns to an int64 row panel once
-// per node and cached on the Ctx (see gemmTiledFusedQuant), and activations
-// are zero-corrected into an int16 left panel per invoke. On a scalar target
-// the interleaved-panel layout classic SIMD kernels use costs more in
-// packing than it returns in locality; row operands keep the inner loops
-// free of bounds checks via equal-length re-slicing.
+// Layout. Both operands are contiguous k-length rows. The Go float kernels
+// use them in place: the [oc, k] row-major weight tensor already is the
+// right-side row layout, and the left side is either the activation matrix
+// itself (pointwise convolutions, dense) or the arena im2col buffer. The int8
+// path genuinely packs: weights are packed two columns to an int64 row panel
+// once per node and cached on the Ctx (see gemmTiledFusedQuant), and
+// activations are zero-corrected into an int16 left panel per invoke. For
+// the scalar Go kernels an interleaved panel costs more in packing than it
+// returns in locality, and row operands keep the inner loops free of bounds
+// checks via equal-length re-slicing. The AVX2 tile (gemmFloatTiled) wants
+// eight adjacent output channels in one load, so it reads the transposed
+// [k][oc] panel — packed once per node and cached like the int8 panel, never
+// per invoke; the left operand is still used in place.
 //
-// Micro-kernels. Float runs a 1x4 column-quad tile (see gemmTiledFusedF32
-// for why wider row tiles lose on the deployment hosts); int8 runs a 4x2
-// tile as four int64 pair accumulators, one multiply per two MACs. Each
-// accumulator sums its k terms in ascending order,
-// but the tiled float contract does NOT promise that (see BackendTiled):
-// validators must bound it, not expect equality.
+// Micro-kernels. Float runs a 1x4 column-quad tile in Go (see
+// gemmTiledFusedF32 for why wider row tiles lose there) and a 4x8 tile in
+// assembly where AVX2 is available (simd_amd64.s); int8 runs a 4x2 tile as
+// four int64 pair accumulators, one multiply per two MACs. Each float
+// accumulator is seeded with its bias and sums its k terms in ascending
+// order, multiply and add rounded separately, in every variant — which is
+// what makes the Go and assembly kernels bit-identical — but the tiled float
+// contract does NOT promise that order against the reference backend (see
+// BackendTiled): validators must bound it, not expect equality.
 //
 // Epilogue fusion. Bias add + activation (float) and bias add +
 // requantization + clamp (int8) happen in the tile store. The reference
@@ -377,8 +383,7 @@ func convFloatTiled(c *Ctx) error {
 	if bias != nil {
 		biasF = bias.F
 	}
-	gemmTiledFusedF32(cols, w.F, biasF, out.F, m, oc, k, a.Activation)
-	return nil
+	return gemmFloatTiled(c, cols, w.F, biasF, out.F, m, oc, k, a.Activation)
 }
 
 // denseFloatTiled is the fully-connected layer through the fused row
@@ -402,7 +407,47 @@ func denseFloatTiled(c *Ctx) error {
 	if bias != nil {
 		biasF = bias.F
 	}
-	gemmTiledFusedF32(in.F, w.F, biasF, out.F, n, outC, inC, a.Activation)
+	return gemmFloatTiled(c, in.F, w.F, biasF, out.F, n, outC, inC, a.Activation)
+}
+
+// gemmFloatTiled is the fused float GEMM of one Conv2D or Dense node. With
+// the AVX2 tile available, the lane-aligned columns (n rounded down to eight)
+// run in assembly against the [k][n8] weight panel — packed once per node and
+// cached on the Ctx, so a steady-state invoke packs nothing — and the n%8
+// column tail runs the Go single-chain dot over the in-place weight rows.
+// Every output's chain is independent (bias, then p ascending, multiply and
+// add rounded separately), so which code computed a column is invisible at
+// the bit level. Otherwise the whole GEMM is gemmTiledFusedF32.
+func gemmFloatTiled(c *Ctx, a, w, bias, out []float32, m, n, k int, act graph.Activation) error {
+	n8 := n &^ 7
+	if !useAVX2 || n8 == 0 || m < 1 || k < 1 {
+		gemmTiledFusedF32(a, w, bias, out, m, n, k, act)
+		return nil
+	}
+	panel, err := cachedIn(c, func() ([]float32, error) {
+		return packTransposeF32(w, n8, k), nil
+	})
+	if err != nil {
+		return err
+	}
+	lo, hi := actClampF32(act)
+	if err := gemmLanesF32(c.Node.Op, a, panel, bias, out, m, n8, k, n, lo, hi); err != nil {
+		return err
+	}
+	for i := 0; i < m && n8 < n; i++ {
+		ai := a[i*k : i*k+k]
+		for j := n8; j < n; j++ {
+			bj := w[j*k:][:len(ai)]
+			var s float32
+			if bias != nil {
+				s = bias[j]
+			}
+			for p, av := range ai {
+				s += av * bj[p]
+			}
+			out[i*n+j] = clampF32(s, lo, hi)
+		}
+	}
 	return nil
 }
 
@@ -438,9 +483,11 @@ func cachedQuantGemmPlan(c *Ctx, w, bias *tensor.Tensor, outC, k int) (quantGemm
 }
 
 // convQuantTiled is the quantized Conv2D through the int8 packed path:
-// zero-corrected int16 im2col into the padded left panel, int16-widened
-// cached weight panels, int32 tile accumulators, requantization fused into
-// the store. Bit-exact against convQuantRef/convQuantOpt by construction.
+// zero-corrected int16 im2col into the padded left panel, the cached
+// pair-packed int64 weight panel (two columns an entry), int64 pair
+// accumulators split into their two int32 dot products at the store,
+// requantization fused into the store. Bit-exact against
+// convQuantRef/convQuantOpt by construction.
 func convQuantTiled(c *Ctx) error {
 	in, err := c.In(0)
 	if err != nil {

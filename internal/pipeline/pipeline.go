@@ -132,17 +132,28 @@ func (f *frame) output(i int) (*tensor.Tensor, error) {
 	return out.Clone(), nil
 }
 
-// classify is invoke for the single-output classification heads: the argmax
-// class and the scores.
-func (f *frame) classify(in *tensor.Tensor) (int, *tensor.Tensor, error) {
+// predict is invoke for the single-output classification heads when only the
+// class is wanted: the argmax is taken over the interpreter's own output
+// tensor, so nothing is cloned.
+func (f *frame) predict(in *tensor.Tensor) (int, error) {
 	if err := f.invoke(in); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	out, err := f.output(0)
+	out, err := f.ip.Output(0)
+	if err != nil {
+		return 0, err
+	}
+	return out.ArgMax(), nil
+}
+
+// classify is predict plus a copy of the scores.
+func (f *frame) classify(in *tensor.Tensor) (int, *tensor.Tensor, error) {
+	pred, err := f.predict(in)
 	if err != nil {
 		return 0, nil, err
 	}
-	return out.ArgMax(), out, nil
+	out, err := f.output(0)
+	return pred, out, err
 }
 
 // Classifier is an instrumented image-classification pipeline.
@@ -201,6 +212,13 @@ func (c *Classifier) Clone(mon *core.Monitor) (*Classifier, error) {
 func (c *Classifier) Classify(im *imaging.Image) (int, *tensor.Tensor, error) {
 	c.begin()
 	return c.classify(c.preprocess(im))
+}
+
+// Predict is Classify without the scores: the same frame, the same records,
+// the same class, and no copy of the output.
+func (c *Classifier) Predict(im *imaging.Image) (int, error) {
+	c.begin()
+	return c.predict(c.preprocess(im))
 }
 
 // Detector is an instrumented object-detection pipeline (SSD-style models
@@ -298,6 +316,16 @@ func (s *SpeechRecognizer) Recognize(wave []float64) (int, *tensor.Tensor, error
 	return s.classify(in)
 }
 
+// Predict is Recognize without the scores (see Classifier.Predict).
+func (s *SpeechRecognizer) Predict(wave []float64) (int, error) {
+	s.begin()
+	in, err := PreprocessSpeech(wave, s.preproc)
+	if err != nil {
+		return 0, err
+	}
+	return s.predict(in)
+}
+
 // TextClassifier is an instrumented sentiment pipeline.
 type TextClassifier struct {
 	frame
@@ -335,4 +363,11 @@ func (t *TextClassifier) ClassifyText(text string) (int, *tensor.Tensor, error) 
 	t.begin()
 	ids := t.tokenize(text)
 	return t.classify(tensor.FromInt32(ids, 1, len(ids)))
+}
+
+// Predict is ClassifyText without the scores (see Classifier.Predict).
+func (t *TextClassifier) Predict(text string) (int, error) {
+	t.begin()
+	ids := t.tokenize(text)
+	return t.predict(tensor.FromInt32(ids, 1, len(ids)))
 }

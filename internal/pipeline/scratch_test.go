@@ -240,6 +240,44 @@ func TestClassifySteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// Steady-state uninstrumented Predict allocates nothing — it is Classify
+// without the output clone — and names the same class Classify does.
+func TestPredictSteadyStateAllocs(t *testing.T) {
+	m := models.MobileNetV1Mini(99)
+	opts := Options{Resolver: ops.NewOptimized(ops.Fixed())}
+	pr, err := NewClassifier(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewClassifier(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 50; i++ {
+		im := randomImage(rng, 64, 64, 3)
+		got, err := pr.Predict(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, scores, err := cl.Classify(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || got != scores.ArgMax() {
+			t.Fatalf("image %d: Predict %d, Classify %d (scores argmax %d)", i, got, want, scores.ArgMax())
+		}
+	}
+	im := randomImage(rng, 64, 64, 3)
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := pr.Predict(im); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("steady-state Predict: %v allocations per frame, want 0", n)
+	}
+}
+
 var preprocessSink any
 
 // BenchmarkPreprocessImage is image preprocessing on the benchmark's frame,

@@ -159,7 +159,7 @@ func classification(m *graph.Model, images []*imaging.Image) binding[ClassifyRes
 				return nil, err
 			}
 			return func(i int) (ClassifyResult, error) {
-				pred, _, err := cl.Classify(images[i])
+				pred, err := cl.Predict(images[i])
 				return ClassifyResult{Pred: pred, Modeled: cl.Interpreter().LastInvokeStats().Modeled}, err
 			}, nil
 		},
@@ -285,7 +285,7 @@ func speech(m *graph.Model, samples []datasets.AudioSample) binding[ClassifyResu
 				return nil, err
 			}
 			return func(i int) (ClassifyResult, error) {
-				pred, _, err := sr.Recognize(samples[i].Wave)
+				pred, err := sr.Predict(samples[i].Wave)
 				return ClassifyResult{Pred: pred, Modeled: sr.Interpreter().LastInvokeStats().Modeled}, err
 			}, nil
 		},
@@ -309,7 +309,7 @@ func text(m *graph.Model, samples []datasets.TextSample) binding[ClassifyResult]
 				return nil, err
 			}
 			return func(i int) (ClassifyResult, error) {
-				pred, _, err := tc.ClassifyText(samples[i].Text)
+				pred, err := tc.Predict(samples[i].Text)
 				return ClassifyResult{Pred: pred, Modeled: tc.Interpreter().LastInvokeStats().Modeled}, err
 			}, nil
 		},

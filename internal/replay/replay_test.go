@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -590,6 +591,59 @@ func TestInt8LayersBackendInvariant(t *testing.T) {
 					ref, _ := ips[1].Tensor(id)
 					if !bytes.Equal(tiled.U, ref.U) || !slices.Equal(tiled.F, ref.F) {
 						t.Fatalf("%s kernels, input %d: %s (%v) differs between the tiled and the reference backend", name, frame, n.Name, n.Op)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFloatLayersSIMDInvariant is the whole-model leg of the float assembly
+// contract: every layer output of float mobilenetv2-mini is bit-identical
+// between the AVX2 tiles and the Go kernels of the tiled backend, on 20 random
+// inputs at batch 1 and once on the batch-8 graph.
+func TestFloatLayersSIMDInvariant(t *testing.T) {
+	if !opsUseAVX2 {
+		t.Skip("ops found no usable AVX2: the Go kernels are the only float path on this host")
+	}
+	defer func() { opsUseAVX2 = true }()
+	base := testModel(t, false)
+	batch8, err := graph.Rebatch(base, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2024))
+	for _, tc := range []struct {
+		m      *graph.Model
+		frames int
+	}{{base, 20}, {batch8, 1}} {
+		m := tc.m
+		var ips [2]*interp.Interpreter // one per path: each caches its own plans
+		for i := range ips {
+			ip, err := interp.New(m, ops.NewOptimized(ops.Fixed()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ips[i] = ip
+		}
+		in := tensor.New(tensor.F32, m.Tensors[m.Inputs[0]].Shape...)
+		for frame := 0; frame < tc.frames; frame++ {
+			tensor.RandUniform(rng, in, -1, 1)
+			for i, ip := range ips {
+				opsUseAVX2 = i == 0
+				if _, err := ip.Run(in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, n := range m.Nodes {
+				for _, id := range n.Outputs {
+					asm, _ := ips[0].Tensor(id)
+					pure, _ := ips[1].Tensor(id)
+					for j, v := range asm.F {
+						if math.Float32bits(v) != math.Float32bits(pure.F[j]) {
+							t.Fatalf("batch %d, input %d: %s (%v) output %d is %v on the AVX2 tiles, %v on the Go kernels",
+								in.Shape[0], frame, n.Name, n.Op, j, v, pure.F[j])
+						}
 					}
 				}
 			}

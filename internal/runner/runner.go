@@ -30,13 +30,14 @@
 // (core.FramePreEncoder — the JSONL sink does) and there is more than one
 // worker, workers also pre-marshal their frames' record lines, so the serial
 // collector only patches sequence numbers and concatenates. The reorder
-// window is bounded: at most 4 × workers × batch frames may be dispatched and
-// not yet flushed, so a single slow frame throttles dispatch instead of
-// growing the window without limit — streaming million-frame replays hold
-// flat memory. That credit throttle is the only back-pressure: the results
-// channel and the collector's reorder ring each hold a whole window, so a
-// worker holding credits never waits for the collector, and inference and
-// capture on the worker overlap with encoding and the sink on the collector.
+// window is bounded: at most 4 × workers × batch frames (2 × when captures
+// are lent, below) may be dispatched and not yet flushed, so a single slow
+// frame throttles dispatch instead of growing the window without limit —
+// streaming million-frame replays hold flat memory. That credit throttle is
+// the only back-pressure: the results channel and the collector's reorder
+// ring each hold a whole window, so a worker holding credits never waits for
+// the collector, and inference and capture on the worker overlap with
+// encoding and the sink on the collector.
 //
 // With DiscardLog set nothing keeps the records past the sink (core.Sink
 // forbids it), so the shards lend instead of give: a range is captured into
@@ -240,8 +241,16 @@ func runShard(ranges []Range, factory BatchWorkerFactory, opts Options) (*core.L
 	}
 	// With the merged log discarded nothing outlives the sink's WriteFrame
 	// (core.Sink forbids retaining), so the shards lend their captures and
-	// get the buffers back once the range is flushed or pre-encoded.
+	// get the buffers back once the range is flushed or pre-encoded. A lent
+	// range in flight pins a slab sized for the whole range, so the lent
+	// window is double buffering — one range with the collector, one being
+	// captured, per worker: a worker that outruns the sink (a full-capture
+	// float replay since the AVX2 kernels) otherwise fills all four ranges
+	// with payload slabs for no more overlap than two give.
 	lend := opts.Sink != nil && opts.DiscardLog
+	if lend {
+		maxPending = 2 * nw * batch
+	}
 
 	// Build all workers up front: factory errors surface before any
 	// goroutine starts, and sequential construction lets factories share

@@ -240,6 +240,37 @@ func TestReplayMaxPendingBoundsWindow(t *testing.T) {
 	}
 }
 
+// TestReplayLentWindowIsDoubleBuffered pins the window of the lent path (a
+// sink and DiscardLog): a lent range in flight pins a payload slab sized for
+// the whole range, so a worker that outruns the sink may be two ranges ahead
+// per worker — one with the collector, one being captured — not four.
+func TestReplayLentWindowIsDoubleBuffered(t *testing.T) {
+	const frames, batch = 64, 4
+	var started, flushed, worst atomic.Int64
+	sink := sinkFunc(func(frame int, recs []core.Record) error {
+		time.Sleep(200 * time.Microsecond) // the sink is the slow side
+		flushed.Add(1)
+		return nil
+	})
+	_, err := ReplayBatched(frames, perFrame(func(mon *core.Monitor, i int) error {
+		if inFlight := started.Add(1) - flushed.Load(); inFlight > worst.Load() {
+			worst.Store(inFlight) // one worker: no race on worst
+		}
+		mon.NextFrame()
+		mon.LogMetric("frame/value", float64(i), "count")
+		return nil
+	}), Options{Workers: 1, BatchFrames: batch, Sink: sink, DiscardLog: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := worst.Load(); w > 2*batch {
+		t.Errorf("lent window reached %d in-flight frames, cap is %d (two ranges of %d)", w, 2*batch, batch)
+	}
+	if f := flushed.Load(); f != frames {
+		t.Errorf("flushed %d of %d frames", f, frames)
+	}
+}
+
 type sinkFunc func(frame int, recs []core.Record) error
 
 func (f sinkFunc) WriteFrame(frame int, recs []core.Record) error { return f(frame, recs) }
