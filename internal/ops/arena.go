@@ -155,10 +155,11 @@ func ScratchPlan(n *graph.Node, kind ComputeKind, backend Backend, shapeOf func(
 		if kind == KindQuant {
 			// The quantized lowerings reuse one per-element im2col buffer
 			// across the batch loop, so only oh*ow rows are ever live; the
-			// tiled backend pads the panel to the 4-row register tile.
+			// tiled backend pads the panel to the 4-row register tile, plus
+			// the AVX2 tile's slack element for an odd k (quantLeftPanel).
 			m := outShape[1] * outShape[2]
 			if backend == BackendTiled {
-				m = padUp(m, 4)
+				return 0, 0, padUp(m, 4)*k + k%2, 0
 			}
 			return 0, 0, m * k, 0
 		}
@@ -180,7 +181,7 @@ func ScratchPlan(n *graph.Node, kind ComputeKind, backend Backend, shapeOf func(
 			}
 			// Padded left panel: float activations or zero-corrected int16.
 			if kind == KindQuant {
-				return 0, 0, padUp(batch, 4) * inC, 0
+				return 0, 0, padUp(batch, 4)*inC + inC%2, 0
 			}
 			return padUp(batch, 4) * inC, 0, 0, 0
 		}

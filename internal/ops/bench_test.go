@@ -123,6 +123,45 @@ func BenchmarkDepthwiseQuant(b *testing.B) {
 			}
 		})
 	}
+	// The model's three depthwise shapes, fixed and historical, Go kernels
+	// against AVX2 tiles.
+	benchModelLayersInt8(b, func(op graph.OpType) bool { return op == graph.OpDepthwiseConv2D })
+}
+
+// benchModelLayersInt8 is benchModelLayers for the int8 kernels: every
+// mobilenetv2-mini layer shape of one op class through each of its tiled int8
+// kernels, once on the Go kernels and once on the AVX2 tiles.
+func benchModelLayersInt8(b *testing.B, want func(graph.OpType) bool) {
+	rng := rand.New(rand.NewSource(9))
+	for _, s := range modelLayerShapes() {
+		if !want(s.p.op) {
+			continue
+		}
+		ins, qps, outP := randQuantOperands(rng, s.p, 128, 128, false)
+		for _, k := range int8Kernels(s.p.op) {
+			for _, simd := range []bool{false, true} {
+				name := s.name + "/" + k.name + "-int8/go"
+				if simd {
+					name = s.name + "/" + k.name + "-int8/avx2"
+				}
+				b.Run(name, func(b *testing.B) {
+					if simd {
+						needAVX2(b)
+					}
+					out := tensor.New(tensor.U8, s.p.shape...)
+					ctx := ctxForBackend(BackendTiled, s.p.op, s.p.attrs, ins, qps, out, outP)
+					withSIMD(simd, func() {
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if err := k.opt(ctx); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				})
+			}
+		}
+	}
 }
 
 func BenchmarkGEMM(b *testing.B) {
@@ -147,7 +186,8 @@ func BenchmarkGEMM(b *testing.B) {
 // BenchmarkGemmBackend races the kernel backends on a MobileNet-ish 3x3
 // conv layer, float and quantized — the per-op view of the whole-model
 // invoke_gemm_* entries in BENCH_replay.json — and then, per layer shape of
-// mobilenetv2-mini, the tiled backend's Go kernels against its AVX2 tiles.
+// mobilenetv2-mini, the tiled backend's Go kernels against its AVX2 tiles,
+// float and int8.
 func BenchmarkGemmBackend(b *testing.B) {
 	for _, backend := range Backends() {
 		backend := backend
@@ -197,8 +237,10 @@ func BenchmarkGemmBackend(b *testing.B) {
 		})
 	}
 	// The model's seven conv shapes (the RGB stem and six pointwise GEMMs)
-	// and fc, Go kernels against AVX2 tiles.
-	benchModelLayers(b, func(op graph.OpType) bool { return op != graph.OpDepthwiseConv2D })
+	// and fc, Go kernels against AVX2 tiles, float and int8.
+	notDW := func(op graph.OpType) bool { return op != graph.OpDepthwiseConv2D }
+	benchModelLayers(b, notDW)
+	benchModelLayersInt8(b, notDW)
 }
 
 func BenchmarkSoftmaxFloat(b *testing.B) {

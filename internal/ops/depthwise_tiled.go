@@ -2,7 +2,6 @@ package ops
 
 import (
 	"mlexray/internal/graph"
-	"mlexray/internal/quant"
 )
 
 // Register-tiled depthwise convolution kernels for the tiled backend. The
@@ -22,10 +21,10 @@ import (
 // bitwise identical; the quantized results are bit-exact by integer
 // associativity.
 //
-// Where the AVX2 tile is available (useAVX2) the float kernel's channel
-// block is one YMM register — eight channels a lane each, same bias seed,
+// Where the AVX2 tile is available (useAVX2) the channel block of both
+// kernels is one YMM register — eight channels a lane each, same bias seed,
 // same tap order, so still the same bits — and a row's x-interior pixels go
-// to the assembly in one call (dwLanesF32).
+// to the assembly in one call over one tap table (dwLanesF32, dwLanesQ8).
 //
 // Both kernels cover the depth_multiplier == 1 layout with kernels up to
 // maxDWTaps taps (every production depthwise layer qualifies); the
@@ -132,68 +131,6 @@ func dwPixelF32(inF, wF, bf, outRow []float32, taps, wofs []int, oc int, lo, hi 
 	}
 }
 
-// dwPixelPairF32 accumulates two interior output pixels adjacent in x at
-// once. Both share the same weight taps, so every 4-wide weight block is
-// loaded once for the two pixels' MACs — 12 loads per 8 MACs instead of the
-// single-pixel path's 16, which matters on a load-port-bound scalar target.
-// The channel block stays at 4 on purpose: two pixels' accumulators plus the
-// shared weight block already fill most of the XMM file, and an 8-wide pair
-// spills. d is the input-offset delta between the two pixels (strideW * ic;
-// weight sharing is stride-independent). Per-pixel tap order is unchanged.
-func dwPixelPairF32(inF, wF, bf, o0, o1 []float32, taps, wofs []int, d, oc int, lo, hi float32) {
-	co := 0
-	for ; co+4 <= oc; co += 4 {
-		var s0, s1, s2, s3, r0, r1, r2, r3 float32
-		if bf != nil {
-			s0, s1, s2, s3 = bf[co], bf[co+1], bf[co+2], bf[co+3]
-			r0, r1, r2, r3 = s0, s1, s2, s3
-		}
-		for t, ib := range taps {
-			wR := wF[wofs[t]+co:][:4]
-			inA := inF[ib+co:][:4]
-			inB := inF[ib+d+co:][:4]
-			// One weight temp, reused lane by lane: four long-lived weight
-			// registers alongside eight accumulators spill.
-			w := wR[0]
-			s0 += inA[0] * w
-			r0 += inB[0] * w
-			w = wR[1]
-			s1 += inA[1] * w
-			r1 += inB[1] * w
-			w = wR[2]
-			s2 += inA[2] * w
-			r2 += inB[2] * w
-			w = wR[3]
-			s3 += inA[3] * w
-			r3 += inB[3] * w
-		}
-		oa := o0[co:][:4]
-		oa[0] = clampF32(s0, lo, hi)
-		oa[1] = clampF32(s1, lo, hi)
-		oa[2] = clampF32(s2, lo, hi)
-		oa[3] = clampF32(s3, lo, hi)
-		ob := o1[co:][:4]
-		ob[0] = clampF32(r0, lo, hi)
-		ob[1] = clampF32(r1, lo, hi)
-		ob[2] = clampF32(r2, lo, hi)
-		ob[3] = clampF32(r3, lo, hi)
-	}
-	for ; co < oc; co++ {
-		var s, r float32
-		if bf != nil {
-			s = bf[co]
-			r = s
-		}
-		for t, ib := range taps {
-			w := wF[wofs[t]+co]
-			s += inF[ib+co] * w
-			r += inF[ib+d+co] * w
-		}
-		o0[co] = clampF32(s, lo, hi)
-		o1[co] = clampF32(r, lo, hi)
-	}
-}
-
 // dwInteriorX returns the [lo, hi) range of output-x positions whose kernel
 // window is fully inside the input width; lo <= hi <= ow always, and the
 // range is empty when the input is narrower than the dilated kernel or the
@@ -258,7 +195,7 @@ func depthwiseFloatTiled(c *Ctx) error {
 	relIn, relW := relInA[:nt0], relWA[:nt0]
 	tapIn, tapW := &tapInA, &tapWA
 	oxLo, oxHi := dwInteriorX(a, iw, kw, dw, ow)
-	pairD := a.StrideW * ic
+	d := a.StrideW * ic
 	if oc8 := oc &^ 7; useAVX2 && oc8 > 0 {
 		// Assembly tile: eight channels a register. The x-interior pixels of
 		// a row share one tap table (whichever kernel rows the row clips are
@@ -276,11 +213,11 @@ func depthwiseFloatTiled(c *Ctx) error {
 					nt := dwTapTable(a, oy, ox, ih, iw, ic, kh, kw, oc, dh, dw, b*ih, tapIn, tapW)
 					taps, wofs := (*tapIn)[:nt], (*tapW)[:nt]
 					outPix := out.F[((b*oh+oy)*ow+ox)*oc:]
-					if err := dwLanesF32(c.Node.Op, inF, wF, bf, outPix, taps, wofs, npix, pairD, oc8, oc, lo, hi); err != nil {
+					if err := dwLanesF32(c.Node.Op, inF, wF, bf, outPix, taps, wofs, npix, d, oc8, oc, lo, hi); err != nil {
 						return err
 					}
 					for q := 0; q < npix && oc8 < oc; q++ {
-						dwPixelF32(inF[q*pairD+oc8:], wF[oc8:], bfTail, outPix[q*oc+oc8:], taps, wofs, oc-oc8, lo, hi)
+						dwPixelF32(inF[q*d+oc8:], wF[oc8:], bfTail, outPix[q*oc+oc8:], taps, wofs, oc-oc8, lo, hi)
 					}
 					ox += npix
 				}
@@ -307,26 +244,15 @@ func depthwiseFloatTiled(c *Ctx) error {
 			}
 			// Interior pixels: every tap is valid, so the offsets are the
 			// precomputed relative table plus one base — no boundary tests,
-			// no address multiplies — and adjacent pixels run as weight-
-			// sharing pairs.
+			// no address multiplies.
 			rowOut := ((b*oh + oy) * ow) * oc
 			ox := oxLo
-			for ; ox+2 <= oxHi; ox += 2 {
-				base := ((b*ih+iy0)*iw + ox*a.StrideW - a.PadL) * ic
-				for t, r := range relIn {
-					tapIn[t] = base + r
-				}
-				o0 := out.F[rowOut+ox*oc:][:oc]
-				o1 := out.F[rowOut+(ox+1)*oc:][:oc]
-				dwPixelPairF32(inF, wF, bf, o0, o1, tapIn[:len(relIn)], relW, pairD, oc, lo, hi)
-			}
-			if ox < oxHi {
+			for ; ox < oxHi; ox++ {
 				base := ((b*ih+iy0)*iw + ox*a.StrideW - a.PadL) * ic
 				for t, r := range relIn {
 					tapIn[t] = base + r
 				}
 				dwPixelF32(inF, wF, bf, out.F[rowOut+ox*oc:][:oc], tapIn[:len(relIn)], relW, oc, lo, hi)
-				ox++
 			}
 			for ; ox < ow; ox++ {
 				border(b, oy, ox)
@@ -337,9 +263,9 @@ func depthwiseFloatTiled(c *Ctx) error {
 }
 
 // dwPixelQuant accumulates all oc channels of one output pixel in register
-// blocks of four int32 accumulators, fusing bias and requantization into
-// the store.
-func dwPixelQuant(inU []uint8, wI []int8, bx []int32, outRow []uint8, taps, wofs []int, oc int, muls []quant.Multiplier, requant func(quant.Multiplier, int32) int32, inZ, outZ, lo, hi int32) {
+// blocks of four int32 accumulators, fusing bias and requantization (rq, one
+// lane per channel) into the store.
+func dwPixelQuant(inU []uint8, wI []int8, bx []int32, outRow []uint8, taps, wofs []int, oc int, rq []rqLane, inZ, outZ, lo, hi int32) {
 	co := 0
 	for ; co+4 <= oc; co += 4 {
 		var s0, s1, s2, s3 int32
@@ -354,11 +280,11 @@ func dwPixelQuant(inU []uint8, wI []int8, bx []int32, outRow []uint8, taps, wofs
 			s2 += (int32(inR[2]) - inZ) * int32(wR[2])
 			s3 += (int32(inR[3]) - inZ) * int32(wR[3])
 		}
-		o := outRow[co:][:4]
-		o[0] = clampU8(outZ+requant(muls[co], s0), lo, hi)
-		o[1] = clampU8(outZ+requant(muls[co+1], s1), lo, hi)
-		o[2] = clampU8(outZ+requant(muls[co+2], s2), lo, hi)
-		o[3] = clampU8(outZ+requant(muls[co+3], s3), lo, hi)
+		o, q := outRow[co:][:4], rq[co:][:4]
+		o[0] = clampU8(outZ+q[0].apply(s0), lo, hi)
+		o[1] = clampU8(outZ+q[1].apply(s1), lo, hi)
+		o[2] = clampU8(outZ+q[2].apply(s2), lo, hi)
+		o[3] = clampU8(outZ+q[3].apply(s3), lo, hi)
 	}
 	for ; co < oc; co++ {
 		var s int32
@@ -368,16 +294,37 @@ func dwPixelQuant(inU []uint8, wI []int8, bx []int32, outRow []uint8, taps, wofs
 		for t, ib := range taps {
 			s += (int32(inU[ib+co]) - inZ) * int32(wI[wofs[t]+co])
 		}
-		outRow[co] = clampU8(outZ+requant(muls[co], s), lo, hi)
+		outRow[co] = clampU8(outZ+rq[co].apply(s), lo, hi)
 	}
 }
 
+// dwQuantPlan is the per-node cached state of the tiled int8 depthwise
+// kernel: the requantizer (with the historical defect or without) and, once
+// the AVX2 tile first runs, its weights.
+type dwQuantPlan struct {
+	rq      requantizer
+	logical bool
+	wq      []int32 // the AVX2 tile's weights (widenI8)
+}
+
+// widenI8 lays each int8 weight into the low half of an int32 whose high
+// half is zero, so one VPMADDWD against a zero-corrected input lane is one
+// exact product.
+func widenI8(src []int8) []int32 {
+	dst := make([]int32, len(src))
+	for i, v := range src {
+		dst[i] = int32(uint16(v))
+	}
+	return dst
+}
+
 // depthwiseQuantTiled is the quantized depthwise kernel of the tiled
-// backend: int32 register accumulators per channel block, bias and
-// fixed-point requantization fused into the store. Bit-exact against
+// backend: int32 accumulators per channel lane, bias and fixed-point
+// requantization fused into the store. Bit-exact against
 // depthwiseQuantImpl under the same requantizer: integer accumulation is
 // associative, so the accumulator the store requantizes — and with it every
-// byte the historical defect corrupts — is the loop nest's.
+// byte the historical defect corrupts — is the loop nest's. A node with a
+// multiplier outside the lane domain runs that loop nest (cachedLanePlan).
 func depthwiseQuantTiled(c *Ctx, logicalShiftBug bool) error {
 	in, err := c.In(0)
 	if err != nil {
@@ -390,29 +337,66 @@ func depthwiseQuantTiled(c *Ctx, logicalShiftBug bool) error {
 	bias := c.OptionalIn(2)
 	out := c.Outputs[0]
 	a := c.Node.Attrs
-	inQ, outQ := c.InQ[0], c.OutQ[0]
 	n, ih, iw, ic := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
 	kh, kw, oc := w.Shape[1], w.Shape[2], w.Shape[3]
 	oh, ow := out.Shape[1], out.Shape[2]
 	dh, dw := max1(a.DilationH), max1(a.DilationW)
-	muls, err := cachedConvMultipliers(c, oc)
+	plan, err := cachedLanePlan(c, oc, logicalShiftBug, func(rq requantizer) *dwQuantPlan {
+		return &dwQuantPlan{rq: rq, logical: logicalShiftBug}
+	})
 	if err != nil {
 		return err
 	}
-	inZ := inQ.ZeroPoint(0)
-	outZ := outQ.ZeroPoint(0)
-	lo, hi := quantActRange(a.Activation, outQ)
+	if plan == nil {
+		return depthwiseQuantImpl(c, logicalShiftBug)
+	}
+	if plan.logical != logicalShiftBug {
+		// One Ctx run under both resolvers' kernels: re-plan for this one.
+		c.cache = nil
+		return depthwiseQuantTiled(c, logicalShiftBug)
+	}
+	rq := &plan.rq
+	inZ := c.InQ[0].ZeroPoint(0)
 	var bx []int32
 	if bias != nil {
 		bx = bias.X
 	}
-	// The requantizer is the one thing the historical kernel changes.
-	requant := quant.Multiplier.Apply
-	if logicalShiftBug {
-		requant = quant.Multiplier.ApplyLogicalShiftBug
-	}
 	inU, wI := in.U, w.I
 	var relInA, relWA, tapInA, tapWA [maxDWTaps]int
+	tapIn, tapW := &tapInA, &tapWA
+	oxLo, oxHi := dwInteriorX(a, iw, kw, dw, ow)
+	if oc8 := oc &^ 7; useAVX2 && oc8 > 0 {
+		// Assembly tile, eight channels a register, on the float driver's
+		// walk: a row's x-interior pixels share one tap table and go down in
+		// one call, the x-border pixels one call each, and the oc%8 channel
+		// tail runs the Go pixel kernel on the same tables.
+		if plan.wq == nil {
+			plan.wq = widenI8(wI)
+		}
+		var bxTail []int32
+		if bx != nil {
+			bxTail = bx[oc8:]
+		}
+		d := a.StrideW * ic
+		for b := 0; b < n; b++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; {
+					npix := interiorRun(ox, oxLo, oxHi)
+					nt := dwTapTable(a, oy, ox, ih, iw, ic, kh, kw, oc, dh, dw, b*ih, tapIn, tapW)
+					taps, wofs := (*tapIn)[:nt], (*tapW)[:nt]
+					outPix := out.U[((b*oh+oy)*ow+ox)*oc:]
+					if err := dwLanesQ8(c.Node.Op, inU, plan.wq, bx, rq.lanes, outPix, taps, wofs, npix, d, oc8, oc, inZ, rq.outZ, rq.lo, rq.hi); err != nil {
+						return err
+					}
+					for q := 0; q < npix && oc8 < oc; q++ {
+						dwPixelQuant(inU[q*d+oc8:], wI[oc8:], bxTail, outPix[q*oc+oc8:], taps, wofs, oc-oc8, rq.chans[oc8:], inZ, rq.outZ, rq.lo, rq.hi)
+					}
+					ox += npix
+				}
+			}
+		}
+		return nil
+	}
 	nt0 := 0
 	for ky := 0; ky < kh; ky++ {
 		for kx := 0; kx < kw; kx++ {
@@ -422,7 +406,6 @@ func depthwiseQuantTiled(c *Ctx, logicalShiftBug bool) error {
 		}
 	}
 	relIn, relW := relInA[:nt0], relWA[:nt0]
-	tapIn, tapW := &tapInA, &tapWA
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*a.StrideH - a.PadT
@@ -440,7 +423,7 @@ func depthwiseQuantTiled(c *Ctx, logicalShiftBug bool) error {
 					taps, wofs = (*tapIn)[:nt], (*tapW)[:nt]
 				}
 				outRow := out.U[((b*oh+oy)*ow+ox)*oc:][:oc]
-				dwPixelQuant(inU, wI, bx, outRow, taps, wofs, oc, muls, requant, inZ, outZ, lo, hi)
+				dwPixelQuant(inU, wI, bx, outRow, taps, wofs, oc, rq.chans, inZ, rq.outZ, rq.lo, rq.hi)
 			}
 		}
 	}

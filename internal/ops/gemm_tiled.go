@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mlexray/internal/graph"
-	"mlexray/internal/quant"
 	"mlexray/internal/tensor"
 )
 
@@ -17,9 +16,11 @@ import (
 // use them in place: the [oc, k] row-major weight tensor already is the
 // right-side row layout, and the left side is either the activation matrix
 // itself (pointwise convolutions, dense) or the arena im2col buffer. The int8
-// path genuinely packs: weights are packed two columns to an int64 row panel
-// once per node and cached on the Ctx (see gemmTiledFusedQuant), and
-// activations are zero-corrected into an int16 left panel per invoke. For
+// path genuinely packs: activations are zero-corrected into an int16 left
+// panel per invoke, and weights are packed once per node and cached on the
+// Ctx — two columns to an int64 row panel for the Go kernel
+// (gemmTiledFusedQuant), two k-steps to an int16 pair per column lane for
+// the AVX2 tile (packPairI16), whichever runs. For
 // the scalar Go kernels an interleaved panel costs more in packing than it
 // returns in locality, and row operands keep the inner loops free of bounds
 // checks via equal-length re-slicing. The AVX2 tile (gemmFloatTiled) wants
@@ -30,7 +31,8 @@ import (
 // Micro-kernels. Float runs a 1x4 column-quad tile in Go (see
 // gemmTiledFusedF32 for why wider row tiles lose there) and a 4x8 tile in
 // assembly where AVX2 is available (simd_amd64.s); int8 runs a 4x2 tile as
-// four int64 pair accumulators, one multiply per two MACs. Each float
+// four int64 pair accumulators in Go, one multiply per two MACs, and a 4x8
+// VPMADDWD tile in assembly. Each float
 // accumulator is seeded with its bias and sums its k terms in ascending
 // order, multiply and add rounded separately, in every variant — which is
 // what makes the Go and assembly kernels bit-identical — but the tiled float
@@ -105,17 +107,10 @@ func clampF32(v, lo, hi float32) float32 {
 // benchmark model and lost by 15-20% — the deployment hosts issue scalar FP
 // adds and muls on separate pipes, so the column quad's extra loads are
 // free while its shorter dependency windows retire faster. The k loop is
-// unrolled by two (eight independent FMAs per branch), and k == 8 — the
-// bottleneck depth of every pointwise expand layer, where loop overhead
-// dominates eight-term dots — takes a fully straight-line body with the
-// activation row held in registers. Each output element accumulates
-// bias-first then p ascending in every variant, so neither the tile shape
-// nor the unrolling is visible even at the bit level.
+// unrolled by two (eight independent FMAs per branch). Each output element
+// accumulates bias-first then p ascending, so neither the tile shape nor the
+// unrolling is visible even at the bit level.
 func gemmTiledFusedF32(a, b, bias, out []float32, m, n, k int, act graph.Activation) {
-	if k == 8 {
-		gemmTiledFusedF32K8(a, b, bias, out, m, n, act)
-		return
-	}
 	lo, hi := actClampF32(act)
 	for i := 0; i < m; i++ {
 		ai := a[i*k : i*k+k]
@@ -172,95 +167,19 @@ func gemmTiledFusedF32(a, b, bias, out []float32, m, n, k int, act graph.Activat
 	}
 }
 
-// gemmTiledFusedF32K8 is gemmTiledFusedF32 specialized to k == 8: the eight
-// activation values of the row live in registers across every column quad,
-// and each quad's 32 MACs run branch-free. Identical accumulation order to
-// the general kernel, measured ~25% faster on the k == 8 expand layers.
-func gemmTiledFusedF32K8(a, b, bias, out []float32, m, n int, act graph.Activation) {
-	lo, hi := actClampF32(act)
-	for i := 0; i < m; i++ {
-		ai := a[i*8 : i*8+8]
-		a0, a1, a2, a3 := ai[0], ai[1], ai[2], ai[3]
-		a4, a5, a6, a7 := ai[4], ai[5], ai[6], ai[7]
-		oi := out[i*n:][:n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b[j*8:][:8]
-			b1 := b[(j+1)*8:][:8]
-			b2 := b[(j+2)*8:][:8]
-			b3 := b[(j+3)*8:][:8]
-			var s0, s1, s2, s3 float32
-			if bias != nil {
-				s0, s1, s2, s3 = bias[j], bias[j+1], bias[j+2], bias[j+3]
-			}
-			s0 += a0 * b0[0]
-			s0 += a1 * b0[1]
-			s0 += a2 * b0[2]
-			s0 += a3 * b0[3]
-			s0 += a4 * b0[4]
-			s0 += a5 * b0[5]
-			s0 += a6 * b0[6]
-			s0 += a7 * b0[7]
-			s1 += a0 * b1[0]
-			s1 += a1 * b1[1]
-			s1 += a2 * b1[2]
-			s1 += a3 * b1[3]
-			s1 += a4 * b1[4]
-			s1 += a5 * b1[5]
-			s1 += a6 * b1[6]
-			s1 += a7 * b1[7]
-			s2 += a0 * b2[0]
-			s2 += a1 * b2[1]
-			s2 += a2 * b2[2]
-			s2 += a3 * b2[3]
-			s2 += a4 * b2[4]
-			s2 += a5 * b2[5]
-			s2 += a6 * b2[6]
-			s2 += a7 * b2[7]
-			s3 += a0 * b3[0]
-			s3 += a1 * b3[1]
-			s3 += a2 * b3[2]
-			s3 += a3 * b3[3]
-			s3 += a4 * b3[4]
-			s3 += a5 * b3[5]
-			s3 += a6 * b3[6]
-			s3 += a7 * b3[7]
-			oi[j] = clampF32(s0, lo, hi)
-			oi[j+1] = clampF32(s1, lo, hi)
-			oi[j+2] = clampF32(s2, lo, hi)
-			oi[j+3] = clampF32(s3, lo, hi)
-		}
-		for ; j < n; j++ {
-			bj := b[j*8:][:8]
-			var s float32
-			if bias != nil {
-				s = bias[j]
-			}
-			s += a0 * bj[0]
-			s += a1 * bj[1]
-			s += a2 * bj[2]
-			s += a3 * bj[3]
-			s += a4 * bj[4]
-			s += a5 * bj[5]
-			s += a6 * bj[6]
-			s += a7 * bj[7]
-			oi[j] = clampF32(s, lo, hi)
-		}
-	}
-}
-
-// gemmTiledFusedQuant is the int8 fast path: int16 zero-corrected activations
-// against the pair-packed weight panel, with the bias add, fixed-point
-// requantization and clamp fused into the tile store. One 64-bit multiply
-// feeds two output columns: panel entry p of column pair (j, j+1) is
-// w[j][p] + w[j+1][p]<<32, so an accumulator S = sum_p a[p]*entry[p] is
-// L + H<<32 with L and H the two columns' exact int32 dot products, split
-// back in pairSplit. That holds while |L| < 2^31, i.e. 255*128*k < 2^31 —
-// cachedQuantGemmPlan refuses deeper reductions. Integer addition is
-// associative, so this order is bit-exact against the reference kernel. a has
-// padUp(m,4) rows of k (pad rows zero); wp has padUp(n,2)/2 rows of k; bx and
-// muls are padded to padUp(n,2). out[outBase:] receives the m x n block.
-func gemmTiledFusedQuant(a []int16, wp []int64, bx []int32, out []uint8, outBase, m, n, k int, muls []quant.Multiplier, outZ, lo, hi int32) {
+// gemmTiledFusedQuant is the int8 fast path of the Go kernels: int16
+// zero-corrected activations against the pair-packed weight panel, with the
+// bias add, fixed-point requantization and clamp fused into the tile store.
+// One 64-bit multiply feeds two output columns: panel entry p of column pair
+// (j, j+1) is w[j][p] + w[j+1][p]<<32, so an accumulator S = sum_p
+// a[p]*entry[p] is L + H<<32 with L and H the two columns' exact int32 dot
+// products, split back in pairSplit. That holds while |L| < 2^31, i.e.
+// 255*128*k < 2^31 — cachedQuantGemmPlan refuses deeper reductions. Integer
+// addition is associative, so this order is bit-exact against the reference
+// kernel. a has padUp(m,4) rows of k (pad rows zero); wp has padUp(n,2)/2 rows
+// of k; bx is padded to padUp(n,2). out receives the m x n block.
+func gemmTiledFusedQuant(a []int16, wp []int64, bx []int32, out []uint8, m, n, k int, rq *requantizer) {
+	chans, outZ, lo, hi := rq.chans, rq.outZ, rq.lo, rq.hi
 	for i0 := 0; i0 < m; i0 += 4 {
 		a0s := a[i0*k : i0*k+k]
 		a1s := a[(i0+1)*k:][:len(a0s)]
@@ -280,27 +199,28 @@ func gemmTiledFusedQuant(a []int16, wp []int64, bx []int32, out []uint8, outBase
 			l1, h1 := pairSplit(s1)
 			l2, h2 := pairSplit(s2)
 			l3, h3 := pairSplit(s3)
-			b0, b1, m0, m1 := bx[j0], bx[j0+1], muls[j0], muls[j0+1]
-			o := outBase + i0*n + j0
+			b0, b1, q0 := bx[j0], bx[j0+1], &chans[j0]
+			o := i0*n + j0
 			if rows == 4 && j0+2 <= n {
 				// Full tile: requantize and store straight from the registers.
-				out[o] = clampU8(outZ+m0.Apply(l0+b0), lo, hi)
-				out[o+1] = clampU8(outZ+m1.Apply(h0+b1), lo, hi)
-				out[o+n] = clampU8(outZ+m0.Apply(l1+b0), lo, hi)
-				out[o+n+1] = clampU8(outZ+m1.Apply(h1+b1), lo, hi)
-				out[o+2*n] = clampU8(outZ+m0.Apply(l2+b0), lo, hi)
-				out[o+2*n+1] = clampU8(outZ+m1.Apply(h2+b1), lo, hi)
-				out[o+3*n] = clampU8(outZ+m0.Apply(l3+b0), lo, hi)
-				out[o+3*n+1] = clampU8(outZ+m1.Apply(h3+b1), lo, hi)
+				q1 := &chans[j0+1]
+				out[o] = clampU8(outZ+q0.apply(l0+b0), lo, hi)
+				out[o+1] = clampU8(outZ+q1.apply(h0+b1), lo, hi)
+				out[o+n] = clampU8(outZ+q0.apply(l1+b0), lo, hi)
+				out[o+n+1] = clampU8(outZ+q1.apply(h1+b1), lo, hi)
+				out[o+2*n] = clampU8(outZ+q0.apply(l2+b0), lo, hi)
+				out[o+2*n+1] = clampU8(outZ+q1.apply(h2+b1), lo, hi)
+				out[o+3*n] = clampU8(outZ+q0.apply(l3+b0), lo, hi)
+				out[o+3*n+1] = clampU8(outZ+q1.apply(h3+b1), lo, hi)
 				continue
 			}
 			// Edge tile: rows past m and the pad column of an odd n were
 			// computed on zero operands and are not stored.
 			acc := [4][2]int32{{l0, h0}, {l1, h1}, {l2, h2}, {l3, h3}}
 			for r, v := range acc[:rows] {
-				out[o+r*n] = clampU8(outZ+m0.Apply(v[0]+b0), lo, hi)
+				out[o+r*n] = clampU8(outZ+q0.apply(v[0]+b0), lo, hi)
 				if j0+1 < n {
-					out[o+r*n+1] = clampU8(outZ+m1.Apply(v[1]+b1), lo, hi)
+					out[o+r*n+1] = clampU8(outZ+chans[j0+1].apply(v[1]+b1), lo, hi)
 				}
 			}
 		}
@@ -318,6 +238,22 @@ func pairSplit(s int64) (l, h int32) {
 // maxQuantGemmK is the deepest reduction the pair accumulator holds exactly:
 // 255*128*65536 < 2^31.
 const maxQuantGemmK = 65536
+
+// packPairI16 packs the first n8 rows of the n x k int8 weight matrix into
+// the AVX2 tile's [kp][n8][2] int16 pair panel, kp = (k+1)/2: entry (p, j)
+// is w[j][2p], w[j][2p+1], so one VPMADDWD of a broadcast activation pair
+// against a panel row is two MACs in each of eight column lanes. An odd k's
+// last pair is padded with a zero weight. Done once per node and cached.
+func packPairI16(src []int8, n8, k int) []int16 {
+	kp := (k + 1) / 2
+	dst := make([]int16, 2*kp*n8)
+	for j := 0; j < n8; j++ {
+		for p, v := range src[j*k:][:k] {
+			dst[(p/2*n8+j)*2+p%2] = int16(v)
+		}
+	}
+	return dst
+}
 
 // packPairI8 packs the n x k int8 weight matrix into padUp(n,2)/2 pair rows
 // of k int64 entries, row j/2 holding w[j][p] + w[j+1][p]<<32 (a zero column
@@ -452,42 +388,85 @@ func gemmFloatTiled(c *Ctx, a, w, bias, out []float32, m, n, k int, act graph.Ac
 }
 
 // quantGemmPlan is the per-node cached state of the tiled quantized path:
-// the pair-packed weight panel plus requantization multipliers and bias, both
-// padded to the panel's even column count so the tile store never branches on
-// a missing bias or an odd last column.
+// the requantizer and the bias, padded to an even column count so the Go
+// tile store never branches on a missing bias, and the weight panel of
+// whichever kernel runs — each packed on that kernel's first call, so a node
+// on AVX2 never builds the Go kernel's panel and the reverse.
 type quantGemmPlan struct {
-	muls []quant.Multiplier
+	rq   requantizer
 	bias []int32
-	wp   []int64
+	wp   []int64 // the Go kernel's pair panel (packPairI8)
+	w16  []int16 // the AVX2 tile's pair panel (packPairI16)
 }
 
-func cachedQuantGemmPlan(c *Ctx, w, bias *tensor.Tensor, outC, k int) (quantGemmPlan, error) {
-	return cachedIn(c, func() (quantGemmPlan, error) {
-		if k > maxQuantGemmK {
-			return quantGemmPlan{}, fmt.Errorf("ops: %v reduces over %d inputs, the tiled int8 kernel is exact up to %d (run it on the reference backend)",
-				c.Node.Op, k, maxQuantGemmK)
-		}
-		muls, err := convMultipliers(c.InQ[0], c.InQ[1], c.OutQ[0], outC)
-		if err != nil {
-			return quantGemmPlan{}, err
-		}
-		if outC%2 == 1 {
-			muls = append(muls, muls[0]) // the pad column's result is never stored
-		}
-		plan := quantGemmPlan{muls: muls, bias: make([]int32, len(muls)), wp: packPairI8(w.I, outC, k)}
+// cachedQuantGemmPlan returns the node's plan, or nil when a channel is
+// outside the lane domain (the node then runs the reference loops).
+func cachedQuantGemmPlan(c *Ctx, bias *tensor.Tensor, outC, k int) (*quantGemmPlan, error) {
+	if k > maxQuantGemmK {
+		return nil, fmt.Errorf("ops: %v reduces over %d inputs, the tiled int8 kernel is exact up to %d (run it on the reference backend)",
+			c.Node.Op, k, maxQuantGemmK)
+	}
+	return cachedLanePlan(c, outC, false, func(rq requantizer) *quantGemmPlan {
+		plan := &quantGemmPlan{rq: rq, bias: make([]int32, padUp(outC, 2))}
 		if bias != nil {
 			copy(plan.bias, bias.X)
 		}
-		return plan, nil
+		return plan
 	})
 }
 
+// gemmQuantTiled is the fused int8 GEMM of one Conv2D or Dense node: a holds
+// the m x k zero-corrected left operand in rows of k, padded to padUp(m,4)
+// zero rows plus one slack element when k is odd; w is the node's [n, k]
+// weights, read in place; out receives the m x n block. With the AVX2 tile
+// available, the lane-aligned columns (n rounded down to eight) run in
+// assembly against the int16 pair panel and the n%8 tail runs the Go store
+// over one int32 dot per output — an output's accumulator is the same int32
+// whichever code sums it. Otherwise the whole GEMM is gemmTiledFusedQuant.
+func gemmQuantTiled(c *Ctx, p *quantGemmPlan, a []int16, w []int8, out []uint8, m, n, k int) error {
+	rq := &p.rq
+	n8 := n &^ 7
+	if !useAVX2 || n8 == 0 {
+		if p.wp == nil {
+			p.wp = packPairI8(w, n, k)
+		}
+		gemmTiledFusedQuant(a, p.wp, p.bias, out, m, n, k, rq)
+		return nil
+	}
+	if p.w16 == nil {
+		p.w16 = packPairI16(w, n8, k)
+	}
+	if err := gemmLanesQ8(c.Node.Op, a, p.w16, p.bias, rq.lanes, out, m, n8, (k+1)/2, k, n, rq.outZ, rq.lo, rq.hi); err != nil {
+		return err
+	}
+	for i := 0; i < m && n8 < n; i++ {
+		ai := a[i*k : i*k+k]
+		for j := n8; j < n; j++ {
+			wj := w[j*k:][:len(ai)]
+			acc := p.bias[j]
+			for q, v := range ai {
+				acc += int32(v) * int32(wj[q])
+			}
+			out[i*n+j] = clampU8(rq.outZ+rq.chans[j].apply(acc), rq.lo, rq.hi)
+		}
+	}
+	return nil
+}
+
+// quantLeftPanel hands out the int16 left operand of an m x k int8 GEMM:
+// padUp(m,4) rows (the Go tile's row padding) plus one slack element when k
+// is odd (the AVX2 tile's last pair reads one element past a row), every
+// element past the m*k the caller fills zeroed.
+func quantLeftPanel(c *Ctx, m, k int) []int16 {
+	a := c.Arena.I16(padUp(m, 4)*k + k%2)
+	zeroI16(a[m*k:])
+	return a
+}
+
 // convQuantTiled is the quantized Conv2D through the int8 packed path:
-// zero-corrected int16 im2col into the padded left panel, the cached
-// pair-packed int64 weight panel (two columns an entry), int64 pair
-// accumulators split into their two int32 dot products at the store,
-// requantization fused into the store. Bit-exact against
-// convQuantRef/convQuantOpt by construction.
+// zero-corrected int16 im2col into the padded left panel, then the fused
+// GEMM (gemmQuantTiled). Bit-exact against convQuantRef/convQuantOpt by
+// construction.
 func convQuantTiled(c *Ctx) error {
 	in, err := c.In(0)
 	if err != nil {
@@ -500,26 +479,26 @@ func convQuantTiled(c *Ctx) error {
 	bias := c.OptionalIn(2)
 	out := c.Outputs[0]
 	a := c.Node.Attrs
-	inQ, outQ := c.InQ[0], c.OutQ[0]
 	n := in.Shape[0]
 	oc, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2]
 	ic := in.Shape[3]
 	oh, ow := out.Shape[1], out.Shape[2]
 	m := oh * ow
 	k := kh * kw * ic
-	plan, err := cachedQuantGemmPlan(c, w, bias, oc, k)
+	plan, err := cachedQuantGemmPlan(c, bias, oc, k)
 	if err != nil {
 		return err
 	}
-	inZ := int16(inQ.ZeroPoint(0))
-	outZ := outQ.ZeroPoint(0)
-	lo, hi := quantActRange(a.Activation, outQ)
-	mPad := padUp(m, 4)
-	cols := c.Arena.I16(mPad * k)
-	zeroI16(cols[m*k:])
+	if plan == nil {
+		return convQuantIm2col(c)
+	}
+	inZ := int16(c.InQ[0].ZeroPoint(0))
+	cols := quantLeftPanel(c, m, k)
 	for b := 0; b < n; b++ {
 		im2colQuant(in, b, a, inZ, kh, kw, oh, ow, cols[:m*k])
-		gemmTiledFusedQuant(cols, plan.wp, plan.bias, out.U, b*m*oc, m, oc, k, plan.muls, outZ, lo, hi)
+		if err := gemmQuantTiled(c, plan, cols, w.I, out.U[b*m*oc:], m, oc, k); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -527,43 +506,57 @@ func convQuantTiled(c *Ctx) error {
 // im2colQuant lowers one batch element into the [oh*ow, kh*kw*ic] matrix
 // with the input zero point subtracted up front, so padded taps contribute
 // exactly zero to the accumulator. Pointwise convolutions take the flat
-// subtract-copy path.
+// subtract-copy path; otherwise each kernel row's valid taps are one
+// contiguous run of the input row when the x dilation is 1, and one run per
+// tap when it is not.
 func im2colQuant(in *tensor.Tensor, batch int, a graph.Attrs, inZ int16, kh, kw, oh, ow int, dst []int16) {
 	ih, iw, ic := in.Shape[1], in.Shape[2], in.Shape[3]
 	if pointwiseConv(a, kh, kw) && oh == ih && ow == iw {
-		src := in.U[batch*ih*iw*ic:][:len(dst)]
-		for i, v := range src {
-			dst[i] = int16(v) - inZ
-		}
+		subZeroPoint(dst, in.U[batch*ih*iw*ic:], inZ)
 		return
 	}
 	dh, dw := max1(a.DilationH), max1(a.DilationW)
 	k := kh * kw * ic
-	row := 0
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			base := row * k
-			col := 0
+			ix0 := ox*a.StrideW - a.PadL
 			for ky := 0; ky < kh; ky++ {
+				seg := dst[(oy*ow+ox)*k+ky*kw*ic:][:kw*ic]
 				iy := oy*a.StrideH - a.PadT + ky*dh
-				for kx := 0; kx < kw; kx++ {
-					ix := ox*a.StrideW - a.PadL + kx*dw
-					if iy < 0 || iy >= ih || ix < 0 || ix >= iw {
-						for ci := 0; ci < ic; ci++ {
-							dst[base+col] = 0
-							col++
-						}
+				if iy < 0 || iy >= ih {
+					clear(seg)
+					continue
+				}
+				row := in.U[(batch*ih+iy)*iw*ic:][:iw*ic]
+				if dw == 1 {
+					// Taps kx0..kx1-1 fall inside the row.
+					kx0, kx1 := max(0, -ix0), min(kw, iw-ix0)
+					if kx1 <= kx0 {
+						clear(seg)
 						continue
 					}
-					src := ((batch*ih+iy)*iw + ix) * ic
-					for ci := 0; ci < ic; ci++ {
-						dst[base+col] = int16(in.U[src+ci]) - inZ
-						col++
+					clear(seg[:kx0*ic])
+					subZeroPoint(seg[kx0*ic:kx1*ic], row[(ix0+kx0)*ic:], inZ)
+					clear(seg[kx1*ic:])
+					continue
+				}
+				for kx := 0; kx < kw; kx++ {
+					t := seg[kx*ic:][:ic]
+					if ix := ix0 + kx*dw; ix >= 0 && ix < iw {
+						subZeroPoint(t, row[ix*ic:], inZ)
+					} else {
+						clear(t)
 					}
 				}
 			}
-			row++
 		}
+	}
+}
+
+// subZeroPoint writes dst[i] = src[i] - z for every element of dst.
+func subZeroPoint(dst []int16, src []uint8, z int16) {
+	for i, v := range src[:len(dst)] {
+		dst[i] = int16(v) - z
 	}
 }
 
@@ -580,24 +573,20 @@ func denseQuantTiled(c *Ctx) error {
 	}
 	bias := c.OptionalIn(2)
 	out := c.Outputs[0]
-	a := c.Node.Attrs
-	inQ, outQ := c.InQ[0], c.OutQ[0]
 	n := in.Shape[0]
 	inC := in.Len() / n
 	outC := w.Shape[0]
-	plan, err := cachedQuantGemmPlan(c, w, bias, outC, inC)
+	plan, err := cachedQuantGemmPlan(c, bias, outC, inC)
 	if err != nil {
 		return err
 	}
-	inZ := int16(inQ.ZeroPoint(0))
-	outZ := outQ.ZeroPoint(0)
-	lo, hi := quantActRange(a.Activation, outQ)
-	nPad := padUp(n, 4)
-	ap := c.Arena.I16(nPad * inC)
+	if plan == nil {
+		return denseQuantRef(c)
+	}
+	inZ := int16(c.InQ[0].ZeroPoint(0))
+	ap := quantLeftPanel(c, n, inC)
 	for i, v := range in.U[:n*inC] {
 		ap[i] = int16(v) - inZ
 	}
-	zeroI16(ap[n*inC:])
-	gemmTiledFusedQuant(ap, plan.wp, plan.bias, out.U, 0, n, outC, inC, plan.muls, outZ, lo, hi)
-	return nil
+	return gemmQuantTiled(c, plan, ap, w.I, out.U, n, outC, inC)
 }

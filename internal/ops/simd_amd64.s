@@ -1,6 +1,7 @@
 #include "textflag.h"
 
-// AVX2 inner tiles of the tiled backend's float kernels. One rule, the one
+// AVX2 inner tiles of the tiled backend's float and int8 kernels (the int8
+// ones follow the float ones below). One rule, the one
 // DESIGN §10 states for the Go kernels: a lane is one output element, seeded
 // with its bias, accumulating its terms in ascending order with a separate
 // multiply (VMULPS) and add (VADDPS) — never an FMA, never a horizontal sum —
@@ -425,5 +426,350 @@ conv_next_block:
 	ADDQ $32, BX
 	SUBQ $8, oc8+80(FP)
 	JGT  conv_block
+	VZEROUPPER
+	RET
+
+// Int8 tiles. The same rule — one lane is one output channel — over int32
+// accumulators: an accumulator is seeded with its bias and takes its terms by
+// VPADDD, which wraps exactly as the Go kernels' int32 additions do, so the
+// order of the terms is invisible. The GEMM multiplies an int16 activation
+// pair, broadcast to every lane (VPBROADCASTD), against each lane's int16
+// weight pair (VPMADDWD): two MACs a lane, exact, since a pair sum is at most
+// 2*255*128. Depthwise multiplies the zero-corrected input (VPMOVZXBD, VPSUBD)
+// by a weight whose high word is zero (VPMADDWD again: the high product
+// vanishes). The requantizing store (REQUANT8) is the lane form of
+// quant.Multiplier.Apply; see requant.go for the lane layout.
+
+// RQCONSTS loads the store's constants: Y15 the nudge 2^30 and Y14 the
+// negative product's correction 1-2^31 (both per 64-bit lane), Y10 zero.
+// Clobbers AX. Each kernel then broadcasts the output zero point into Y13 and
+// the clamp bounds into Y12/Y11 (BCASTD, from its own arguments).
+#define RQCONSTS \
+	MOVQ $0x40000000, AX \
+	VMOVQ AX, X15 \
+	VPBROADCASTQ X15, Y15 \
+	MOVQ $-2147483647, AX \
+	VMOVQ AX, X14 \
+	VPBROADCASTQ X14, Y14 \
+	VPXOR Y10, Y10, Y10
+
+// BCASTD broadcasts the 32-bit value in AX to every lane of y (x is its low
+// half).
+#define BCASTD(x, y) \
+	VMOVD AX, x \
+	VPBROADCASTD x, y
+
+// REQUANT8 requantizes the eight int32 accumulators of acc (xacc is its low
+// half) through the requantizer block at AX and stores them as eight bytes at
+// dst. Y8 holds the block's M (read from the even lanes) and Y9 the same
+// shifted down one lane (the odd lanes); Y4-Y6 are scratch.
+//
+// The saturating doubling high multiply: VPMULDQ forms the exact 64-bit
+// product of each even (then, shifted down, each odd) lane; the nudge is 2^30,
+// plus 1-2^31 where the product is negative (VPCMPGTQ against zero). The
+// product's >> 31 is VPSRLQ: of a 64-bit value shifted right by 31 the low 32
+// bits are bits 31..62 whether the shift is logical or arithmetic, and the odd
+// lanes take the same bits into their high half by VPSLLQ 1. M > 0 and
+// |acc| <= 2^31 keep the sum inside 64 bits and leave no lane to saturate.
+// Then the rounding shift: VPSRAVD by each lane's shift, plus one where
+// (v & mask) + (v < 0 ? -1 : 0) > half — the oracle's remainder > threshold.
+// Where the block's logical vector is set (the historical kernel, shift > 0)
+// and v < 0, VPBLENDVB takes the logical shift VPSRLVD instead. Then the zero
+// point, the clamp, and two saturating packs that are exact on [lo, hi].
+#define REQUANT8(acc, xacc, dst) \
+	VPMULDQ Y8, acc, Y4 \
+	VPCMPGTQ Y4, Y10, Y6 \
+	VPAND Y14, Y6, Y6 \
+	VPADDQ Y15, Y4, Y4 \
+	VPADDQ Y6, Y4, Y4 \
+	VPSRLQ $31, Y4, Y4 \
+	VPSRLQ $32, acc, Y5 \
+	VPMULDQ Y9, Y5, Y5 \
+	VPCMPGTQ Y5, Y10, Y6 \
+	VPAND Y14, Y6, Y6 \
+	VPADDQ Y15, Y5, Y5 \
+	VPADDQ Y6, Y5, Y5 \
+	VPSLLQ $1, Y5, Y5 \
+	VPBLENDD $0xAA, Y5, Y4, acc \
+	VPSRAD $31, acc, Y4 \
+	VPAND 64(AX), acc, Y5 \
+	VPADDD Y4, Y5, Y5 \
+	VPCMPGTD 96(AX), Y5, Y5 \
+	VPAND 128(AX), Y4, Y4 \
+	VPSRAVD 32(AX), acc, Y6 \
+	VPSUBD Y5, Y6, Y6 \
+	VPSRLVD 32(AX), acc, Y5 \
+	VPBLENDVB Y4, Y5, Y6, acc \
+	VPADDD Y13, acc, acc \
+	VPMAXSD Y12, acc, acc \
+	VPMINSD Y11, acc, acc \
+	VEXTRACTI128 $1, acc, X4 \
+	VPACKUSDW X4, xacc, X4 \
+	VPACKUSWB X4, X4, X4 \
+	VMOVQ X4, dst
+
+// func gemmQ8AVX2(a, panel *int16, bias, rq *int32, out *uint8, m, n8, kp, lda, ldc int, outZ, lo, hi int32)
+//
+// out[i*ldc+j] = store_j(bias[j] + sum_p a[i*lda+2p..2p+1] . panel[p][j][0..1])
+// for i < m, j < n8 (a positive multiple of 8), p < kp; bias may be nil. The
+// panel is [kp][n8][2] int16; the last pair of an odd k is padded with a zero
+// weight, so the activation it pairs with (the next row's first, or the
+// buffer's slack element) adds nothing. Tiles are 4 rows x 8 columns, then
+// one row at a time.
+TEXT ·gemmQ8AVX2(SB), NOSPLIT, $0-92
+	MOVQ a+0(FP), SI
+	MOVQ panel+8(FP), BX
+	MOVQ bias+16(FP), R8
+	MOVQ out+32(FP), DI
+	MOVQ m+40(FP), R11
+	MOVQ n8+48(FP), R12
+	MOVQ lda+64(FP), R9
+	MOVQ ldc+72(FP), DX
+	RQCONSTS
+	MOVL outZ+80(FP), AX
+	BCASTD(X13, Y13)
+	MOVL lo+84(FP), AX
+	BCASTD(X12, Y12)
+	MOVL hi+88(FP), AX
+	BCASTD(X11, Y11)
+	SHLQ $2, R12            // panel row stride, bytes (= int32 column extent)
+	SHLQ $1, R9             // a row stride, bytes
+	LEAQ (R9)(R9*2), R10    // three a rows
+
+gq_rows4:
+	CMPQ R11, $4
+	JLT  gq_rows1
+	XORQ R14, R14           // column offset in int32 bytes
+
+gq_cols4:
+	VPXOR Y0, Y0, Y0
+	TESTQ R8, R8
+	JZ   gq_seeded4
+	VMOVDQU (R8)(R14*1), Y0
+gq_seeded4:
+	VMOVDQA Y0, Y1
+	VMOVDQA Y0, Y2
+	VMOVDQA Y0, Y3
+	LEAQ (BX)(R14*1), R13
+	MOVQ SI, AX
+	MOVQ kp+56(FP), CX
+
+gq_k4:
+	VMOVDQU (R13), Y4
+	VPBROADCASTD (AX), Y5
+	VPBROADCASTD (AX)(R9*1), Y6
+	VPBROADCASTD (AX)(R9*2), Y7
+	VPBROADCASTD (AX)(R10*1), Y8
+	VPMADDWD Y4, Y5, Y5
+	VPMADDWD Y4, Y6, Y6
+	VPMADDWD Y4, Y7, Y7
+	VPMADDWD Y4, Y8, Y8
+	VPADDD Y5, Y0, Y0
+	VPADDD Y6, Y1, Y1
+	VPADDD Y7, Y2, Y2
+	VPADDD Y8, Y3, Y3
+	ADDQ $4, AX
+	ADDQ R12, R13
+	DECQ CX
+	JNZ  gq_k4
+
+	MOVQ rq+24(FP), AX
+	LEAQ (R14)(R14*4), CX   // requantizer block: 5 vectors a column block
+	ADDQ CX, AX
+	VMOVDQU (AX), Y8
+	VPSRLQ $32, Y8, Y9
+	MOVQ R14, CX
+	SHRQ $2, CX
+	ADDQ DI, CX
+	REQUANT8(Y0, X0, (CX))
+	REQUANT8(Y1, X1, (CX)(DX*1))
+	REQUANT8(Y2, X2, (CX)(DX*2))
+	ADDQ DX, CX
+	REQUANT8(Y3, X3, (CX)(DX*2))
+	ADDQ $32, R14
+	CMPQ R14, R12
+	JLT  gq_cols4
+
+	LEAQ (SI)(R9*4), SI
+	LEAQ (DI)(DX*4), DI
+	SUBQ $4, R11
+	JMP  gq_rows4
+
+gq_rows1:
+	TESTQ R11, R11
+	JZ   gq_done
+	XORQ R14, R14
+
+gq_cols1:
+	VPXOR Y0, Y0, Y0
+	TESTQ R8, R8
+	JZ   gq_seeded1
+	VMOVDQU (R8)(R14*1), Y0
+gq_seeded1:
+	LEAQ (BX)(R14*1), R13
+	MOVQ SI, AX
+	MOVQ kp+56(FP), CX
+
+gq_k1:
+	VPBROADCASTD (AX), Y5
+	VPMADDWD (R13), Y5, Y5
+	VPADDD Y5, Y0, Y0
+	ADDQ $4, AX
+	ADDQ R12, R13
+	DECQ CX
+	JNZ  gq_k1
+
+	MOVQ rq+24(FP), AX
+	LEAQ (R14)(R14*4), CX
+	ADDQ CX, AX
+	VMOVDQU (AX), Y8
+	VPSRLQ $32, Y8, Y9
+	MOVQ R14, CX
+	SHRQ $2, CX
+	ADDQ DI, CX
+	REQUANT8(Y0, X0, (CX))
+	ADDQ $32, R14
+	CMPQ R14, R12
+	JLT  gq_cols1
+
+	ADDQ R9, SI
+	ADDQ DX, DI
+	DECQ R11
+	JMP  gq_rows1
+
+gq_done:
+	VZEROUPPER
+	RET
+
+// func dwPixelsQ8AVX2(in *uint8, w, bias, rq *int32, out *uint8, taps, wofs *int, nt, npix, d, oc8, ldo int, inZ, outZ, lo, hi int32)
+//
+// Int8 depthwise: npix output pixels that share one tap table, pixel q
+// reading its input d bytes after pixel q-1 and writing its output ldo bytes
+// after. out[q*ldo+c] = store_c(bias[c] + sum_t (in[taps[t]+q*d+c]-inZ) *
+// w[wofs[t]+c]) for c < oc8 (a positive multiple of 8); w holds each int8
+// weight in the low half of an int32 whose high half is zero. Pixels run four
+// at a time, sharing each weight load, then one at a time. nt may be zero.
+TEXT ·dwPixelsQ8AVX2(SB), NOSPLIT, $0-112
+	MOVQ in+0(FP), SI
+	MOVQ w+8(FP), BX
+	MOVQ bias+16(FP), R8
+	MOVQ out+32(FP), DI
+	MOVQ taps+40(FP), R9
+	MOVQ wofs+48(FP), R10
+	MOVQ d+72(FP), R11
+	MOVQ ldo+88(FP), DX
+	RQCONSTS
+	MOVL outZ+100(FP), AX
+	BCASTD(X13, Y13)
+	MOVL lo+104(FP), AX
+	BCASTD(X12, Y12)
+	MOVL hi+108(FP), AX
+	BCASTD(X11, Y11)
+	MOVL inZ+96(FP), AX
+	BCASTD(X7, Y7)
+
+dq_block:
+	MOVQ rq+24(FP), AX
+	VMOVDQU (AX), Y8
+	VPSRLQ $32, Y8, Y9
+	MOVQ npix+64(FP), R13   // pixels left in this channel block
+	MOVQ SI, R14            // input base of the current pixel
+	MOVQ DI, R12            // output row of the current pixel
+
+dq_pix4:
+	CMPQ R13, $4
+	JLT  dq_pix1
+	VPXOR Y0, Y0, Y0
+	TESTQ R8, R8
+	JZ   dq_seeded4
+	VMOVDQU (R8), Y0
+dq_seeded4:
+	VMOVDQA Y0, Y1
+	VMOVDQA Y0, Y2
+	VMOVDQA Y0, Y3
+	XORQ CX, CX
+	JMP  dq_tap4_test
+
+dq_tap4:
+	MOVQ (R10)(CX*8), AX
+	VMOVDQU (BX)(AX*4), Y4
+	MOVQ (R9)(CX*8), AX
+	ADDQ R14, AX
+	VPMOVZXBD (AX), Y5
+	VPMOVZXBD (AX)(R11*1), Y6
+	VPSUBD Y7, Y5, Y5
+	VPSUBD Y7, Y6, Y6
+	VPMADDWD Y4, Y5, Y5
+	VPMADDWD Y4, Y6, Y6
+	VPADDD Y5, Y0, Y0
+	VPADDD Y6, Y1, Y1
+	VPMOVZXBD (AX)(R11*2), Y5
+	ADDQ R11, AX
+	VPMOVZXBD (AX)(R11*2), Y6
+	VPSUBD Y7, Y5, Y5
+	VPSUBD Y7, Y6, Y6
+	VPMADDWD Y4, Y5, Y5
+	VPMADDWD Y4, Y6, Y6
+	VPADDD Y5, Y2, Y2
+	VPADDD Y6, Y3, Y3
+	INCQ CX
+dq_tap4_test:
+	CMPQ CX, nt+56(FP)
+	JLT  dq_tap4
+
+	MOVQ rq+24(FP), AX
+	REQUANT8(Y0, X0, (R12))
+	REQUANT8(Y1, X1, (R12)(DX*1))
+	REQUANT8(Y2, X2, (R12)(DX*2))
+	ADDQ DX, R12
+	REQUANT8(Y3, X3, (R12)(DX*2))
+	LEAQ (R12)(DX*2), R12
+	ADDQ DX, R12
+	LEAQ (R14)(R11*4), R14
+	SUBQ $4, R13
+	JMP  dq_pix4
+
+dq_pix1:
+	TESTQ R13, R13
+	JZ   dq_next_block
+	VPXOR Y0, Y0, Y0
+	TESTQ R8, R8
+	JZ   dq_seeded1
+	VMOVDQU (R8), Y0
+dq_seeded1:
+	XORQ CX, CX
+	JMP  dq_tap1_test
+
+dq_tap1:
+	MOVQ (R10)(CX*8), AX
+	VMOVDQU (BX)(AX*4), Y4
+	MOVQ (R9)(CX*8), AX
+	VPMOVZXBD (R14)(AX*1), Y5
+	VPSUBD Y7, Y5, Y5
+	VPMADDWD Y4, Y5, Y5
+	VPADDD Y5, Y0, Y0
+	INCQ CX
+dq_tap1_test:
+	CMPQ CX, nt+56(FP)
+	JLT  dq_tap1
+
+	MOVQ rq+24(FP), AX
+	REQUANT8(Y0, X0, (R12))
+	ADDQ DX, R12
+	ADDQ R11, R14
+	DECQ R13
+	JMP  dq_pix1
+
+dq_next_block:
+	ADDQ $8, SI
+	ADDQ $32, BX
+	ADDQ $8, DI
+	TESTQ R8, R8
+	JZ   dq_bias_done
+	ADDQ $32, R8
+dq_bias_done:
+	ADDQ $160, rq+24(FP)
+	SUBQ $8, oc8+80(FP)
+	JGT  dq_block
 	VZEROUPPER
 	RET

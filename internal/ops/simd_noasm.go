@@ -27,3 +27,11 @@ func dwLanesF32(op graph.OpType, in, w, bias, out []float32, taps, wofs []int, n
 func convLanesF32(op graph.OpType, in, wT, bias, out []float32, runIn, runW, runLen []int, npix, d, oc8, ldw, ldo int, lo, hi float32) error {
 	return errNoSIMD(op)
 }
+
+func gemmLanesQ8(op graph.OpType, a, panel []int16, bias, rq []int32, out []uint8, m, n8, kp, lda, ldc int, outZ, lo, hi int32) error {
+	return errNoSIMD(op)
+}
+
+func dwLanesQ8(op graph.OpType, in []uint8, w, bias, rq []int32, out []uint8, taps, wofs []int, npix, d, oc8, ldo int, inZ, outZ, lo, hi int32) error {
+	return errNoSIMD(op)
+}

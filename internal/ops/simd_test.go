@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -273,7 +276,7 @@ func FuzzFloatSIMDDifferential(f *testing.F) {
 }
 
 // TestSIMDWrappersRefuseShortOperands: every operand of every assembly
-// wrapper, one element short, is the documented `ops: <Op> SIMD tile` error —
+// wrapper, float and int8, one element short, is the documented `ops: <Op> SIMD tile` error —
 // not a panic, and not a read or write past the slice.
 func TestSIMDWrappersRefuseShortOperands(t *testing.T) {
 	needAVX2(t)
@@ -298,7 +301,21 @@ func TestSIMDWrappersRefuseShortOperands(t *testing.T) {
 	call["conv"] = func(sz map[string]int) error {
 		return convLanesF32(graph.OpConv2D, f(sz["a"]), f(sz["panel"]), f(sz["bias"]), f(sz["out"]), runIn, runW, runLen, npix, d, n8, n8, n8, lo, hi)
 	}
-	for name, sizes := range map[string]map[string]int{"gemm": full, "depthwise": fullDW, "conv": fullConv} {
+	// The int8 tiles: a k = 3 GEMM (two pairs, the second padded; row
+	// stride 3) and the same depthwise geometry, each with its requantizer.
+	i16 := func(n int) []int16 { return make([]int16, n) }
+	i32 := func(n int) []int32 { return make([]int32, n) }
+	u8 := func(n int) []uint8 { return make([]uint8, n) }
+	rq := n8 / 8 * rqBlock
+	fullQ8 := map[string]int{"a": (m-1)*k + 4, "panel": 2 * 2 * n8, "bias": n8, "rq": rq, "out": (m-1)*n8 + n8}
+	call["gemm-int8"] = func(sz map[string]int) error {
+		return gemmLanesQ8(graph.OpConv2D, i16(sz["a"]), i16(sz["panel"]), i32(sz["bias"]), i32(sz["rq"]), u8(sz["out"]), m, n8, 2, k, n8, 128, 0, 255)
+	}
+	fullDWQ8 := map[string]int{"a": 16 + (npix-1)*d + n8, "panel": 16 + n8, "bias": n8, "rq": rq, "out": (npix-1)*n8 + n8}
+	call["depthwise-int8"] = func(sz map[string]int) error {
+		return dwLanesQ8(graph.OpDepthwiseConv2D, u8(sz["a"]), i32(sz["panel"]), i32(sz["bias"]), i32(sz["rq"]), u8(sz["out"]), taps, wofs, npix, d, n8, n8, 128, 128, 0, 255)
+	}
+	for name, sizes := range map[string]map[string]int{"gemm": full, "depthwise": fullDW, "conv": fullConv, "gemm-int8": fullQ8, "depthwise-int8": fullDWQ8} {
 		if err := call[name](sizes); err != nil {
 			t.Errorf("%s with exact-length operands: %v", name, err)
 		}
@@ -322,6 +339,10 @@ func TestSIMDWrappersRefuseShortOperands(t *testing.T) {
 		"depthwise wofs short": dwLanesF32(graph.OpDepthwiseConv2D, f(64), f(64), nil, f(8), []int{0, 8}, []int{0}, 1, 8, 8, 8, lo, hi),
 		"conv negative run":    convLanesF32(graph.OpConv2D, f(64), f(64), nil, f(8), []int{-2}, []int{0}, []int{3}, 1, 3, 8, 8, 8, lo, hi),
 		"conv runLen short":    convLanesF32(graph.OpConv2D, f(64), f(64), nil, f(8), []int{0}, []int{0}, nil, 1, 3, 8, 8, 8, lo, hi),
+		"int8 gemm kp=0":       gemmLanesQ8(graph.OpDense, i16(4), i16(16), nil, i32(rqBlock), u8(8), 1, 8, 0, 2, 8, 0, 0, 255),
+		"int8 gemm n8=12":      gemmLanesQ8(graph.OpDense, i16(4), i16(48), nil, i32(2*rqBlock), u8(12), 1, 12, 2, 4, 12, 0, 0, 255),
+		"int8 dw negative":     dwLanesQ8(graph.OpDepthwiseConv2D, u8(64), i32(64), nil, i32(rqBlock), u8(8), []int{-1}, []int{0}, 1, 8, 8, 8, 0, 0, 0, 255),
+		"int8 dw wofs short":   dwLanesQ8(graph.OpDepthwiseConv2D, u8(64), i32(64), nil, i32(rqBlock), u8(8), []int{0, 8}, []int{0}, 1, 8, 8, 8, 0, 0, 0, 255),
 	} {
 		if err == nil || !strings.HasPrefix(err.Error(), "ops: ") {
 			t.Errorf("%s: error %v, want an ops: refusal", name, err)
@@ -413,6 +434,53 @@ func TestDepthwiseTiledDegenerateWidths(t *testing.T) {
 			if at := sameF32Bits(out.F, ref.F); at >= 0 {
 				t.Errorf("%v (assembly %v): output %d is %v, the reference loop nest says %v", p, simd, at, out.F[at], ref.F[at])
 			}
+		}
+	}
+}
+
+// legacySSERe matches an X or Y register operand.
+var legacySSERe = regexp.MustCompile(`\b[XY](1[0-5]|[0-9])\b`)
+
+// legacySSELines returns the instructions of Go assembly source that name an
+// X or Y register under a mnemonic without the VEX prefix (MOVQ X5, (DI),
+// MOVD AX, X12, PXOR X0, X0): legacy-SSE encodings, each of which costs an
+// SSE/AVX state transition once the upper YMM halves are dirty.
+func legacySSELines(src string) []string {
+	var bad []string
+	for _, line := range strings.Split(src, "\n") {
+		code, _, _ := strings.Cut(line, "//")
+		code = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(code), `\`))
+		fields := strings.Fields(code)
+		if len(fields) < 2 || strings.HasPrefix(fields[0], "#") || strings.HasSuffix(fields[0], ":") || strings.Contains(fields[0], "(") {
+			continue // directives, labels and macro calls (macro bodies are scanned where defined)
+		}
+		if !strings.HasPrefix(fields[0], "V") && legacySSERe.MatchString(strings.Join(fields[1:], " ")) {
+			bad = append(bad, strings.TrimSpace(line))
+		}
+	}
+	return bad
+}
+
+// TestAssemblyHasNoLegacySSE scans the package's amd64 assembly for a
+// non-VEX instruction on an X or Y register. Such an instruction computes the
+// same bits, so no differential can see it, but between AVX2 code it forces
+// an SSE/AVX state transition: one MOVQ X, mem in the int8 depthwise loop
+// made that kernel 19x slower. VMOVQ/VMOVD are the VEX forms.
+func TestAssemblyHasNoLegacySSE(t *testing.T) {
+	if got := legacySSELines("\tMOVQ X5, (DI)\n\tMOVD AX, X12 \\\n\tVMOVQ X4, (CX)\n\tMOVQ AX, (DI)\nlbl:\n// MOVQ X1, AX\n"); len(got) != 2 {
+		t.Fatalf("the scanner flags %q, want the MOVQ and MOVD on X registers", got)
+	}
+	files, err := filepath.Glob("*_amd64.s")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no amd64 assembly found (%v)", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range legacySSELines(string(src)) {
+			t.Errorf("%s: legacy-SSE instruction %q: use its VEX form", f, line)
 		}
 	}
 }

@@ -313,6 +313,12 @@ func BenchmarkIngestUpload(b *testing.B) {
 // packed path); allocs/op must be 0 in steady state for every backend.
 func benchInvokeBackend(b *testing.B, backend ops.Backend, quant bool) {
 	b.Helper()
+	benchInvokeConfig(b, backend, quant, ops.Fixed())
+}
+
+// benchInvokeConfig is benchInvokeBackend under the given kernel config.
+func benchInvokeConfig(b *testing.B, backend ops.Backend, quant bool, cfg ops.Config) {
+	b.Helper()
 	entry, err := zoo.Get("mobilenetv2-mini")
 	if err != nil {
 		b.Fatal(err)
@@ -323,7 +329,7 @@ func benchInvokeBackend(b *testing.B, backend ops.Backend, quant bool) {
 	}
 	in := tensor.New(tensor.F32, 1, m.Meta.InputH, m.Meta.InputW, m.Meta.InputC)
 	in.Fill(0.3)
-	ip, err := interp.New(m, ops.NewOptimized(ops.Fixed()), interp.WithBackend(backend))
+	ip, err := interp.New(m, ops.NewOptimized(cfg), interp.WithBackend(backend))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -345,7 +351,9 @@ func benchInvokeBackend(b *testing.B, backend ops.Backend, quant bool) {
 }
 
 // BenchmarkInvokeGemm races the GEMM kernel backends on the interpreter hot
-// loop: the float and the quantized model under reference vs tiled. These
+// loop: the float and the quantized model under reference vs tiled, the
+// quantized one under the fixed kernels and under ops.Historical() — the
+// resolver `exray -quant` and the exray_quant workload run. These
 // configurations feed the invoke_gemm_* entries of BENCH_replay.json.
 func BenchmarkInvokeGemm(b *testing.B) {
 	for _, backend := range ops.Backends() {
@@ -354,6 +362,9 @@ func BenchmarkInvokeGemm(b *testing.B) {
 		})
 		b.Run("quant/"+backend.String(), func(b *testing.B) {
 			benchInvokeBackend(b, backend, true)
+		})
+		b.Run("quant-historical/"+backend.String(), func(b *testing.B) {
+			benchInvokeConfig(b, backend, true, ops.Historical())
 		})
 	}
 }

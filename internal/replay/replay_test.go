@@ -598,6 +598,49 @@ func TestInt8LayersBackendInvariant(t *testing.T) {
 	}
 }
 
+// TestInt8LayersSIMDInvariant is the whole-model leg of the int8 assembly
+// contract: every layer output of the quantized mobilenetv2-mini, under the
+// historical and under the fixed optimized resolver, is byte-identical between
+// the AVX2 int8 tiles and the Go kernels of the tiled backend on 20 random
+// inputs — including every byte the historical depthwise defect corrupts.
+func TestInt8LayersSIMDInvariant(t *testing.T) {
+	if !opsUseAVX2 {
+		t.Skip("ops found no usable AVX2: the Go kernels are the only int8 path on this host")
+	}
+	defer func() { opsUseAVX2 = true }()
+	m := testModel(t, true)
+	for name, cfg := range map[string]ops.Config{"historical": ops.Historical(), "fixed": ops.Fixed()} {
+		var ips [2]*interp.Interpreter // one per path: each caches its own plans
+		for i := range ips {
+			ip, err := interp.New(m, ops.NewOptimized(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ips[i] = ip
+		}
+		rng := rand.New(rand.NewSource(2037))
+		in := tensor.New(tensor.F32, 1, m.Meta.InputH, m.Meta.InputW, m.Meta.InputC)
+		for frame := 0; frame < 20; frame++ {
+			tensor.RandUniform(rng, in, -1, 1)
+			for i, ip := range ips {
+				opsUseAVX2 = i == 0
+				if _, err := ip.Run(in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, n := range m.Nodes {
+				for _, id := range n.Outputs {
+					asm, _ := ips[0].Tensor(id)
+					pure, _ := ips[1].Tensor(id)
+					if !bytes.Equal(asm.U, pure.U) || !slices.Equal(asm.F, pure.F) {
+						t.Fatalf("%s kernels, input %d: %s (%v) differs between the AVX2 tiles and the Go kernels", name, frame, n.Name, n.Op)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFloatLayersSIMDInvariant is the whole-model leg of the float assembly
 // contract: every layer output of float mobilenetv2-mini is bit-identical
 // between the AVX2 tiles and the Go kernels of the tiled backend, on 20 random
