@@ -21,27 +21,11 @@ func FFT(x []complex128) ([]complex128, error) {
 	}
 	out := make([]complex128, n)
 	copy(out, x)
-	fftInPlace(out, false)
+	fftInPlace(out)
 	return out, nil
 }
 
-// IFFT computes the inverse FFT (including the 1/N scaling).
-func IFFT(x []complex128) ([]complex128, error) {
-	n := len(x)
-	if n == 0 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("dsp: IFFT length %d is not a power of two", n)
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	fftInPlace(out, true)
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out, nil
-}
-
-func fftInPlace(a []complex128, inverse bool) {
+func fftInPlace(a []complex128) {
 	n := len(a)
 	// Bit-reversal permutation.
 	for i, j := 1, 0; i < n; i++ {
@@ -55,11 +39,7 @@ func fftInPlace(a []complex128, inverse bool) {
 		}
 	}
 	for length := 2; length <= n; length <<= 1 {
-		ang := 2 * math.Pi / float64(length)
-		if !inverse {
-			ang = -ang
-		}
-		wl := cmplx.Rect(1, ang)
+		wl := cmplx.Rect(1, -2*math.Pi/float64(length))
 		for i := 0; i < n; i += length {
 			w := complex(1, 0)
 			half := length / 2

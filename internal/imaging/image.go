@@ -86,45 +86,6 @@ func ToOrder(im *Image, from, to ChannelOrder) *Image {
 	return SwapRB(im)
 }
 
-// YUVToRGB converts a 3-channel image holding BT.601 full-range YUV (as
-// produced by phone camera stacks) into RGB. This models the channel
-// extraction step an Android app performs on camera buffers; getting the
-// coefficients or the order wrong is a real-world bug the framework's
-// channel assertion catches.
-func YUVToRGB(im *Image) *Image {
-	if im.C != 3 {
-		panic("imaging: YUVToRGB needs 3 channels")
-	}
-	out := NewImage(im.W, im.H, 3)
-	for i := 0; i < len(im.Pix); i += 3 {
-		y := float64(im.Pix[i])
-		u := float64(im.Pix[i+1]) - 128
-		v := float64(im.Pix[i+2]) - 128
-		out.Pix[i] = clamp8(y + 1.402*v)
-		out.Pix[i+1] = clamp8(y - 0.344136*u - 0.714136*v)
-		out.Pix[i+2] = clamp8(y + 1.772*u)
-	}
-	return out
-}
-
-// RGBToYUV is the inverse conversion, used by the dataset generators to
-// emulate sensor output and by round-trip tests.
-func RGBToYUV(im *Image) *Image {
-	if im.C != 3 {
-		panic("imaging: RGBToYUV needs 3 channels")
-	}
-	out := NewImage(im.W, im.H, 3)
-	for i := 0; i < len(im.Pix); i += 3 {
-		r := float64(im.Pix[i])
-		g := float64(im.Pix[i+1])
-		b := float64(im.Pix[i+2])
-		out.Pix[i] = clamp8(0.299*r + 0.587*g + 0.114*b)
-		out.Pix[i+1] = clamp8(-0.168736*r - 0.331264*g + 0.5*b + 128)
-		out.Pix[i+2] = clamp8(0.5*r - 0.418688*g - 0.081312*b + 128)
-	}
-	return out
-}
-
 func clamp8(v float64) uint8 {
 	if v <= 0 {
 		return 0
@@ -200,49 +161,4 @@ func Rotate(im *Image, r Rotation) *Image {
 		return out
 	}
 	panic("imaging: bad rotation")
-}
-
-// FlipH returns a horizontally mirrored copy.
-func FlipH(im *Image) *Image {
-	out := NewImage(im.W, im.H, im.C)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			for ch := 0; ch < im.C; ch++ {
-				out.Set(im.W-1-x, y, ch, im.At(x, y, ch))
-			}
-		}
-	}
-	return out
-}
-
-// FlipV returns a vertically mirrored copy.
-func FlipV(im *Image) *Image {
-	out := NewImage(im.W, im.H, im.C)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			for ch := 0; ch < im.C; ch++ {
-				out.Set(x, im.H-1-y, ch, im.At(x, y, ch))
-			}
-		}
-	}
-	return out
-}
-
-// CenterCrop returns the centred w×h sub-image. Panics if the crop exceeds
-// the source.
-func CenterCrop(im *Image, w, h int) *Image {
-	if w > im.W || h > im.H {
-		panic(fmt.Sprintf("imaging: crop %dx%d exceeds %dx%d", w, h, im.W, im.H))
-	}
-	x0 := (im.W - w) / 2
-	y0 := (im.H - h) / 2
-	out := NewImage(w, h, im.C)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			for ch := 0; ch < im.C; ch++ {
-				out.Set(x, y, ch, im.At(x0+x, y0+y, ch))
-			}
-		}
-	}
-	return out
 }

@@ -78,37 +78,6 @@ func TestToOrder(t *testing.T) {
 	}
 }
 
-func TestYUVRGBRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	im := randomImage(rng, 8, 8, 3)
-	back := YUVToRGB(RGBToYUV(im))
-	var maxDiff int
-	for i := range im.Pix {
-		d := int(im.Pix[i]) - int(back.Pix[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > maxDiff {
-			maxDiff = d
-		}
-	}
-	// Chroma subsample-free conversion should round-trip within a few
-	// quantization steps (saturated colours clip).
-	if maxDiff > 6 {
-		t.Errorf("YUV round-trip max diff = %d", maxDiff)
-	}
-}
-
-func TestYUVGrayIsY(t *testing.T) {
-	im := NewImage(1, 1, 3)
-	// Pure gray: R=G=B=100 should give U=V=128 and Y=100.
-	im.Pix[0], im.Pix[1], im.Pix[2] = 100, 100, 100
-	yuv := RGBToYUV(im)
-	if yuv.Pix[0] != 100 || yuv.Pix[1] != 128 || yuv.Pix[2] != 128 {
-		t.Errorf("gray YUV = %v", yuv.Pix)
-	}
-}
-
 func TestRotateIdentities(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	im := randomImage(rng, 6, 4, 3)
@@ -140,32 +109,6 @@ func TestRotateFourTimesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFlipsAreInvolutions(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	im := randomImage(rng, 5, 7, 3)
-	if !imagesEqual(FlipH(FlipH(im)), im) {
-		t.Error("FlipH twice is not identity")
-	}
-	if !imagesEqual(FlipV(FlipV(im)), im) {
-		t.Error("FlipV twice is not identity")
-	}
-	if imagesEqual(FlipH(im), im) {
-		t.Error("FlipH left image unchanged (degenerate test image?)")
-	}
-}
-
-func TestCenterCrop(t *testing.T) {
-	im := NewImage(6, 6, 1)
-	im.Set(2, 2, 0, 9)
-	c := CenterCrop(im, 2, 2)
-	if c.W != 2 || c.H != 2 {
-		t.Fatalf("crop dims %dx%d", c.W, c.H)
-	}
-	if c.At(0, 0, 0) != 9 {
-		t.Error("crop not centred")
 	}
 }
 

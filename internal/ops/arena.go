@@ -153,15 +153,16 @@ func ScratchPlan(n *graph.Node, kind ComputeKind, backend Backend, shapeOf func(
 		oc, kh, kw, ic := w[0], w[1], w[2], w[3]
 		k := kh * kw * ic
 		if kind == KindQuant {
-			// The quantized lowerings reuse one per-element im2col buffer
-			// across the batch loop, so only oh*ow rows are ever live; the
-			// tiled backend pads the panel to the 4-row register tile, plus
-			// the AVX2 tile's slack element for an odd k (quantLeftPanel).
-			m := outShape[1] * outShape[2]
+			// The tiled lowering reuses one per-element im2col panel across
+			// the batch loop, so only oh*ow rows are ever live, padded to the
+			// 4-row register tile plus the AVX2 tile's slack element for an
+			// odd k (quantLeftPanel). The reference backend runs the loop
+			// nest, which needs no scratch.
 			if backend == BackendTiled {
+				m := outShape[1] * outShape[2]
 				return 0, 0, padUp(m, 4)*k + k%2, 0
 			}
-			return 0, 0, m * k, 0
+			return 0, 0, 0, 0
 		}
 		// The float lowerings span the whole batch in one GEMM: n*oh*ow
 		// rows. The tiled backend packs a padded left panel and fuses the
@@ -185,9 +186,6 @@ func ScratchPlan(n *graph.Node, kind ComputeKind, backend Backend, shapeOf func(
 			}
 			return padUp(batch, 4) * inC, 0, 0, 0
 		}
-	case graph.OpDepthwiseConv2D:
-		oc := outShape[len(outShape)-1]
-		return oc, 0, 0, 0
 	case graph.OpBatchNorm:
 		ch := outShape[len(outShape)-1]
 		return 2 * ch, 0, 0, 0

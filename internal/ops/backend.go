@@ -30,10 +30,11 @@ const (
 	// float-discrepancy class the paper documents), so validators bound it
 	// with agreement/nRMSE thresholds rather than equality.
 	BackendTiled Backend = iota
-	// BackendReference is the naive single-column dot-product GEMM behind the
-	// same im2col lowering, with a separate bias/activation epilogue. It
-	// exists as the slow, obviously-correct anchor the tiled kernels are
-	// raced and diffed against.
+	// BackendReference is the slow, obviously-correct anchor the tiled
+	// kernels are raced and diffed against. Float Conv2D and Dense run the
+	// naive single-column dot-product GEMM behind the same im2col lowering,
+	// with a separate bias/activation epilogue; int8 Conv2D and Dense and
+	// both depthwise kernels run the reference resolver's own loop nests.
 	BackendReference
 )
 

@@ -36,12 +36,13 @@ func (c Cost) TimeFactor() float64 {
 // DepthwiseConv2D), relative to the device profile's unscaled per-MAC
 // coefficient. Calibrated against the BenchmarkInvokeGemm per-backend
 // profiles on the bench host: the naive reference float dot loop runs a
-// single dependency chain (the reference backend's quantized dot loop runs
+// single dependency chain (the reference backend's quantized loop nests run
 // at the unscaled coefficient, so no factor there); the tiled conv/dense
 // path fuses the epilogue, skips im2col for pointwise and narrow-stem
 // convolutions and runs the column-quad (1x4) register kernel over in-place
-// row operands; the tiled depthwise kernels replace the scratch-slab
-// accumulate with register blocks.
+// row operands; the tiled depthwise kernels accumulate a block of channels
+// in registers over one tap table where the reference loop nest re-tests
+// every tap's bounds for every channel.
 const (
 	macFactorRefFloat     = 1.5
 	macFactorTiledFloat   = 0.65

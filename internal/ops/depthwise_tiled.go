@@ -4,40 +4,39 @@ import (
 	"mlexray/internal/graph"
 )
 
-// Register-tiled depthwise convolution kernels for the tiled backend. The
-// slab loop in depthwiseFloatOpt accumulates through a per-pixel scratch slab —
-// every MAC is a load-modify-store on memory, bracketed by a bias-copy pass
-// and an activation pass over the same slab. The tiled kernels instead walk
-// channels in blocks of register accumulators with the bias seeding and the
-// activation clamp fused into the block store, cutting the per-MAC memory
-// traffic in half. Tap validity and addressing are resolved once per output
-// pixel into a small offset table (interior pixels reuse a precomputed
-// relative table, one add per tap), so the accumulation loop carries no
-// boundary branches and no address multiplies. The per-pixel channel walk
-// lives in its own small function on purpose: inlined into the node-level
-// loop the register allocator has too many live values and spills the
-// accumulators, which costs more than the call. Taps accumulate in the same
-// ascending (ky, kx) order as the slab loop, so the float results are
-// bitwise identical; the quantized results are bit-exact by integer
-// associativity.
-//
-// Where the AVX2 tile is available (useAVX2) the channel block of both
-// kernels is one YMM register — eight channels a lane each, same bias seed,
-// same tap order, so still the same bits — and a row's x-interior pixels go
-// to the assembly in one call over one tap table (dwLanesF32, dwLanesQ8).
+// Register-tiled depthwise convolution kernels for the tiled backend. Each
+// kernel walks channels in blocks of register accumulators seeded with the
+// bias, with the activation clamp (float) or the requantization (int8) fused
+// into the block store. Each kernel has one walk over the output rows. The
+// x-interior pixels of a row (dwInteriorX) share one tap table — whichever
+// kernel rows the row clips are clipped for all of them — so the run is
+// resolved once and pixel q of it reads the same table shifted by
+// q·StrideW·ic (interiorRun); every x-border pixel gets a table of its own
+// (dwTapTable). The accumulation loops therefore carry no boundary branches
+// and no address multiplies. Where the AVX2 tile is available (useAVX2) the
+// channels [0, oc&^7) go to the assembly, eight channels a YMM register, a
+// whole run in one call (dwLanesF32, dwLanesQ8); the remaining channels, and
+// all of them without AVX2, run the Go pixel kernel (dwPixelF32,
+// dwPixelQuant) on the same table. The per-pixel channel walk lives in its
+// own small function on purpose: inlined into the node-level loop the
+// register allocator has too many live values and spills the accumulators,
+// which costs more than the call. Every channel sums its taps in the
+// reference kernel's ascending (ky, kx) order from the bias seed, multiply
+// and add rounded separately, so the float results are depthwiseFloatRef's
+// bits; the quantized results are bit-exact by integer associativity.
 //
 // Both kernels cover the depth_multiplier == 1 layout with kernels up to
 // maxDWTaps taps (every production depthwise layer qualifies); the
-// dispatchers in float_opt.go / quantized.go fall back to the slab and
-// reference loops for other layouts (dwTiledApplies).
+// dispatchers in float_opt.go / quantized.go run the reference resolver's
+// loop nest for other layouts and on the reference backend (dwTiledApplies).
 
 // maxDWTaps bounds the per-pixel tap table (covers kernels up to 5x5).
 const maxDWTaps = 25
 
 // dwTiledApplies reports whether the node runs on the register-tiled
 // depthwise kernels: the tiled backend, the standard depth_multiplier == 1
-// layout, a tap table of at most maxDWTaps. Everything else takes the slab
-// (float) or reference (quantized) loop nest.
+// layout, a tap table of at most maxDWTaps. Everything else takes the
+// reference loop nest.
 func dwTiledApplies(c *Ctx) bool {
 	if c.Backend != BackendTiled || max1(c.Node.Attrs.DepthMultiplier) != 1 {
 		return false
@@ -148,9 +147,9 @@ func dwInteriorX(a graph.Attrs, iw, kw, dw, ow int) (lo, hi int) {
 	return lo, max(hi, lo)
 }
 
-// interiorRun is how many output pixels starting at ox one assembly call
-// covers: the whole x-interior [oxLo, oxHi) when ox opens it (those pixels
-// share a tap or run table), otherwise the one border pixel.
+// interiorRun is how many output pixels starting at ox share one tap (or
+// run) table: the whole x-interior [oxLo, oxHi) when ox opens it, otherwise
+// the one border pixel.
 func interiorRun(ox, oxLo, oxHi int) int {
 	if ox == oxLo && oxHi > oxLo {
 		return oxHi - oxLo
@@ -181,81 +180,34 @@ func depthwiseFloatTiled(c *Ctx) error {
 		bf = bias.F
 	}
 	inF, wF := in.F, w.F
-	// Relative offsets of the full (all-valid) tap set; stack arrays keep
-	// the kernel allocation-free.
-	var relInA, relWA, tapInA, tapWA [maxDWTaps]int
-	nt0 := 0
-	for ky := 0; ky < kh; ky++ {
-		for kx := 0; kx < kw; kx++ {
-			relInA[nt0] = (ky*dh*iw + kx*dw) * ic
-			relWA[nt0] = (ky*kw + kx) * oc
-			nt0++
-		}
-	}
-	relIn, relW := relInA[:nt0], relWA[:nt0]
+	var tapInA, tapWA [maxDWTaps]int // on the stack: Invoke stays allocation-free
 	tapIn, tapW := &tapInA, &tapWA
 	oxLo, oxHi := dwInteriorX(a, iw, kw, dw, ow)
 	d := a.StrideW * ic
-	if oc8 := oc &^ 7; useAVX2 && oc8 > 0 {
-		// Assembly tile: eight channels a register. The x-interior pixels of
-		// a row share one tap table (whichever kernel rows the row clips are
-		// clipped for all of them), so they go down in one call, four pixels
-		// to a weight load; the x-border pixels go one at a time, and the
-		// oc%8 channel tail runs the Go pixel kernel on the same tables.
-		var bfTail []float32
-		if bf != nil {
-			bfTail = bf[oc8:]
-		}
-		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; {
-					npix := interiorRun(ox, oxLo, oxHi)
-					nt := dwTapTable(a, oy, ox, ih, iw, ic, kh, kw, oc, dh, dw, b*ih, tapIn, tapW)
-					taps, wofs := (*tapIn)[:nt], (*tapW)[:nt]
-					outPix := out.F[((b*oh+oy)*ow+ox)*oc:]
-					if err := dwLanesF32(c.Node.Op, inF, wF, bf, outPix, taps, wofs, npix, d, oc8, oc, lo, hi); err != nil {
-						return err
-					}
-					for q := 0; q < npix && oc8 < oc; q++ {
-						dwPixelF32(inF[q*d+oc8:], wF[oc8:], bfTail, outPix[q*oc+oc8:], taps, wofs, oc-oc8, lo, hi)
-					}
-					ox += npix
-				}
-			}
-		}
-		return nil
+	oc8 := 0
+	if useAVX2 {
+		oc8 = oc &^ 7
 	}
-	border := func(b, oy, ox int) {
-		nt := dwTapTable(a, oy, ox, ih, iw, ic, kh, kw, oc, dh, dw, b*ih, tapIn, tapW)
-		outRow := out.F[((b*oh+oy)*ow+ox)*oc:][:oc]
-		dwPixelF32(inF, wF, bf, outRow, (*tapIn)[:nt], (*tapW)[:nt], oc, lo, hi)
+	var bfTail []float32
+	if bf != nil {
+		bfTail = bf[oc8:]
 	}
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*a.StrideH - a.PadT
-			if iy0 < 0 || iy0+(kh-1)*dh >= ih {
-				for ox := 0; ox < ow; ox++ {
-					border(b, oy, ox)
+			for ox := 0; ox < ow; {
+				npix := interiorRun(ox, oxLo, oxHi)
+				nt := dwTapTable(a, oy, ox, ih, iw, ic, kh, kw, oc, dh, dw, b*ih, tapIn, tapW)
+				taps, wofs := (*tapIn)[:nt], (*tapW)[:nt]
+				outPix := out.F[((b*oh+oy)*ow+ox)*oc:]
+				if oc8 > 0 {
+					if err := dwLanesF32(c.Node.Op, inF, wF, bf, outPix, taps, wofs, npix, d, oc8, oc, lo, hi); err != nil {
+						return err
+					}
 				}
-				continue
-			}
-			for ox := 0; ox < oxLo; ox++ {
-				border(b, oy, ox)
-			}
-			// Interior pixels: every tap is valid, so the offsets are the
-			// precomputed relative table plus one base — no boundary tests,
-			// no address multiplies.
-			rowOut := ((b*oh + oy) * ow) * oc
-			ox := oxLo
-			for ; ox < oxHi; ox++ {
-				base := ((b*ih+iy0)*iw + ox*a.StrideW - a.PadL) * ic
-				for t, r := range relIn {
-					tapIn[t] = base + r
+				for q := 0; q < npix && oc8 < oc; q++ {
+					dwPixelF32(inF[q*d+oc8:], wF[oc8:], bfTail, outPix[q*oc+oc8:], taps, wofs, oc-oc8, lo, hi)
 				}
-				dwPixelF32(inF, wF, bf, out.F[rowOut+ox*oc:][:oc], tapIn[:len(relIn)], relW, oc, lo, hi)
-			}
-			for ; ox < ow; ox++ {
-				border(b, oy, ox)
+				ox += npix
 			}
 		}
 	}
@@ -362,68 +314,37 @@ func depthwiseQuantTiled(c *Ctx, logicalShiftBug bool) error {
 		bx = bias.X
 	}
 	inU, wI := in.U, w.I
-	var relInA, relWA, tapInA, tapWA [maxDWTaps]int
+	var tapInA, tapWA [maxDWTaps]int // on the stack: Invoke stays allocation-free
 	tapIn, tapW := &tapInA, &tapWA
 	oxLo, oxHi := dwInteriorX(a, iw, kw, dw, ow)
-	if oc8 := oc &^ 7; useAVX2 && oc8 > 0 {
-		// Assembly tile, eight channels a register, on the float driver's
-		// walk: a row's x-interior pixels share one tap table and go down in
-		// one call, the x-border pixels one call each, and the oc%8 channel
-		// tail runs the Go pixel kernel on the same tables.
-		if plan.wq == nil {
-			plan.wq = widenI8(wI)
-		}
-		var bxTail []int32
-		if bx != nil {
-			bxTail = bx[oc8:]
-		}
-		d := a.StrideW * ic
-		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; {
-					npix := interiorRun(ox, oxLo, oxHi)
-					nt := dwTapTable(a, oy, ox, ih, iw, ic, kh, kw, oc, dh, dw, b*ih, tapIn, tapW)
-					taps, wofs := (*tapIn)[:nt], (*tapW)[:nt]
-					outPix := out.U[((b*oh+oy)*ow+ox)*oc:]
+	d := a.StrideW * ic
+	oc8 := 0
+	if useAVX2 {
+		oc8 = oc &^ 7
+	}
+	if oc8 > 0 && plan.wq == nil {
+		plan.wq = widenI8(wI)
+	}
+	var bxTail []int32
+	if bx != nil {
+		bxTail = bx[oc8:]
+	}
+	for b := 0; b < n; b++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; {
+				npix := interiorRun(ox, oxLo, oxHi)
+				nt := dwTapTable(a, oy, ox, ih, iw, ic, kh, kw, oc, dh, dw, b*ih, tapIn, tapW)
+				taps, wofs := (*tapIn)[:nt], (*tapW)[:nt]
+				outPix := out.U[((b*oh+oy)*ow+ox)*oc:]
+				if oc8 > 0 {
 					if err := dwLanesQ8(c.Node.Op, inU, plan.wq, bx, rq.lanes, outPix, taps, wofs, npix, d, oc8, oc, inZ, rq.outZ, rq.lo, rq.hi); err != nil {
 						return err
 					}
-					for q := 0; q < npix && oc8 < oc; q++ {
-						dwPixelQuant(inU[q*d+oc8:], wI[oc8:], bxTail, outPix[q*oc+oc8:], taps, wofs, oc-oc8, rq.chans[oc8:], inZ, rq.outZ, rq.lo, rq.hi)
-					}
-					ox += npix
 				}
-			}
-		}
-		return nil
-	}
-	nt0 := 0
-	for ky := 0; ky < kh; ky++ {
-		for kx := 0; kx < kw; kx++ {
-			relInA[nt0] = (ky*dh*iw + kx*dw) * ic
-			relWA[nt0] = (ky*kw + kx) * oc
-			nt0++
-		}
-	}
-	relIn, relW := relInA[:nt0], relWA[:nt0]
-	for b := 0; b < n; b++ {
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*a.StrideH - a.PadT
-			interiorY := iy0 >= 0 && iy0+(kh-1)*dh < ih
-			for ox := 0; ox < ow; ox++ {
-				var taps, wofs []int
-				if ix0 := ox*a.StrideW - a.PadL; interiorY && ix0 >= 0 && ix0+(kw-1)*dw < iw {
-					base := ((b*ih+iy0)*iw + ix0) * ic
-					for t, r := range relIn {
-						tapIn[t] = base + r
-					}
-					taps, wofs = tapIn[:len(relIn)], relW
-				} else {
-					nt := dwTapTable(a, oy, ox, ih, iw, ic, kh, kw, oc, dh, dw, b*ih, tapIn, tapW)
-					taps, wofs = (*tapIn)[:nt], (*tapW)[:nt]
+				for q := 0; q < npix && oc8 < oc; q++ {
+					dwPixelQuant(inU[q*d+oc8:], wI[oc8:], bxTail, outPix[q*oc+oc8:], taps, wofs, oc-oc8, rq.chans[oc8:], inZ, rq.outZ, rq.lo, rq.hi)
 				}
-				outRow := out.U[((b*oh+oy)*ow+ox)*oc:][:oc]
-				dwPixelQuant(inU, wI, bx, outRow, taps, wofs, oc, rq.chans, inZ, rq.outZ, rq.lo, rq.hi)
+				ox += npix
 			}
 		}
 	}

@@ -122,75 +122,14 @@ func convFloatIm2col(c *Ctx) error {
 	return nil
 }
 
-// depthwiseFloatOpt processes the image row-by-row with hoisted bounds
-// checks; same math as the reference kernel, reordered loops. The common
-// depth-multiplier-1 case runs a division-free inner loop.
+// depthwiseFloatOpt is the optimized DepthwiseConv2D: the tiled backend's
+// register kernel where it applies (dwTiledApplies), the reference loop nest
+// on rarer layouts and the reference backend — the same bits either way.
 func depthwiseFloatOpt(c *Ctx) error {
-	// Rarer layouts and the reference backend take the slab loop.
 	if dwTiledApplies(c) {
 		return depthwiseFloatTiled(c)
 	}
-	in, err := c.In(0)
-	if err != nil {
-		return err
-	}
-	w, err := c.In(1)
-	if err != nil {
-		return err
-	}
-	bias := c.OptionalIn(2)
-	out := c.Outputs[0]
-	a := c.Node.Attrs
-	mult := max1(a.DepthMultiplier)
-	n, ih, iw, ic := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	kh, kw, oc := w.Shape[1], w.Shape[2], w.Shape[3]
-	oh, ow := out.Shape[1], out.Shape[2]
-	dh, dw := max1(a.DilationH), max1(a.DilationW)
-	acc := c.Arena.F32(oc)
-	for b := 0; b < n; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				if bias != nil {
-					copy(acc, bias.F)
-				} else {
-					for i := range acc {
-						acc[i] = 0
-					}
-				}
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*a.StrideH - a.PadT + ky*dh
-					if iy < 0 || iy >= ih {
-						continue
-					}
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*a.StrideW - a.PadL + kx*dw
-						if ix < 0 || ix >= iw {
-							continue
-						}
-						inBase := ((b*ih+iy)*iw + ix) * ic
-						wBase := (ky*kw + kx) * oc
-						if mult == 1 {
-							// ic == oc: channel c reads input channel c.
-							inRow := in.F[inBase : inBase+oc]
-							wRow := w.F[wBase : wBase+oc]
-							for co := range acc {
-								acc[co] += inRow[co] * wRow[co]
-							}
-							continue
-						}
-						for co := 0; co < oc; co++ {
-							acc[co] += in.F[inBase+co/mult] * w.F[wBase+co]
-						}
-					}
-				}
-				outBase := ((b*oh+oy)*ow + ox) * oc
-				for co := 0; co < oc; co++ {
-					out.F[outBase+co] = applyActF32(a.Activation, acc[co])
-				}
-			}
-		}
-	}
-	return nil
+	return depthwiseFloatRef(c)
 }
 
 // denseFloatOpt runs the fully-connected layer through the backend's GEMM.

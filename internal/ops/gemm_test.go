@@ -160,8 +160,10 @@ func TestGemmBackendConvEdgeCases(t *testing.T) {
 }
 
 // TestGemmBackendDepthwiseParity covers the register-tiled depthwise kernel:
-// odd widths (border/interior/pair splits), 3x3 and 5x5 taps, strides and
-// dilation, each backend against the reference slab loop.
+// odd widths (border/interior splits), 3x3 and 5x5 taps, strides and
+// dilation, each backend bit for bit against the reference kernel. The 7x7
+// row exceeds maxDWTaps, so it pins the fallback to the reference kernel on
+// the tiled backend too.
 func TestGemmBackendDepthwiseParity(t *testing.T) {
 	backends := backendsUnderTest(t)
 	rng := rand.New(rand.NewSource(303))
@@ -175,6 +177,7 @@ func TestGemmBackendDepthwiseParity(t *testing.T) {
 		{"same5x5", 11, 11, 2, 5, 1, 1},
 		{"dilated3x3", 9, 9, 5, 3, 1, 2},
 		{"narrow", 5, 3, 8, 3, 1, 1},
+		{"same7x7", 9, 10, 11, 7, 1, 1},
 	}
 	for _, cse := range cases {
 		in := randF32(rng, 1, cse.ih, cse.iw, cse.ic)
@@ -200,7 +203,9 @@ func TestGemmBackendDepthwiseParity(t *testing.T) {
 				[]*tensor.Tensor{in, w, bias}, nil, out, nil)); err != nil {
 				t.Fatalf("%s backend %s: %v", cse.name, b, err)
 			}
-			checkFloatParity(t, b, out, ref, "depthwise "+cse.name)
+			if i := sameF32Bits(out.F, ref.F); i >= 0 {
+				t.Errorf("depthwise %s: backend %s element %d = %v, reference %v", cse.name, b, i, out.F[i], ref.F[i])
+			}
 		}
 	}
 }

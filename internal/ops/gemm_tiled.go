@@ -465,8 +465,8 @@ func quantLeftPanel(c *Ctx, m, k int) []int16 {
 
 // convQuantTiled is the quantized Conv2D through the int8 packed path:
 // zero-corrected int16 im2col into the padded left panel, then the fused
-// GEMM (gemmQuantTiled). Bit-exact against convQuantRef/convQuantOpt by
-// construction.
+// GEMM (gemmQuantTiled). Bit-exact against convQuantRef by construction; a
+// node with a multiplier outside the lane domain runs convQuantRef itself.
 func convQuantTiled(c *Ctx) error {
 	in, err := c.In(0)
 	if err != nil {
@@ -490,7 +490,7 @@ func convQuantTiled(c *Ctx) error {
 		return err
 	}
 	if plan == nil {
-		return convQuantIm2col(c)
+		return convQuantRef(c)
 	}
 	inZ := int16(c.InQ[0].ZeroPoint(0))
 	cols := quantLeftPanel(c, m, k)

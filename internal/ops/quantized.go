@@ -141,65 +141,16 @@ func convQuantRef(c *Ctx) error {
 	return nil
 }
 
-// convQuantOpt is the optimized quantized Conv2D: im2col into an int16
-// zero-offset-corrected buffer, int32 GEMM accumulation. Same math as the
-// reference kernel — the optimized *conv* is correct; only depthwise has the
-// historical defect. The tiled backend routes to the packed int8 fast path,
-// the reference backend to the scalar dot loop below. Both are bit-exact
-// against each other: integer accumulation is associative.
+// convQuantOpt is the optimized quantized Conv2D. The tiled backend routes
+// to the packed int8 path (convQuantTiled); the reference backend runs the
+// reference loop nest, as denseQuantOpt does. Same math either way — the
+// optimized *conv* is correct; only depthwise has the historical defect —
+// and the same bytes: integer accumulation is associative.
 func convQuantOpt(c *Ctx) error {
 	if c.Backend == BackendTiled {
 		return convQuantTiled(c)
 	}
-	return convQuantIm2col(c)
-}
-
-func convQuantIm2col(c *Ctx) error {
-	in, err := c.In(0)
-	if err != nil {
-		return err
-	}
-	w, err := c.In(1)
-	if err != nil {
-		return err
-	}
-	bias := c.OptionalIn(2)
-	out := c.Outputs[0]
-	a := c.Node.Attrs
-	inQ, outQ := c.InQ[0], c.OutQ[0]
-	n, ic := in.Shape[0], in.Shape[3]
-	oc, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2]
-	oh, ow := out.Shape[1], out.Shape[2]
-	muls, err := cachedConvMultipliers(c, oc)
-	if err != nil {
-		return err
-	}
-	inZ := int16(inQ.ZeroPoint(0))
-	outZ := outQ.ZeroPoint(0)
-	lo, hi := quantActRange(a.Activation, outQ)
-
-	m := oh * ow
-	k := kh * kw * ic
-	cols := c.Arena.I16(m * k)
-	for b := 0; b < n; b++ {
-		im2colQuant(in, b, a, inZ, kh, kw, oh, ow, cols)
-		outBase := b * m * oc
-		for i := 0; i < m; i++ {
-			ci := cols[i*k : (i+1)*k]
-			for co := 0; co < oc; co++ {
-				wj := w.I[co*k : (co+1)*k]
-				var acc int32
-				for p := 0; p < k; p++ {
-					acc += int32(ci[p]) * int32(wj[p])
-				}
-				if bias != nil {
-					acc += bias.X[co]
-				}
-				out.U[outBase+i*oc+co] = clampU8(outZ+muls[co].Apply(acc), lo, hi)
-			}
-		}
-	}
-	return nil
+	return convQuantRef(c)
 }
 
 // depthwiseQuantRef is the correct quantized DepthwiseConv2D (int32
