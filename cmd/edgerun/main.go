@@ -28,7 +28,7 @@
 // daemon's incremental /fleet and /devices reports are ready when the replay
 // ends. Uploads are always the binary encoding: -log-format chooses the
 // local file's format only. Chunks go uncompressed unless -upload-gzip is
-// set: gzip halves the wire for 31x the device's upload CPU (the flag's help
+// set: gzip halves the wire for ~29x the device's upload CPU (the flag's help
 // has the figures), so it is the opt-in for constrained uplinks.
 //
 // Usage:
@@ -85,7 +85,7 @@ func run(args []string, stdout io.Writer) error {
 		kernel   = fs.String("kernel", "", "kernel backend: tiled|reference (default tiled)")
 		logFmt   = fs.String("log-format", "jsonl", "telemetry log encoding: jsonl|binary")
 		upload   = fs.String("upload", "", "also stream telemetry to an exrayd collector at this URL (per-device sessions; uploads are binary whatever -log-format writes locally)")
-		gz       = fs.Bool("upload-gzip", false, "gzip-compress upload chunks (default false: gzip takes the wire from 130.6 to 62.4 KB/frame but the device's upload CPU from 198 to 6,084 us/frame, 31x, all compress/flate; set it for constrained uplinks)")
+		gz       = fs.Bool("upload-gzip", false, "gzip-compress upload chunks (default false: gzip takes the wire from 129.9 to 61.9 KB/frame but the device's upload CPU from 220 to 6,374 us/frame, 29x, all compress/flate; set it for constrained uplinks)")
 		out      = fs.String("o", "edge.jsonl", "output log path")
 	)
 	if err := fs.Parse(args); err != nil {

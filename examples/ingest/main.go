@@ -81,7 +81,7 @@ func main() {
 		sinks[d], err = mlexray.NewRemoteSink(mlexray.RemoteSinkOptions{
 			URL: ts.URL, Device: name,
 			// Raw payloads are the cheap encoding. Gzip halves the wire
-			// (130.6 -> 62.4 KB/frame) for ~31x the client's upload CPU, so
+			// (129.9 -> 61.9 KB/frame) for ~29x the client's upload CPU, so
 			// it only pays on a constrained uplink: edgerun -upload leaves
 			// it off unless -upload-gzip is set.
 			Format: mlexray.FormatBinary, Gzip: true,

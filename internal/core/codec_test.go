@@ -170,6 +170,62 @@ func TestGoldenMLXBPinned(t *testing.T) {
 	}
 }
 
+// TestGoldenTensorStatsStillDecode pins the decoders' side of the change
+// that took stats off full-capture records: testdata/golden_tensor_stats.*
+// are the golden fixtures as the encoders wrote them before it, every tensor
+// record carrying a summary of its payload. Logs, uploads and WAL segments
+// written then must still read back, through either reader, to today's
+// golden records field for field, apart from that summary.
+func TestGoldenTensorStatsStillDecode(t *testing.T) {
+	readers := map[string]func([]byte) (*Log, error){
+		"ReadLog": func(b []byte) (*Log, error) { return ReadLog(bytes.NewReader(b)) },
+		"OpenLogBytes": func(b []byte) (*Log, error) {
+			dec, _, err := OpenLogBytes(b)
+			if err != nil {
+				return nil, err
+			}
+			return readAll(dec)
+		},
+	}
+	for _, ext := range []string{"jsonl", "mlxb"} {
+		old, err := os.ReadFile("testdata/golden_tensor_stats." + ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := os.ReadFile("testdata/golden." + ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, read := range readers {
+			gotLog, err := read(old)
+			if err != nil {
+				t.Fatalf("%s of golden_tensor_stats.%s: %v", name, ext, err)
+			}
+			wantLog, err := read(cur)
+			if err != nil {
+				t.Fatalf("%s of golden.%s: %v", name, ext, err)
+			}
+			got, want := gotLog.Records, wantLog.Records
+			if len(got) != len(want) {
+				t.Fatalf("%s of golden_tensor_stats.%s: %d records, want %d", name, ext, len(got), len(want))
+			}
+			withStats := 0
+			for i := range got {
+				if got[i].Kind == KindTensor && got[i].Stats != nil {
+					withStats++
+					got[i].Stats = nil
+				}
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%s of golden_tensor_stats.%s: record %d is\n%+v\nwant\n%+v", name, ext, i, got[i], want[i])
+				}
+			}
+			if withStats != 8 {
+				t.Errorf("%s of golden_tensor_stats.%s: %d tensor records carry stats, want 8", name, ext, withStats)
+			}
+		}
+	}
+}
+
 // roundTrip serializes l in the given format and reads it back through the
 // auto-detecting reader.
 func roundTrip(t *testing.T, l *Log, format LogFormat) *Log {

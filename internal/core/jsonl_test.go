@@ -280,6 +280,50 @@ func TestJSONLNonFiniteIsADocumentedError(t *testing.T) {
 	}
 }
 
+// TestJSONLDivergedFullCaptureIsLogged is the other side of that contract: a
+// full capture of a diverged layer (NaN and ±Inf activations) carries its
+// values only as payload bits, so every JSONL path takes the record and it
+// reads back bit for bit. Only a stats-only record, qscale and value can be
+// refused.
+func TestJSONLDivergedFullCaptureIsLogged(t *testing.T) {
+	tt := tensor.New(tensor.F32, 6)
+	copy(tt.F, []float32{1.5, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), -0.25, 0})
+	m := NewMonitor(WithCaptureMode(CaptureFull))
+	m.NextFrame()
+	m.LogTensor(LayerOutputKey("fc"), tt)
+	recs := m.Drain()
+	if len(recs) != 1 || recs[0].Kind != KindTensor || recs[0].Stats != nil {
+		t.Fatalf("full capture recorded %+v, want one tensor record without stats", recs)
+	}
+	want := appendTensorPortable(nil, tt)
+	readsBack := func(path string, stream []byte, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s refused the diverged capture: %v", path, err)
+		}
+		back, err := NewJSONLDecoder(bytes.NewReader(stream)).Next()
+		if err != nil || !bytes.Equal(back.Payload, want) {
+			t.Fatalf("%s: read back payload %x (%v), want %x", path, back.Payload, err, want)
+		}
+	}
+
+	var out bytes.Buffer
+	enc := NewJSONLEncoder(&out)
+	err := errors.Join(enc.EncodeRecord(&recs[0]), enc.Flush())
+	readsBack("JSONLEncoder", out.Bytes(), err)
+
+	out.Reset()
+	sink := NewJSONLSink(&out)
+	pf, err := sink.PreEncodeFrame(recs)
+	if err == nil {
+		err = errors.Join(sink.WritePreEncoded(1, pf, 0), sink.Flush())
+	}
+	readsBack("PreEncodeFrame", out.Bytes(), err)
+
+	line, err := recs[0].MarshalJSON()
+	readsBack("MarshalJSON", line, err)
+}
+
 // TestPreEncodeMatchesWriteFrameAnySeq extends the FramePreEncoder contract
 // to hostile records and random sequence bases of every digit count.
 func TestPreEncodeMatchesWriteFrameAnySeq(t *testing.T) {

@@ -436,29 +436,17 @@ func (m *Monitor) LayerHook() interp.NodeHook {
 		// Quantized captures are stored raw (1 byte/element) with their
 		// scale/zero-point; decode dequantizes, so per-layer logs compare in
 		// real units across float and quantized versions of a model while
-		// keeping the on-disk size advantage of integer models.
+		// keeping the on-disk size advantage of integer models. A stats-only
+		// record summarises the dequantized tensor, in the same real units.
 		out := ev.Outputs[0]
 		if out.DType == tensor.U8 && len(ev.OutQuant) > 0 && ev.OutQuant[0] != nil {
 			r.QScale = ev.OutQuant[0].Scale(0)
 			r.QZero = ev.OutQuant[0].ZeroPoint(0)
-			// Stats must reflect real units for range-normalized drift.
 			if m.mode != CaptureFull {
-				deq := quant.DequantizeTensorU8(out, ev.OutQuant[0])
-				r.describeTensor(deq, false)
-				m.append(r)
-				m.append(lat)
-				return
+				out = quant.DequantizeTensorU8(out, ev.OutQuant[0])
 			}
 		}
 		r.describeTensor(out, m.mode == CaptureFull)
-		if r.QScale != 0 {
-			// Rewrite stats in dequantized units.
-			s := r.Stats
-			s.Min = r.QScale * (s.Min - float64(r.QZero))
-			s.Max = r.QScale * (s.Max - float64(r.QZero))
-			s.Mean = r.QScale * (s.Mean - float64(r.QZero))
-			s.RMS = 0 // raw RMS does not transform linearly; recompute on decode when needed
-		}
 		m.appendTensor(r, out)
 		m.append(lat)
 	}

@@ -46,7 +46,7 @@ type Record struct {
 	LayerName  string
 	OpType     string
 
-	// Tensor payload (KindTensor) or summary (both tensor kinds). Payload
+	// Tensor payload (KindTensor) or summary (KindStats), never both. Payload
 	// holds the raw little-endian element bytes and is kept raw in memory:
 	// capture pays one memcpy-style encode, and the base64 expansion of the
 	// JSONL format (or nothing at all, for the binary format) is paid only
@@ -135,15 +135,16 @@ func (r *Record) EncodeTensor(t *tensor.Tensor, full bool) {
 }
 
 // describeTensor fills everything of a tensor record but its payload: shape,
-// dtype, summary statistics and the kind the capture depth implies.
+// dtype and the kind the capture depth implies, plus the summary statistics
+// of a stats-only record. A full capture carries its payload instead.
 func (r *Record) describeTensor(t *tensor.Tensor, full bool) {
 	r.Shape = append([]int(nil), t.Shape...)
 	r.DType = t.DType.String()
-	s := tensor.ComputeStats(t)
-	r.Stats = &s
-	r.Kind = KindStats
-	if full {
-		r.Kind = KindTensor
+	r.Kind = KindTensor
+	if !full {
+		s := tensor.ComputeStats(t)
+		r.Stats = &s
+		r.Kind = KindStats
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -26,12 +25,14 @@ import (
 
 const testFrames = 6
 
-// TestMain turns the recycle scribble on for the whole package (the race leg
-// included): a replay that lends its captures overwrites them once flushed,
-// so an alias kept past Sink.WriteFrame breaks the byte-identity pins.
-func TestMain(m *testing.M) {
-	core.ScribbleRecycledCaptures(true)
-	os.Exit(m.Run())
+// scribbleRecycled turns the recycle scribble on until t ends: a replay that
+// lends its captures then overwrites them once flushed, so an alias kept past
+// Sink.WriteFrame breaks the byte-identity pins. Every test that lends calls
+// it, the race leg included; the benchmarks do not, so they time the recycle
+// the product runs.
+func scribbleRecycled(t testing.TB) {
+	was := core.ScribbleRecycledCaptures(true)
+	t.Cleanup(func() { core.ScribbleRecycledCaptures(was) })
 }
 
 var monOpts = []core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(true)}
@@ -304,6 +305,7 @@ func firstDiff(got, want *core.Log) string {
 // the collector encodes whatever the worker count; the runner's
 // TestReplayStreamingSink has the lent pre-encoding replay.)
 func TestReplayDeterminism(t *testing.T) {
+	scribbleRecycled(t)
 	profiles := []*device.Profile{device.Pixel4(), device.Pixel3(), device.EmulatorX86()}
 	for _, tc := range taskCases() {
 		entry, err := zoo.Get(tc.model)
